@@ -11,7 +11,7 @@ COVER_PKGS  ?= internal/cache internal/loader internal/server internal/query int
 # binaries); git-ignored, removed by clean.
 BUILD_DIR ?= build
 
-.PHONY: all build test cover lint bench benchjson bench2 bench3 bench4 bench5 allocguard profile suite speccheck querycheck servesmoke distsmoke crashsmoke memosmoke tracesmoke experiments-md clean
+.PHONY: all build test cover lint bench benchcheck benchjson bench2 allocguard profile suite speccheck querycheck servesmoke distsmoke crashsmoke memosmoke tracesmoke experiments-md clean
 
 all: lint build test
 
@@ -48,6 +48,13 @@ lint:
 # of the full reproduction harness.
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
+
+# The repository benchmark (bench/, run by bash bench/run.sh) is its own Go
+# module, so root `go test ./...` never builds it: vet and test it here, so
+# an API change in the packages it drives (experiments, server, memo)
+# cannot break it silently.
+benchcheck:
+	cd bench && $(GO) vet ./... && $(GO) test -count=1 ./...
 
 # Concurrent-loader benchmark: sharded vs single-mutex lookup throughput and
 # pipeline epoch wall time at 1/2/4/8 workers, written to BENCH_1.json.
@@ -104,23 +111,11 @@ querycheck:
 	cmp testdata/queries/epoch-stalls.golden $(BUILD_DIR)/epoch-stalls.ndjson
 	@echo "querycheck: example query output matches goldens"
 
-# Job-service bench: HTTP submit->complete latency and /events fan-out
-# delivery throughput at 1/4/16 concurrent subscribers, written to
-# BENCH_3.json.
-bench3:
-	$(GO) run ./cmd/stallbench -bench3 -bench3-out BENCH_3.json
-
 # End-to-end smoke of the HTTP job service: boot stallserved, submit the
 # committed example scenario, stream its events to completion, cancel a
 # second job mid-run, reconcile /metrics, and SIGTERM-drain cleanly.
 servesmoke:
 	BUILD_DIR=$(BUILD_DIR) ./scripts/servesmoke.sh
-
-# Coordinator-mode bench: one spec grid on a single node vs scattered
-# across 1/2/4 in-process workers, every fleet report byte-checked against
-# the single-node one, written to BENCH_4.json.
-bench4:
-	$(GO) run ./cmd/stallbench -bench4 -bench4-out BENCH_4.json
 
 # Distributed-mode smoke: a coordinator plus two real stallserved worker
 # processes run the same sweep as a single node; the scattered report —
@@ -150,11 +145,6 @@ memosmoke:
 # and the committed golden (testdata/traces/fig5-topology.golden).
 tracesmoke:
 	BUILD_DIR=$(BUILD_DIR) ./scripts/tracesmoke.sh
-
-# Memoization bench: cold-vs-warm suite wall and a 100-case sweep against a
-# 90%-primed cache vs a single case, written to BENCH_5.json.
-bench5:
-	$(GO) run ./cmd/stallbench -bench5 -bench5-out BENCH_5.json
 
 experiments-md:
 	$(GO) run ./cmd/runsuite -md EXPERIMENTS.md

@@ -6,9 +6,6 @@
 //	stallbench -run all -parallel 8 -scale 0.01 > results.txt
 //	stallbench -bench -bench-out BENCH_1.json
 //	stallbench -bench2 -bench2-out BENCH_2.json
-//	stallbench -bench3 -bench3-out BENCH_3.json
-//	stallbench -bench4 -bench4-out BENCH_4.json
-//	stallbench -bench5 -bench5-out BENCH_5.json
 //	stallbench -run all -cpuprofile cpu.pprof -memprofile mem.pprof
 //
 // Each experiment prints a paper-style table plus the published result it
@@ -29,24 +26,9 @@
 // the map-backed vs dense MinIO, and full-suite wall time, written as JSON
 // to -bench2-out (BENCH_2.json).
 //
-// -bench3 measures the stallserved HTTP job service end to end: the POST
-// /v1/jobs submit -> worker -> terminal-status round trip for a small job,
-// and aggregate /events fan-out delivery throughput at 1/4/16 concurrent
-// NDJSON subscribers (plus the raw Broadcaster data structure without
-// HTTP), written as JSON to -bench3-out (BENCH_3.json).
-//
-// -bench4 measures distributed mode: one 8-cell spec grid run on a plain
-// single-node server, then scattered by a coordinator across 1/2/4
-// in-process stallserved workers (real HTTP via httptest listeners), each
-// fleet's gathered report byte-checked against the single-node one before
-// its cases/sec counts, written as JSON to -bench4-out (BENCH_4.json).
-//
-// -bench5 measures result memoization: the fig5+fig9a+fig18 suite cold
-// then warm against a content-addressed cache (the warm rerun must
-// simulate nothing and render identical output), and a 100-case sweep run
-// against a cache primed with 90% of its grid — whose wall should track
-// the 10 fresh cells, not the 100-cell grid — written as JSON to
-// -bench5-out (BENCH_5.json).
+// The job service, the coordinator and the memo cache are measured by the
+// repository benchmark instead: bash bench/run.sh --workload serve-jobs
+// (or coord-sweep, sweep-memo).
 //
 // -cpuprofile/-memprofile write pprof profiles of whatever work the other
 // flags select — the profiling workflow behind every hot-path PR
@@ -80,12 +62,6 @@ func run() int {
 	benchOut := flag.String("bench-out", "BENCH_1.json", "output file for -bench results")
 	bench2 := flag.Bool("bench2", false, "benchmark zero-alloc hot paths old-vs-new (engine, cache, suite)")
 	bench2Out := flag.String("bench2-out", "BENCH_2.json", "output file for -bench2 results")
-	bench3 := flag.Bool("bench3", false, "benchmark the HTTP job service (submit latency, event fan-out)")
-	bench3Out := flag.String("bench3-out", "BENCH_3.json", "output file for -bench3 results")
-	bench4 := flag.Bool("bench4", false, "benchmark coordinator-mode case throughput at 1/2/4 fleet workers")
-	bench4Out := flag.String("bench4-out", "BENCH_4.json", "output file for -bench4 results")
-	bench5 := flag.Bool("bench5", false, "benchmark result memoization: warm suite reruns and 90%-overlap sweeps")
-	bench5Out := flag.String("bench5-out", "BENCH_5.json", "output file for -bench5 results")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	flag.Parse()
@@ -135,12 +111,6 @@ func run() int {
 		return runBench(*benchOut)
 	case *bench2:
 		return runBench2(*bench2Out)
-	case *bench3:
-		return runBench3(*bench3Out)
-	case *bench4:
-		return runBench4(*bench4Out)
-	case *bench5:
-		return runBench5(*bench5Out)
 	case *runID == "all":
 		return runAll(ctx, *scale, *epochs, *seed, *parallel)
 	case *runID != "":

@@ -1,0 +1,221 @@
+// The one cell executor. Every path that turns grid cells into results —
+// RunSpec, and the job service's local and coordinator executors for both
+// spec and single-job submissions — runs the same per-cell pipeline:
+//
+//	resume -> dedupe -> memo -> run -> done hook, inside one case span.
+//
+// Callers differ only in configuration: where a cell runs (LocalRunner
+// in-process, or a remote dispatcher), whether unique cells run serially
+// in index order or one goroutine each, and the hooks a service supplies to
+// resume from and log to its write-ahead log.
+package experiments
+
+import (
+	"context"
+	"strconv"
+	"sync"
+	"time"
+
+	"datastall/internal/memo"
+	"datastall/internal/obs"
+	"datastall/internal/trainer"
+)
+
+// RunCell produces one cell's result. sp is the cell's case span: a local
+// runner hangs its simulate span under it, a remote one its dispatch
+// attempts.
+type RunCell func(ctx context.Context, c SpecCase, sp obs.Span) (*trainer.Result, error)
+
+// Executor runs grid cells through the per-cell pipeline. Run is required;
+// the other fields are for callers that persist progress.
+type Executor struct {
+	// Run produces a unique cell's result on a memo miss (or without a memo).
+	Run RunCell
+	// Parallel runs every unique cell on its own goroutine, leaving Run to
+	// bound real concurrency; otherwise cells run serially in index order,
+	// so Done fires in index order too. The first error cancels the rest.
+	Parallel bool
+	// Resume holds results an earlier, interrupted run already captured, by
+	// cell index. Those cells are served as-is: never run, never Done.
+	Resume map[int]*trainer.Result
+	// Start, when set, is called as each cell begins; resumed reports that
+	// the cell is served from Resume.
+	Start func(c SpecCase, resumed bool)
+	// Done, when set, is called with each newly captured result and the time
+	// the cell took. A duplicate cell reports its copy of the leader's
+	// result with took == 0: it did no work.
+	Done func(c SpecCase, res *trainer.Result, took time.Duration)
+}
+
+// LocalRunner simulates cells in-process: each cell's JobSpec resolved
+// under o and run with observers attached, under a simulate span carrying
+// the per-epoch stall attribution.
+func LocalRunner(o Options, observers ...trainer.Observer) RunCell {
+	return func(ctx context.Context, c SpecCase, sp obs.Span) (*trainer.Result, error) {
+		cfg, err := c.Job.Build(o)
+		if err != nil {
+			return nil, err
+		}
+		sim := sp.Start("simulate")
+		res, err := trainer.RunContext(ctx, cfg, observers...)
+		if err == nil {
+			traceEpochs(sim, cfg, res)
+		}
+		sim.End()
+		return res, err
+	}
+}
+
+// Execute runs cells — in index order, cells[i].Index == i, as
+// EnumerateCases returns them — and returns one result per cell. o
+// resolves each cell's key and supplies the memo cache and the span the
+// case spans hang under.
+//
+// Dedupe is decided here, once, before anything runs: each cell's CaseKey
+// is hashed exactly once, and a cell whose hash matches an earlier cell's
+// copies that leader's result — even a resumed one — without reaching the
+// memo or the runner. Keys are of the fully resolved config, so identical
+// means "runs the same simulation", not "spelled the same".
+func (e Executor) Execute(ctx context.Context, cells []SpecCase, o Options) ([]*trainer.Result, error) {
+	salt := ""
+	if o.Memo != nil {
+		salt = o.Memo.Salt()
+	}
+	keys := make([]memo.Key, len(cells))
+	leader := make([]int, len(cells))
+	first := make(map[string]int, len(cells))
+	for i, c := range cells {
+		leader[i] = i
+		// A cell whose config does not resolve keeps a zero key: it is
+		// never a duplicate, and the runner reports the resolution error
+		// with the cell's own context.
+		if k, err := CaseKey(c.Job, o, salt); err == nil {
+			keys[i] = k
+			if l, ok := first[k.Hash]; ok {
+				leader[i] = l
+			} else {
+				first[k.Hash] = i
+			}
+		}
+	}
+
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	results := make([]*trainer.Result, len(cells))
+	var (
+		wg       sync.WaitGroup
+		mu       sync.Mutex
+		firstErr error
+		// dups are parallel-mode duplicates, copied once every leader is
+		// done; serially a leader always finishes before its duplicates.
+		dups []int
+	)
+	for i, c := range cells {
+		switch {
+		case e.Resume[i] != nil:
+			results[i] = e.Resume[i]
+			e.start(c, true)
+			sp := openCase(o.Trace, c)
+			sp.Event("case_resumed")
+			sp.End()
+		case leader[i] != i && e.Parallel:
+			dups = append(dups, i)
+		case leader[i] != i:
+			results[i] = results[leader[i]]
+			e.copied(c, results[i], o.Trace)
+		case !e.Parallel:
+			res, err := e.runCell(ctx, c, keys[i], o)
+			if err != nil {
+				return nil, err
+			}
+			results[i] = res
+		default:
+			wg.Add(1)
+			// i and c are passed, not captured: a captured loop variable
+			// would be heap-allocated on every iteration, serial ones too.
+			go func(i int, c SpecCase) {
+				defer wg.Done()
+				res, err := e.runCell(ctx, c, keys[i], o)
+				if err != nil {
+					mu.Lock()
+					if firstErr == nil {
+						firstErr = err
+						cancel()
+					}
+					mu.Unlock()
+					return
+				}
+				results[i] = res
+			}(i, c)
+		}
+	}
+	wg.Wait()
+	if firstErr != nil {
+		return nil, firstErr
+	}
+	for _, i := range dups {
+		results[i] = results[leader[i]]
+		e.copied(cells[i], results[i], o.Trace)
+	}
+	return results, nil
+}
+
+// runCell takes one unique cell through the memo (when o has one and the
+// cell has a key) and the runner.
+func (e Executor) runCell(ctx context.Context, c SpecCase, key memo.Key, o Options) (*trainer.Result, error) {
+	e.start(c, false)
+	sp := openCase(o.Trace, c)
+	began := time.Now()
+	run := func() (*trainer.Result, error) { return e.Run(ctx, c, sp) }
+	var res *trainer.Result
+	var err error
+	if o.Memo != nil && key.Hash != "" {
+		var hit bool
+		res, hit, err = o.Memo.Do(ctx, key, run)
+		sp.Event("memo_lookup").SetAttr("hit", strconv.FormatBool(hit))
+	} else {
+		res, err = run()
+	}
+	if err != nil {
+		sp.SetAttr("error", err.Error())
+		sp.End()
+		return nil, err
+	}
+	if e.Done != nil {
+		e.Done(c, res, time.Since(began))
+	}
+	sp.End()
+	return res, nil
+}
+
+// copied reports a duplicate cell holding its leader's result: Done like
+// any other cell, under a case span marked case_dedup.
+func (e Executor) copied(c SpecCase, res *trainer.Result, parent obs.Span) {
+	e.start(c, false)
+	sp := openCase(parent, c)
+	if e.Done != nil {
+		e.Done(c, res, 0)
+	}
+	sp.Event("case_dedup")
+	sp.End()
+}
+
+func (e Executor) start(c SpecCase, resumed bool) {
+	if e.Start != nil {
+		e.Start(c, resumed)
+	}
+}
+
+// openCase opens a cell's case span on its own thread track (cells of a
+// parallel run overlap), labelled with the cell's axis coordinates; a
+// single job's one cell has none.
+func openCase(parent obs.Span, c SpecCase) obs.Span {
+	sp := parent.StartThread("case")
+	if c.Row != "" {
+		sp.SetAttr("row", c.Row)
+	}
+	if c.Case != "" {
+		sp.SetAttr("case", c.Case)
+	}
+	return sp
+}

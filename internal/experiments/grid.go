@@ -1,11 +1,12 @@
 // The case grid behind a declarative Spec, split into its two halves:
 // enumeration (which cells exist, in which order, resolving to which job)
 // and assembly (turning one result per cell back into the Report). RunSpec
-// is exactly enumerate -> run each cell -> assemble, so any executor that
-// produces the same per-cell trainer.Results in cell order — the in-process
-// loop, the suite orchestrator, or a stallserved coordinator scattering
-// cells across a worker fleet — gathers a Report byte-identical to a
-// single-node run by construction.
+// is exactly enumerate -> Executor -> assemble, and the job service runs
+// the same three steps with the same Executor, configured with its WAL
+// hooks and, in coordinator mode, a runner that scatters cells across a
+// worker fleet. Any producer of the same per-cell trainer.Results in cell
+// order gathers a Report byte-identical to a single-node run by
+// construction.
 package experiments
 
 import (
@@ -28,7 +29,7 @@ type SpecCase struct {
 	Index int
 	Total int
 	// Row and Case are the axis labels ("" Case when the spec has no sweep
-	// axis) — the same values CaseProgress carries.
+	// axis).
 	Row  string
 	Case string
 	// Job is the fully overlaid job description for this cell.

@@ -114,7 +114,7 @@ func TestAssembleReportValidation(t *testing.T) {
 }
 
 // TestEnumerateCasesNoSweep: a spec without a sweep axis enumerates one
-// cell per row with an empty Case label, matching CaseProgress semantics.
+// cell per row with an empty Case label.
 func TestEnumerateCasesNoSweep(t *testing.T) {
 	sp, err := LoadSpec([]byte(`{
 		"name": "nosweep",

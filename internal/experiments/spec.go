@@ -12,7 +12,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
-	"strconv"
 
 	"datastall/internal/cluster"
 	"datastall/internal/dataset"
@@ -541,102 +540,26 @@ func metricValue(name string, res *trainer.Result, servers int) float64 {
 	return 0
 }
 
-// CaseProgress identifies one cell of a spec's row x sweep grid as it is
-// about to run: Row and Case are the axis labels ("" Case when the spec has
-// no sweep axis), Index counts cells from 0 in execution order, and Total
-// is the grid size. The HTTP job service forwards these as stream
-// annotations so clients watching a long sweep see which cell is running.
-type CaseProgress struct {
-	Row   string
-	Case  string
-	Index int
-	Total int
-}
-
 // RunSpec executes a declarative spec under ctx: the cartesian product of
-// the row axis and the sweep axis, one simulation per cell, assembled into a
-// Report exactly as a hand-written experiment would build it. obs observers
-// are attached to every underlying training run (progress streaming).
-func RunSpec(ctx context.Context, sp *Spec, o Options, obs ...trainer.Observer) (*Report, error) {
-	return RunSpecProgress(ctx, sp, o, nil, obs...)
-}
-
-// RunSpecProgress is RunSpec with a per-case hook: progress (when non-nil)
-// is called synchronously just before each cell's simulation starts. The
-// report is identical to RunSpec's — the hook only observes.
+// the row axis and the sweep axis, one simulation per unique cell,
+// assembled into a Report exactly as a hand-written experiment would build
+// it. obs observers are attached to every underlying training run
+// (progress streaming).
 //
-// The implementation is literally the grid split: enumerate the cells, run
-// each in order, assemble — the same two halves a distributed executor
-// (EnumerateCases/AssembleReport) uses, which is what makes a scattered
-// sweep's gathered report byte-identical to this single-node loop.
-// Two memoization layers ride on top without changing the report: grids
-// with repeated axis values run each unique case once and copy the result
-// into every duplicate cell (keys from CaseKey, so "identical" means
-// identical *resolved* config), and with Options.Memo set, unique cases
-// are looked up in — and their fresh results stored into — the
-// content-addressed result cache before simulating.
-func RunSpecProgress(ctx context.Context, sp *Spec, o Options, progress func(CaseProgress), obs ...trainer.Observer) (*Report, error) {
+// It is the grid split with the one cell executor in the middle —
+// enumerate, Execute, assemble — the same steps the job service runs
+// locally and scatters across a fleet, which is what makes their reports
+// byte-identical to this one. With Options.Memo set, unique cells are
+// looked up in, and their fresh results stored into, the content-addressed
+// result cache.
+func RunSpec(ctx context.Context, sp *Spec, o Options, obs ...trainer.Observer) (*Report, error) {
 	g, err := newSpecGrid(sp, o)
 	if err != nil {
 		return nil, err
 	}
-	salt := ""
-	if g.o.Memo != nil {
-		salt = g.o.Memo.Salt()
-	}
-	seen := map[string]int{}
-	results := make([]*trainer.Result, g.total())
-	for _, c := range g.cases() {
-		if progress != nil {
-			progress(CaseProgress{Row: c.Row, Case: c.Case, Index: c.Index, Total: c.Total})
-		}
-		caseSpan := g.o.Trace.StartThread("case")
-		caseSpan.SetAttr("row", c.Row)
-		if c.Case != "" {
-			caseSpan.SetAttr("case", c.Case)
-		}
-		key, kerr := CaseKey(c.Job, g.o, salt)
-		if kerr == nil {
-			if first, ok := seen[key.Hash]; ok {
-				results[c.Index] = results[first]
-				caseSpan.Event("case_dedup")
-				caseSpan.End()
-				continue
-			}
-		}
-		run := func() (*trainer.Result, error) {
-			cfg, err := c.Job.build(g.o)
-			if err != nil {
-				return nil, err
-			}
-			sim := caseSpan.Start("simulate")
-			res, err := trainer.RunContext(ctx, cfg, obs...)
-			if err == nil {
-				TraceEpochs(sim, cfg, res)
-			}
-			sim.End()
-			return res, err
-		}
-		var res *trainer.Result
-		if g.o.Memo != nil && kerr == nil {
-			var hit bool
-			res, hit, err = g.o.Memo.Do(ctx, key, run)
-			caseSpan.Event("memo_lookup").SetAttr("hit", strconv.FormatBool(hit))
-		} else {
-			// A key derivation error is a resolution error; run() surfaces
-			// the same failure with the cell's own context attached.
-			res, err = run()
-		}
-		if err != nil {
-			caseSpan.SetAttr("error", err.Error())
-			caseSpan.End()
-			return nil, err
-		}
-		caseSpan.End()
-		if kerr == nil {
-			seen[key.Hash] = c.Index
-		}
-		results[c.Index] = res
+	results, err := Executor{Run: LocalRunner(g.o, obs...)}.Execute(ctx, g.cases(), g.o)
+	if err != nil {
+		return nil, err
 	}
 	return g.assemble(results)
 }

@@ -7,14 +7,14 @@ import (
 	"datastall/internal/trainer"
 )
 
-// TraceEpochs records a finished run's per-epoch stall attribution as
+// traceEpochs records a finished run's per-epoch stall attribution as
 // simulation-clock sub-spans of sp: one epoch span per epoch, each split
 // into gpu_busy / fetch_stall / prep_stall via EpochStats.PhaseBreakdown
 // at the run's configured device bandwidths — the paper's fig-5
 // breakdown, drawn on a timeline. Derived from Result.Epochs after the
 // run, so the engine's hot path stays tracing-free. No-op on a disabled
 // span.
-func TraceEpochs(sp obs.Span, cfg trainer.Config, res *trainer.Result) {
+func traceEpochs(sp obs.Span, cfg trainer.Config, res *trainer.Result) {
 	if !sp.Enabled() || res == nil {
 		return
 	}

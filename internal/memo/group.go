@@ -10,9 +10,9 @@ import (
 // Group collapses concurrent identical work (singleflight): among callers
 // presenting the same key at the same time, one — the leader — runs fn and
 // the rest wait for its answer. The Cache embeds one to deduplicate
-// in-flight cases across jobs; executors without a cache use a job-local
-// Group so grids with repeated axis values still simulate each unique case
-// once. The zero value is ready to use.
+// identical cases in flight at once, across jobs; repeated cells within
+// one grid never get here, because the cell executor dedupes them before
+// they reach the cache. The zero value is ready to use.
 type Group struct {
 	mu sync.Mutex
 	m  map[string]*flight

@@ -1,12 +1,16 @@
 // Coordinator mode: scatter/gather execution of a Spec's case grid across
 // a fleet of stallserved workers, over the same public HTTP API clients
-// use. The grid split comes from experiments.EnumerateCases and the merge
-// from experiments.AssembleReport — the exact two halves RunSpec itself is
-// built from — so the gathered Report is byte-identical to a single-node
-// run by construction: each cell ships as a (JobSpec, Options) pair, the
-// worker resolves and runs the same deterministic simulation, and the
-// result's float64 fields survive the JSON hop exactly (Go emits
-// shortest-roundtrip floats).
+// use. A coordinator runs the one cell executor RunSpec runs
+// (experiments.Executor), configured with coordRunner as its runner and
+// one goroutine per unique cell, bounded by per-worker in-flight
+// semaphores. WAL resume, dedupe and memo lookups happen in the executor
+// before a cell reaches the wire. The gathered results assemble through
+// experiments.AssembleReport exactly as RunSpec's do, so the Report is
+// byte-identical to a single-node run by construction: each cell ships as
+// a (JobSpec, Options) pair, the worker resolves and runs the same
+// deterministic simulation, and the result's float64 fields survive the
+// JSON hop exactly (Go emits shortest-roundtrip floats). A single job is a
+// one-cell grid, forwarded whole.
 //
 // Placement is a consistent-hash ring (FNV-64a, virtual nodes) keyed by
 // the cell's grid coordinates, so a re-submitted spec routes its cells to
@@ -32,12 +36,10 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"datastall/internal/experiments"
-	"datastall/internal/memo"
 	"datastall/internal/obs"
 	"datastall/internal/trainer"
 )
@@ -206,156 +208,26 @@ func (c *coordinator) probe(ctx context.Context, w *coordWorker) bool {
 	return resp.StatusCode == http.StatusOK
 }
 
-// runSpec is the coordinator's KindSpec executor: enumerate the grid,
-// scatter every cell (bounded per worker by the in-flight semaphores),
-// gather results by cell index, assemble. The first permanent failure
-// cancels the remaining cells. With -memo, cells hit the cache before they
-// hit the wire and every gathered worker result populates it; without,
-// a job-local singleflight still collapses cells with identical resolved
-// configs so each unique case is dispatched once.
-func (s *Server) coordRunSpec(ctx context.Context, j *Job, runSpan obs.Span) (*experiments.Report, error) {
-	cells, err := experiments.EnumerateCases(j.spec, j.opts)
-	if err != nil {
-		return nil, err
-	}
-	salt := ""
-	if s.memo != nil {
-		salt = s.memo.Salt()
-	}
-	var local memo.Group
-	results := make([]*trainer.Result, len(cells))
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	for i := range cells {
-		cell := cells[i]
-		text := "row=" + cell.Row
-		if cell.Case != "" {
-			text += " case=" + cell.Case
+// coordRunner is the coordinator's cell runner: every cell the executor
+// does not resume, dedupe or serve from the memo goes to the fleet through
+// coordRunCase. Spec cells route by their grid coordinates; a single job
+// routes by its own identity, with the job ID kept out of the span
+// attribute so trace topology is stable across reruns.
+func (s *Server) coordRunner(j *Job) experiments.RunCell {
+	return func(ctx context.Context, c experiments.SpecCase, sp obs.Span) (*trainer.Result, error) {
+		key := j.Name + "/" + c.Row + "/" + c.Case
+		attr := key
+		if j.Kind == KindJob {
+			attr = "job/" + j.Name
+			key = attr + "/" + j.ID
 		}
-		// A WAL-recovered cell never goes back on the wire: serve it from
-		// the log, exactly as the local executor does.
-		if res := j.resumed(cell.Index); res != nil {
-			results[cell.Index] = res
-			s.metrics.walResumedCases.Add(1)
-			s.metrics.events.Add(1)
-			j.bc.Observe(trainer.Annotation{
-				Kind: "case_resumed", Text: text, Index: cell.Index, Total: cell.Total,
-			})
-			sp := runSpan.StartThread("case")
-			sp.SetAttr("row", cell.Row)
-			if cell.Case != "" {
-				sp.SetAttr("case", cell.Case)
-			}
-			sp.Event("case_resumed")
-			sp.End()
-			continue
+		sp.SetAttr("case_key", attr)
+		res, err := s.coordRunCase(ctx, j, key, c.Job, sp)
+		if err != nil {
+			return nil, fmt.Errorf("case %s: %w", key, err)
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s.metrics.events.Add(1)
-			j.bc.Observe(trainer.Annotation{
-				Kind: "case_started", Text: text, Index: cell.Index, Total: cell.Total,
-			})
-			key := j.spec.Name + "/" + cell.Row + "/" + cell.Case
-			caseSpan := runSpan.StartThread("case")
-			caseSpan.SetAttr("row", cell.Row)
-			if cell.Case != "" {
-				caseSpan.SetAttr("case", cell.Case)
-			}
-			caseSpan.SetAttr("case_key", key)
-			caseStart := time.Now()
-			run := func() (*trainer.Result, error) {
-				return s.coordRunCase(cctx, j, key, cell.Job, caseSpan)
-			}
-			var res *trainer.Result
-			var err error
-			ck, kerr := experiments.CaseKey(cell.Job, j.opts, salt)
-			switch {
-			case kerr != nil:
-				res, err = run()
-			case s.memo != nil:
-				var hit bool
-				res, hit, err = s.memo.Do(cctx, ck, run)
-				caseSpan.Event("memo_lookup").SetAttr("hit", strconv.FormatBool(hit))
-			default:
-				res, _, err = local.Do(cctx, ck.Hash, run)
-			}
-			if err != nil {
-				caseSpan.SetAttr("error", err.Error())
-				caseSpan.End()
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = fmt.Errorf("case %s: %w", key, err)
-					cancel()
-				}
-				mu.Unlock()
-				return
-			}
-			results[cell.Index] = res
-			s.walCaseDone(j, cell.Index, res)
-			s.metrics.caseSecs.Observe(time.Since(caseStart).Seconds())
-			caseSpan.End()
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	assemble := runSpan.Start("assemble")
-	rep, err := experiments.AssembleReport(j.spec, j.opts, results)
-	assemble.End()
-	return rep, err
-}
-
-// coordRunJob is the coordinator's KindJob executor: a single-job
-// submission is a one-cell scatter, routed by the submitted job's identity.
-func (s *Server) coordRunJob(ctx context.Context, j *Job, runSpan obs.Span) (*trainer.Result, error) {
-	caseSpan := runSpan.StartThread("case")
-	// The routing key carries j.ID for ring placement; the span attr
-	// deliberately omits it so trace topology is stable across reruns.
-	caseSpan.SetAttr("case_key", "job/"+j.Name)
-	if res := j.resumed(0); res != nil {
-		s.metrics.walResumedCases.Add(1)
-		caseSpan.Event("case_resumed")
-		caseSpan.End()
 		return res, nil
 	}
-	if j.jobSpec == nil {
-		caseSpan.End()
-		return nil, fmt.Errorf("job %s: no job spec retained for remote dispatch", j.ID)
-	}
-	caseStart := time.Now()
-	run := func() (*trainer.Result, error) {
-		return s.coordRunCase(ctx, j, "job/"+j.Name+"/"+j.ID, *j.jobSpec, caseSpan)
-	}
-	var res *trainer.Result
-	var err error
-	if s.memo != nil {
-		if key, kerr := experiments.CaseKey(*j.jobSpec, j.opts, s.memo.Salt()); kerr == nil {
-			var hit bool
-			res, hit, err = s.memo.Do(ctx, key, run)
-			caseSpan.Event("memo_lookup").SetAttr("hit", strconv.FormatBool(hit))
-		} else {
-			res, err = run()
-		}
-	} else {
-		res, err = run()
-	}
-	if err != nil {
-		caseSpan.SetAttr("error", err.Error())
-		caseSpan.End()
-		return nil, err
-	}
-	s.walCaseDone(j, 0, res)
-	s.metrics.caseSecs.Observe(time.Since(caseStart).Seconds())
-	caseSpan.End()
-	return res, nil
 }
 
 // coordRunCase runs one cell remotely with re-routing: each attempt picks

@@ -108,7 +108,23 @@ func runGolden(t *testing.T) goldenArtifacts {
 	if len(g.records) < 8 {
 		t.Fatalf("golden wal has only %d records: %+v", len(g.records), g.records)
 	}
+	requireSubmittedFirst(t, g.records)
 	return g
+}
+
+// requireSubmittedFirst fails unless every job's first record is its
+// submitted record. A worker's started or case_done record landing ahead
+// of it makes a clean crash prefix replay as lifecycle records with no
+// submission: a spurious load error.
+func requireSubmittedFirst(t *testing.T, records []wal.Record) {
+	t.Helper()
+	seen := map[string]bool{}
+	for i, r := range records {
+		if !seen[r.JobID] && r.Type != wal.TypeSubmitted {
+			t.Fatalf("record %d (%s) is job %s's first, want %s", i, r.Type, r.JobID, wal.TypeSubmitted)
+		}
+		seen[r.JobID] = true
+	}
 }
 
 // unitVersion is the durability version of one job within a record slice:

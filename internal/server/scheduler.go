@@ -74,13 +74,15 @@ func (s *Server) startWorkers() {
 }
 
 // submit registers a new job and enqueues it; the caller has already
-// resolved and validated the workload. Ordering matters three ways: the
-// queued gauge moves before the enqueue (a worker decrements it only after
-// receiving, so it can never go negative; a gauge may be rolled back), the
-// submitted counter moves only after the enqueue succeeds (Prometheus
-// counters must be monotone, and no one else touches it), and the job
-// enters the store only after the enqueue succeeds (a rejected submission
-// is never visible, so nothing can race a DELETE against the rollback).
+// resolved and validated the workload. Room in the queue is checked first,
+// under enqueueMu: a rejected submission is never visible or durable, and
+// an accepted one cannot fail afterwards. The job then enters the store
+// (the WAL's mutate-before-append rule), its submitted record is appended,
+// and only then is it enqueued — so the submitted record precedes every
+// record a worker writes for the job, and, appended before the 202,
+// survives any crash under -fsync always. The queued gauge moves before
+// the job is visible (a worker or a DELETE decrements it, so it can never
+// go negative).
 func (s *Server) submit(tenant, traceID string, build func(id string) *Job) (*Job, error) {
 	s.submitMu.RLock()
 	defer s.submitMu.RUnlock()
@@ -90,23 +92,24 @@ func (s *Server) submit(tenant, traceID string, build func(id string) *Job) (*Jo
 	if err := s.acquireTenant(tenant); err != nil {
 		return nil, err
 	}
+	s.enqueueMu.Lock()
+	defer s.enqueueMu.Unlock()
+	if len(s.queue) == cap(s.queue) {
+		s.releaseTenant(tenant)
+		return nil, fmt.Errorf("%w (depth %d); retry later", errQueueFull, cap(s.queue))
+	}
 	j := build(s.store.nextID())
 	j.tenant = tenant
 	j.quotaHeld = s.cfg.TenantQuota > 0
 	s.openTrace(j, traceID, false)
 	s.metrics.queued.Add(1)
-	select {
-	case s.queue <- j:
-	default:
-		s.metrics.queued.Add(-1)
-		s.releaseTenant(tenant)
-		return nil, fmt.Errorf("%w (depth %d); retry later", errQueueFull, cap(s.queue))
-	}
 	s.metrics.submitted.Add(1)
 	s.store.insert(j)
-	// Logged after the job is visible and before the 202: under -fsync
-	// always, an acknowledged submission survives any crash.
 	s.walSubmitted(j)
+	// Cannot block: only submitters send, one at a time under enqueueMu,
+	// room was checked above, and the queue cannot close while submitMu is
+	// held.
+	s.queue <- j
 	j.log.Info("job queued", "kind", j.Kind, "name", j.Name)
 	return j, nil
 }
@@ -161,7 +164,8 @@ func (s *Server) runOne(j *Job) {
 }
 
 // execute runs the job's workload with panic isolation, streaming events
-// through the job's broadcaster.
+// through the job's broadcaster: a spec's grid, or a single job as a
+// one-cell grid, through the one cell executor.
 func (s *Server) execute(ctx context.Context, j *Job, runSpan obs.Span) (rep *experiments.Report, res *trainer.Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -171,30 +175,73 @@ func (s *Server) execute(ctx context.Context, j *Job, runSpan obs.Span) (rep *ex
 	if s.cfg.runJob != nil {
 		return s.cfg.runJob(ctx, j)
 	}
-	if s.coord != nil {
-		// Coordinator mode: the workload runs on the fleet; this worker
-		// goroutine only scatters, polls, and gathers. The panic isolation
-		// above still applies. Recovered cells short-circuit inside the
-		// coordinator's scatter loop exactly as they do locally.
-		switch j.Kind {
-		case KindSpec:
-			rep, err = s.coordRunSpec(ctx, j, runSpan)
-		case KindJob:
-			res, err = s.coordRunJob(ctx, j, runSpan)
-		default:
-			err = fmt.Errorf("job %s: unknown kind %q", j.ID, j.Kind)
+	var cells []experiments.SpecCase
+	switch {
+	case j.Kind == KindSpec:
+		if cells, err = experiments.EnumerateCases(j.spec, j.opts); err != nil {
+			return nil, nil, err
 		}
-		return rep, res, err
-	}
-	switch j.Kind {
-	case KindSpec:
-		rep, err = s.runSpecLocal(ctx, j, runSpan)
-	case KindJob:
-		res, err = s.runJobLocal(ctx, j, runSpan)
+	case j.Kind == KindJob && j.jobSpec != nil:
+		cells = []experiments.SpecCase{{Total: 1, Job: *j.jobSpec}}
 	default:
-		err = fmt.Errorf("job %s: unknown kind %q", j.ID, j.Kind)
+		return nil, nil, fmt.Errorf("job %s: no runnable workload (kind %q)", j.ID, j.Kind)
 	}
-	return rep, res, err
+	o := j.opts
+	o.Memo, o.Trace = s.memo, runSpan
+	results, err := s.executor(j).Execute(ctx, cells, o)
+	switch {
+	case err != nil:
+		return nil, nil, err
+	case j.Kind == KindJob:
+		return nil, results[0], nil
+	}
+	assemble := runSpan.Start("assemble")
+	rep, err = experiments.AssembleReport(j.spec, j.opts, results)
+	assemble.End()
+	return rep, nil, err
+}
+
+// executor configures the one cell executor for a job. Locally, cells
+// simulate in-process, serially in index order; in coordinator mode each
+// unique cell goes to the fleet on its own goroutine, and this worker
+// goroutine only scatters, polls and gathers. Either way, WAL-recovered
+// cells are served from j.resume, spec cells stream case_started and
+// case_resumed annotations, and every captured cell is logged as
+// case_done and timed.
+func (s *Server) executor(j *Job) experiments.Executor {
+	e := experiments.Executor{
+		Resume: j.resume,
+		Start: func(c experiments.SpecCase, resumed bool) {
+			if resumed {
+				s.metrics.walResumedCases.Add(1)
+			}
+			if j.Kind != KindSpec {
+				return
+			}
+			kind, text := "case_started", "row="+c.Row
+			if resumed {
+				kind = "case_resumed"
+			}
+			if c.Case != "" {
+				text += " case=" + c.Case
+			}
+			s.metrics.events.Add(1)
+			j.bc.Observe(trainer.Annotation{Kind: kind, Text: text, Index: c.Index, Total: c.Total})
+		},
+		Done: func(c experiments.SpecCase, res *trainer.Result, took time.Duration) {
+			s.walCaseDone(j, c.Index, res)
+			if took > 0 { // zero: a duplicate, which copied its leader
+				s.metrics.caseSecs.Observe(took.Seconds())
+			}
+		},
+	}
+	if s.coord != nil {
+		e.Run, e.Parallel = s.coordRunner(j), true
+		return e
+	}
+	counting := trainer.ObserverFunc(func(trainer.Event) { s.metrics.events.Add(1) })
+	e.Run = experiments.LocalRunner(j.opts, counting, j.bc)
+	return e
 }
 
 // finishRun records a finished run's terminal state. If a DELETE already
@@ -232,11 +279,12 @@ func (s *Server) finishRun(j *Job, rep *experiments.Report, res *trainer.Result,
 	case st == StatusCancelled:
 		s.metrics.cancelled.Add(1)
 	}
-	// Settle the gauge before finalize closes Done(): anyone who observed
-	// the job terminal sees gauges that already reconcile.
+	// Settle the gauge and log before finalize closes Done(): anyone who
+	// observed the job terminal sees gauges that already reconcile and the
+	// job's finished line.
 	s.metrics.running.Add(-1)
-	s.finalize(j)
 	j.logger().Info("job finished", "status", string(st), "wall_seconds", j.wall)
+	s.finalize(j)
 }
 
 // finalize closes the job's event stream, accounts its drops, logs and

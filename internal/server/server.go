@@ -151,6 +151,7 @@ type Server struct {
 	queue     chan *Job
 	wg        sync.WaitGroup
 	submitMu  sync.RWMutex
+	enqueueMu sync.Mutex // held by submit from the queue-room check to the send
 	draining  bool
 	runCtx    context.Context
 	runCancel context.CancelFunc

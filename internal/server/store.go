@@ -64,9 +64,10 @@ type Job struct {
 	Name string
 
 	// Workload, resolved at submission time (immutable). jobSpec is the
-	// original KindJob submission, retained so coordinator mode can
-	// forward it to a worker verbatim; tenant is the submitting X-Tenant
-	// (empty: anonymous), counted against Config.TenantQuota.
+	// original KindJob submission: the one cell the executor runs, which
+	// coordinator mode forwards to a worker verbatim; tenant is the
+	// submitting X-Tenant (empty: anonymous), counted against
+	// Config.TenantQuota.
 	spec    *experiments.Spec
 	cfg     trainer.Config
 	opts    experiments.Options
@@ -93,8 +94,9 @@ type Job struct {
 	result    *trainer.Result
 	cancel    func()
 
-	// resume holds per-cell results recovered from the WAL: the executor
-	// serves these cells from the log instead of re-simulating them.
+	// resume holds per-cell results recovered from the WAL (set before the
+	// job is queued, read-only after): the executor serves these cells from
+	// the log instead of re-simulating them.
 	// walCases mirrors every cell result logged (or recovered) so far —
 	// it is the source a compaction gather snapshots, and it is always
 	// updated before the corresponding record is appended. cancelRequested

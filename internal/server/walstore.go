@@ -6,6 +6,11 @@
 // full wire form — so a kill -9 at any point recovers to a state the
 // client was already told about.
 //
+// Execution meets the log in the one cell executor (experiments.Executor,
+// configured in scheduler.go): a recovered job's logged cells are its
+// Resume map, served without re-running, and its Done hook logs every
+// newly captured cell — duplicates included — as a case_done record.
+//
 // Two ordering rules keep the log and memory consistent:
 //
 //   - Mutate in-memory state BEFORE appending its record. A crash between
@@ -18,13 +23,10 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
-	"strconv"
 	"time"
 
 	"datastall/internal/experiments"
-	"datastall/internal/obs"
 	"datastall/internal/trainer"
 	"datastall/internal/wal"
 )
@@ -358,156 +360,4 @@ func (s *Server) reenqueue(j *Job) {
 		s.finalize(j)
 		j.log.Warn("recovered from wal but the queue is full; marked failed")
 	}
-}
-
-// resumed returns the job's recovered result for one cell, if any.
-func (j *Job) resumed(index int) *trainer.Result {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.resume[index]
-}
-
-// runSpecLocal is the local KindSpec executor: the same enumerate -> run
-// -> assemble halves as RunSpecProgress (identical cell resolution, so an
-// uninterrupted run's report is byte-identical to the old path), plus two
-// WAL duties — recovered cells are served from the resume map instead of
-// re-simulated, and every freshly computed cell is logged before the next
-// one starts. Cells with identical resolved configs run once per job
-// (seen map), and with -memo once ever: the cache serves repeats from any
-// earlier job or process and collapses identical in-flight cases.
-func (s *Server) runSpecLocal(ctx context.Context, j *Job, runSpan obs.Span) (*experiments.Report, error) {
-	cells, err := experiments.EnumerateCases(j.spec, j.opts)
-	if err != nil {
-		return nil, err
-	}
-	salt := ""
-	if s.memo != nil {
-		salt = s.memo.Salt()
-	}
-	counting := trainer.ObserverFunc(func(trainer.Event) { s.metrics.events.Add(1) })
-	seen := map[string]int{}
-	results := make([]*trainer.Result, len(cells))
-	for _, cell := range cells {
-		text := "row=" + cell.Row
-		if cell.Case != "" {
-			text += " case=" + cell.Case
-		}
-		caseSpan := runSpan.StartThread("case")
-		caseSpan.SetAttr("row", cell.Row)
-		if cell.Case != "" {
-			caseSpan.SetAttr("case", cell.Case)
-		}
-		if res := j.resumed(cell.Index); res != nil {
-			results[cell.Index] = res
-			s.metrics.walResumedCases.Add(1)
-			s.metrics.events.Add(1)
-			j.bc.Observe(trainer.Annotation{
-				Kind: "case_resumed", Text: text, Index: cell.Index, Total: cell.Total,
-			})
-			caseSpan.Event("case_resumed")
-			caseSpan.End()
-			continue
-		}
-		s.metrics.events.Add(1)
-		j.bc.Observe(trainer.Annotation{
-			Kind: "case_started", Text: text, Index: cell.Index, Total: cell.Total,
-		})
-		key, kerr := experiments.CaseKey(cell.Job, j.opts, salt)
-		if kerr == nil {
-			if first, ok := seen[key.Hash]; ok {
-				results[cell.Index] = results[first]
-				s.walCaseDone(j, cell.Index, results[first])
-				caseSpan.Event("case_dedup")
-				caseSpan.End()
-				continue
-			}
-		}
-		caseStart := time.Now()
-		run := func() (*trainer.Result, error) {
-			sim := caseSpan.Start("simulate")
-			cfg, err := cell.Job.Build(j.opts)
-			if err != nil {
-				sim.End()
-				return nil, err
-			}
-			res, err := trainer.RunContext(ctx, cfg, counting, j.bc)
-			if err == nil {
-				experiments.TraceEpochs(sim, cfg, res)
-			}
-			sim.End()
-			return res, err
-		}
-		var res *trainer.Result
-		if s.memo != nil && kerr == nil {
-			var hit bool
-			res, hit, err = s.memo.Do(ctx, key, run)
-			caseSpan.Event("memo_lookup").SetAttr("hit", strconv.FormatBool(hit))
-		} else {
-			// A key derivation error is a config resolution error; run()
-			// surfaces the same failure.
-			res, err = run()
-		}
-		if err != nil {
-			caseSpan.SetAttr("error", err.Error())
-			caseSpan.End()
-			return nil, err
-		}
-		if kerr == nil {
-			seen[key.Hash] = cell.Index
-		}
-		results[cell.Index] = res
-		s.walCaseDone(j, cell.Index, res)
-		s.metrics.caseSecs.Observe(time.Since(caseStart).Seconds())
-		caseSpan.End()
-	}
-	assemble := runSpan.Start("assemble")
-	rep, err := experiments.AssembleReport(j.spec, j.opts, results)
-	assemble.End()
-	return rep, err
-}
-
-// runJobLocal is the local KindJob executor: a single run is cell 0 of a
-// one-cell grid, recoverable the same way and memoizable when the submitted
-// JobSpec is retained (it always is for KindJob submissions).
-func (s *Server) runJobLocal(ctx context.Context, j *Job, runSpan obs.Span) (*trainer.Result, error) {
-	caseSpan := runSpan.StartThread("case")
-	if res := j.resumed(0); res != nil {
-		s.metrics.walResumedCases.Add(1)
-		caseSpan.Event("case_resumed")
-		caseSpan.End()
-		return res, nil
-	}
-	caseStart := time.Now()
-	counting := trainer.ObserverFunc(func(trainer.Event) { s.metrics.events.Add(1) })
-	run := func() (*trainer.Result, error) {
-		sim := caseSpan.Start("simulate")
-		res, err := trainer.RunContext(ctx, j.cfg, counting, j.bc)
-		if err == nil {
-			experiments.TraceEpochs(sim, j.cfg, res)
-		}
-		sim.End()
-		return res, err
-	}
-	var res *trainer.Result
-	var err error
-	if s.memo != nil && j.jobSpec != nil {
-		if key, kerr := experiments.CaseKey(*j.jobSpec, j.opts, s.memo.Salt()); kerr == nil {
-			var hit bool
-			res, hit, err = s.memo.Do(ctx, key, run)
-			caseSpan.Event("memo_lookup").SetAttr("hit", strconv.FormatBool(hit))
-		} else {
-			res, err = run()
-		}
-	} else {
-		res, err = run()
-	}
-	if err != nil {
-		caseSpan.SetAttr("error", err.Error())
-		caseSpan.End()
-		return nil, err
-	}
-	s.walCaseDone(j, 0, res)
-	s.metrics.caseSecs.Observe(time.Since(caseStart).Seconds())
-	caseSpan.End()
-	return res, nil
 }
