@@ -11,7 +11,7 @@ COVER_PKGS  ?= internal/cache internal/loader internal/server internal/query int
 # binaries); git-ignored, removed by clean.
 BUILD_DIR ?= build
 
-.PHONY: all build test cover lint bench benchcheck benchjson bench2 allocguard profile suite speccheck querycheck servesmoke distsmoke crashsmoke memosmoke tracesmoke experiments-md clean
+.PHONY: all build test cover lint bench benchcheck benchjson allocguard profile suite speccheck querycheck servesmoke distsmoke crashsmoke memosmoke tracesmoke experiments-md clean
 
 all: lint build test
 
@@ -61,20 +61,13 @@ benchcheck:
 benchjson:
 	$(GO) run ./cmd/stallbench -bench -bench-out BENCH_1.json
 
-# Old-vs-new hot-path comparison: event dispatch on the frozen boxed-heap
-# engine vs the slice-heap engine (goroutine and callback flavours), the
-# cache fetch loop on map-backed vs dense MinIO, and full-suite wall time,
-# written to BENCH_2.json. Allocation counts are host-independent, so the
-# reduction ratios are comparable across machines.
-bench2:
-	$(GO) run ./cmd/stallbench -bench2 -bench2-out BENCH_2.json
-
-# Zero-allocation guards on the hot paths (steady-state cache Lookup, page
-# cache churn, sim event dispatch). Run WITHOUT -race: the detector
+# Allocation guards on the hot paths: zero on steady-state cache Lookup,
+# page-cache churn, sim event dispatch and every fetcher's Plan, plus a
+# ceiling on one whole simulated case. Run WITHOUT -race: the detector
 # allocates shadow state on paths that are allocation-free in normal
 # builds, so the guards skip themselves under instrumentation.
 allocguard:
-	$(GO) test -count=1 -run 'TestAllocs' ./internal/sim ./internal/cache ./internal/pagecache ./internal/obs
+	$(GO) test -count=1 -run 'TestAllocs' ./internal/sim ./internal/cache ./internal/pagecache ./internal/obs ./internal/core ./internal/trainer
 
 # CPU + allocation profiles of one serial full-suite run -> cpu.pprof,
 # mem.pprof. Inspect with `go tool pprof -top cpu.pprof` (or mem.pprof

@@ -5,7 +5,6 @@
 //	stallbench -run fig2
 //	stallbench -run all -parallel 8 -scale 0.01 > results.txt
 //	stallbench -bench -bench-out BENCH_1.json
-//	stallbench -bench2 -bench2-out BENCH_2.json
 //	stallbench -run all -cpuprofile cpu.pprof -memprofile mem.pprof
 //
 // Each experiment prints a paper-style table plus the published result it
@@ -19,12 +18,6 @@
 // goroutines, not the simulator): sharded vs single-mutex cache lookup
 // throughput and pipeline epoch wall time at 1/2/4/8 workers, written as
 // JSON to -bench-out (BENCH_1.json in the perf trajectory).
-//
-// -bench2 measures the zero-allocation hot paths old-vs-new: event
-// scheduling/dispatch on the frozen pre-rewrite engine vs the slice-backed
-// heap (goroutine and callback process flavours), the cache fetch loop on
-// the map-backed vs dense MinIO, and full-suite wall time, written as JSON
-// to -bench2-out (BENCH_2.json).
 //
 // The job service, the coordinator and the memo cache are measured by the
 // repository benchmark instead: bash bench/run.sh --workload serve-jobs
@@ -60,8 +53,6 @@ func run() int {
 	parallel := flag.Int("parallel", 0, "workers for -run all (0 = one per CPU)")
 	bench := flag.Bool("bench", false, "benchmark the concurrent loader backend")
 	benchOut := flag.String("bench-out", "BENCH_1.json", "output file for -bench results")
-	bench2 := flag.Bool("bench2", false, "benchmark zero-alloc hot paths old-vs-new (engine, cache, suite)")
-	bench2Out := flag.String("bench2-out", "BENCH_2.json", "output file for -bench2 results")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	flag.Parse()
@@ -109,8 +100,6 @@ func run() int {
 		return 0
 	case *bench:
 		return runBench(*benchOut)
-	case *bench2:
-		return runBench2(*bench2Out)
 	case *runID == "all":
 		return runAll(ctx, *scale, *epochs, *seed, *parallel)
 	case *runID != "":

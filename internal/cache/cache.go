@@ -167,8 +167,8 @@ func (m *MinIO) HitRate() float64 {
 // MapMinIO is the original map-backed MinIO implementation, retained as
 // the reference model (with the same negative-ID guard the dense MinIO
 // applies): the equivalence tests replay identical op sequences through it
-// and the dense MinIO, and the old-vs-new benchmarks (BENCH_2.json)
-// quantify what the dense layout saves. New code should use MinIO.
+// and the dense MinIO (BENCH_2.json records what the dense layout saved).
+// New code should use MinIO.
 type MapMinIO struct {
 	capBytes  float64
 	usedBytes float64

@@ -48,11 +48,8 @@ func TestBuild(t *testing.T) {
 func TestTotalDiskBytes(t *testing.T) {
 	e := sim.New()
 	c := Build(e, ConfigSSDV100(), 2)
-	e.Go("r", func(p *sim.Proc) {
-		c.Servers[0].Disk.ReadRandom(p, 100, 1)
-		c.Servers[1].Disk.ReadRandom(p, 50, 1)
-	})
-	e.Run()
+	c.Servers[0].Disk.ReadRandomAsync(100, 1)
+	c.Servers[1].Disk.ReadRandomAsync(50, 1)
 	if c.TotalDiskBytes() != 150 {
 		t.Fatalf("total disk bytes %v", c.TotalDiskBytes())
 	}

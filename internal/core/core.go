@@ -43,8 +43,9 @@ func NewMinIOFetcher(d *dataset.Dataset, c *cluster.Cluster, capBytes float64) *
 // the trainer's EpochEnded observer events).
 func (f *MinIOFetcher) CacheUsedBytes() float64 { return cache.SumUsedBytes(f.Caches) }
 
-// FetchBatch implements loader.Fetcher.
-func (f *MinIOFetcher) FetchBatch(p *sim.Proc, server int, items []dataset.ItemID) loader.FetchResult {
+// Plan implements loader.Fetcher: the misses are one random storage read,
+// the hits one DRAM copy.
+func (f *MinIOFetcher) Plan(server int, items []dataset.ItemID, ops []loader.Op) (loader.FetchResult, []loader.Op) {
 	var r loader.FetchResult
 	mc := f.Caches[server]
 	for _, id := range items {
@@ -59,10 +60,7 @@ func (f *MinIOFetcher) FetchBatch(p *sim.Proc, server int, items []dataset.ItemI
 			mc.Insert(id, sz)
 		}
 	}
-	srv := f.Cluster.Servers[server]
-	srv.Disk.ReadRandom(p, r.DiskBytes, r.DiskItems)
-	srv.Mem.Read(p, r.MemBytes)
-	return r
+	return r, loader.AppendLocal(ops, server, r)
 }
 
 // PartitionedFetcher adds partitioned caching on top of MinIO for
@@ -73,15 +71,22 @@ type PartitionedFetcher struct {
 	Dataset *dataset.Dataset
 	Cluster *cluster.Cluster
 	Part    *cache.Partitioned
+
+	// Per-serving-server remote bytes and items of the batch being planned,
+	// reused across batches.
+	remoteBytes []float64
+	remoteItems []int
 }
 
 // NewPartitionedFetcher shards d across the cluster's servers with capBytes
 // of MinIO cache each.
 func NewPartitionedFetcher(d *dataset.Dataset, c *cluster.Cluster, capBytes float64, seed int64) *PartitionedFetcher {
 	return &PartitionedFetcher{
-		Dataset: d,
-		Cluster: c,
-		Part:    cache.NewPartitioned(d, len(c.Servers), capBytes, seed),
+		Dataset:     d,
+		Cluster:     c,
+		Part:        cache.NewPartitioned(d, len(c.Servers), capBytes, seed),
+		remoteBytes: make([]float64, len(c.Servers)),
+		remoteItems: make([]int, len(c.Servers)),
 	}
 }
 
@@ -96,16 +101,18 @@ func (f *PartitionedFetcher) OwnerShards() []dataset.Shard {
 // CacheUsedBytes reports aggregate partitioned-cache occupancy.
 func (f *PartitionedFetcher) CacheUsedBytes() float64 { return f.Part.AggregateUsedBytes() }
 
-// FetchBatch implements loader.Fetcher: local MinIO hit -> DRAM; remote hit
-// -> TCP from the owning server's DRAM; miss -> local storage (cached by the
-// owner only).
-func (f *PartitionedFetcher) FetchBatch(p *sim.Proc, server int, items []dataset.ItemID) loader.FetchResult {
+// Plan implements loader.Fetcher: local MinIO hit -> DRAM; remote hit ->
+// TCP from the owning server's DRAM; miss -> local storage (cached by the
+// owner only). The storage read goes first, then each serving server's
+// transfer crosses its NIC and then this server's, then the DRAM copy.
+func (f *PartitionedFetcher) Plan(server int, items []dataset.ItemID, ops []loader.Op) (loader.FetchResult, []loader.Op) {
 	var r loader.FetchResult
 	// Per-server accumulators, iterated in server order below: remote
 	// fetches must hit the NIC queues in a reproducible order or simulated
 	// timing varies run to run (map iteration order is randomized).
-	remoteBytes := make([]float64, len(f.Cluster.Servers))
-	remoteItems := make([]int, len(f.Cluster.Servers))
+	remoteBytes, remoteItems := f.remoteBytes, f.remoteItems
+	clear(remoteBytes)
+	clear(remoteItems)
 	for _, id := range items {
 		sz := f.Dataset.ItemBytes(id)
 		loc, src := f.Part.Lookup(server, id)
@@ -125,15 +132,15 @@ func (f *PartitionedFetcher) FetchBatch(p *sim.Proc, server int, items []dataset
 			f.Part.Insert(server, id, sz)
 		}
 	}
-	srv := f.Cluster.Servers[server]
-	srv.Disk.ReadRandom(p, r.DiskBytes, r.DiskItems)
+	ops = loader.AppendOp(ops, loader.Op{Kind: loader.OpDiskRandom, Dev: server, Bytes: r.DiskBytes, N: r.DiskItems})
 	for src, bytes := range remoteBytes {
 		if bytes > 0 {
-			f.Cluster.Fabric.RemoteFetch(p, server, src, bytes, remoteItems[src])
+			ops = append(ops,
+				loader.Op{Kind: loader.OpTransfer, Dev: src, Bytes: bytes, N: remoteItems[src]},
+				loader.Op{Kind: loader.OpTransfer, Dev: server, Bytes: bytes})
 		}
 	}
-	srv.Mem.Read(p, r.MemBytes)
-	return r
+	return r, loader.AppendOp(ops, loader.Op{Kind: loader.OpMemRead, Dev: server, Bytes: r.MemBytes})
 }
 
 // Batch is one pre-processed minibatch in the staging area.
@@ -248,37 +255,44 @@ func (s *StagingArea) JobEpochDone(epoch int) {
 	s.cond.Broadcast()
 }
 
-// WaitEpochStart blocks a producer from staging epoch-e batches until every
-// live job has finished epoch e-1.
-func (s *StagingArea) WaitEpochStart(p *sim.Proc, epoch int) {
-	for epoch > 0 && s.epochDone[epoch-1] < s.LiveJobs() {
-		s.cond.Wait(p)
+// The staging area's waits are register-and-return: a Try method either
+// completes inline or registers the calling process on the area's condition
+// and reports false, in which case the process's step must return and call
+// it again when resumed (any change to the area resumes every waiter).
+
+// TryEpochStart reports whether a producer may stage epoch-e batches, which
+// it may once every live job has finished epoch e-1.
+func (s *StagingArea) TryEpochStart(p *sim.Proc, epoch int) bool {
+	if epoch > 0 && s.epochDone[epoch-1] < s.LiveJobs() {
+		s.cond.Register(p)
+		return false
 	}
+	return true
 }
 
-// GetAny returns any staged batch with index in [lo, hi) that job has not
-// yet consumed, preferring the lowest index, blocking until one is
-// available. Jobs may consume the epoch's minibatches in any order; each
-// exactly once (§4.3).
-func (s *StagingArea) GetAny(p *sim.Proc, job, lo, hi int) *Batch {
-	for {
-		best := -1
-		for idx, sl := range s.slots {
-			if idx >= lo && idx < hi && !sl.uses[job] {
-				if best == -1 || idx < best {
-					best = idx
-				}
+// TryGetAny consumes, on behalf of job, any staged batch with index in
+// [lo, hi) that job has not yet consumed, preferring the lowest index.
+// With none staged it notes when job started waiting (the failure detector
+// polls that) and returns nil. Jobs may consume the epoch's minibatches in
+// any order; each exactly once (§4.3).
+func (s *StagingArea) TryGetAny(p *sim.Proc, job, lo, hi int) *Batch {
+	best := -1
+	for idx, sl := range s.slots {
+		if idx >= lo && idx < hi && !sl.uses[job] {
+			if best == -1 || idx < best {
+				best = idx
 			}
 		}
-		if best >= 0 {
-			return s.take(job, best)
-		}
-		if _, waiting := s.waitingSince[job]; !waiting {
-			s.waitingSince[job] = s.eng.Now()
-			s.waitingFor[job] = lo
-		}
-		s.cond.Wait(p)
 	}
+	if best >= 0 {
+		return s.take(job, best)
+	}
+	if _, waiting := s.waitingSince[job]; !waiting {
+		s.waitingSince[job] = s.eng.Now()
+		s.waitingFor[job] = lo
+	}
+	s.cond.Register(p)
+	return nil
 }
 
 // take consumes slot index on behalf of job and evicts it at quorum.
@@ -313,32 +327,20 @@ func (s *StagingArea) sample() {
 	}
 }
 
-// Put stages a prepared batch, blocking while the area is full.
-func (s *StagingArea) Put(p *sim.Proc, b *Batch) {
-	for s.usedBytes+b.PreparedBytes > s.capBytes && len(s.slots) > 0 {
-		s.cond.Wait(p)
+// TryPut stages a prepared batch, which it can unless the area is full.
+// Each job consumes each batch exactly once; the batch is evicted once all
+// live jobs have consumed it.
+func (s *StagingArea) TryPut(p *sim.Proc, b *Batch) bool {
+	if s.usedBytes+b.PreparedBytes > s.capBytes && len(s.slots) > 0 {
+		s.cond.Register(p)
+		return false
 	}
 	s.slots[b.Index] = &slot{b: b, uses: make(map[int]bool, s.nJobs)}
 	s.usedBytes += b.PreparedBytes
 	s.produced++
 	s.sample()
 	s.cond.Broadcast()
-}
-
-// Get returns global batch index for consuming job, blocking until it has
-// been produced. Each job may consume each batch exactly once; the batch is
-// evicted once all jobs have consumed it.
-func (s *StagingArea) Get(p *sim.Proc, job, index int) *Batch {
-	for {
-		if sl, ok := s.slots[index]; ok && !sl.uses[job] {
-			return s.take(job, index)
-		}
-		if _, waiting := s.waitingSince[job]; !waiting {
-			s.waitingSince[job] = s.eng.Now()
-			s.waitingFor[job] = index
-		}
-		s.cond.Wait(p)
-	}
+	return true
 }
 
 // UsedBytes returns current staged bytes; PeakBytes the high-water mark.
@@ -385,24 +387,35 @@ type FailureDetector struct {
 	recovered map[int]bool
 }
 
-// Run polls the staging area until the simulation ends. Spawn it with
-// eng.Go; it wakes every Timeout/2.
-func (fd *FailureDetector) Run(p *sim.Proc, horizon float64) {
+// Spawn starts the detector on e as a process that polls the staging area
+// every Timeout/2 until simulated time horizon.
+func (fd *FailureDetector) Spawn(e *sim.Engine, horizon float64) {
 	fd.recovered = make(map[int]bool)
-	for p.Now() < horizon {
-		p.Sleep(fd.Timeout / 2)
-		for _, owner := range fd.overdueOwners() {
-			if fd.recovered[owner] {
-				continue
-			}
-			if fd.Alive != nil && fd.Alive(owner) {
-				continue // spurious: broadcast retry happens via cond
-			}
-			fd.recovered[owner] = true
-			fd.Detected = append(fd.Detected, owner)
-			if fd.Recover != nil {
-				fd.Recover(owner)
-			}
+	started := false
+	e.Spawn("failure-detector", func(p *sim.Proc) {
+		if started {
+			fd.poll()
+		}
+		started = true
+		if p.Now() < horizon {
+			p.WakeAfter(fd.Timeout / 2)
+		}
+	})
+}
+
+// poll declares every overdue, dead producer failed, once, and recovers it.
+func (fd *FailureDetector) poll() {
+	for _, owner := range fd.overdueOwners() {
+		if fd.recovered[owner] {
+			continue
+		}
+		if fd.Alive != nil && fd.Alive(owner) {
+			continue // spurious: broadcast retry happens via cond
+		}
+		fd.recovered[owner] = true
+		fd.Detected = append(fd.Detected, owner)
+		if fd.Recover != nil {
+			fd.Recover(owner)
 		}
 	}
 }
@@ -410,7 +423,7 @@ func (fd *FailureDetector) Run(p *sim.Proc, horizon float64) {
 // overdueOwners returns candidate failed producers once any consumer is
 // overdue: first the owners of the specific batches being waited on, then —
 // since a consumer using GetAny only knows its epoch window — every job, so
-// the liveness check in Run can identify the dead one (§4.3: jobs can
+// the liveness check in poll can identify the dead one (§4.3: jobs can
 // deterministically identify which job failed).
 func (fd *FailureDetector) overdueOwners() []int {
 	overdue := fd.Staging.OverdueJobs(fd.Timeout)

@@ -7,6 +7,7 @@ import (
 	"datastall/internal/dataset"
 	"datastall/internal/loader"
 	"datastall/internal/sim"
+	. "datastall/internal/sim/simtest"
 	"datastall/internal/stats"
 )
 
@@ -15,6 +16,38 @@ var (
 	_ loader.Fetcher = (*MinIOFetcher)(nil)
 	_ loader.Fetcher = (*PartitionedFetcher)(nil)
 )
+
+// fetch is a script step that plans items on server through f and issues
+// the plan's device operations; *res (if non-nil) receives the result once
+// they have completed.
+func fetch(cl *cluster.Cluster, f loader.Fetcher, server int, items []dataset.ItemID, res *loader.FetchResult) Step {
+	var pf loader.PlannedFetch
+	started := false
+	return func(p *sim.Proc) bool {
+		if !started {
+			pf.Start(f, server, items)
+			started = true
+		}
+		if !pf.Advance(p, cl) {
+			return false
+		}
+		started = false
+		if res != nil {
+			*res = pf.Result
+		}
+		return true
+	}
+}
+
+// put stages b, waiting while the staging area is full.
+func put(s *StagingArea, b *Batch) Step {
+	return Until(func(p *sim.Proc) bool { return s.TryPut(p, b) })
+}
+
+// get consumes batch index on behalf of job, waiting until it is staged.
+func get(s *StagingArea, job, index int) Step {
+	return Until(func(p *sim.Proc) bool { return s.TryGetAny(p, job, index, index+1) != nil })
+}
 
 func testDataset(n int) *dataset.Dataset {
 	return &dataset.Dataset{Name: "t", NumItems: n, TotalBytes: float64(n) * 1000}
@@ -27,10 +60,8 @@ func TestMinIOFetcherChargesDevices(t *testing.T) {
 	f := NewMinIOFetcher(d, cl, 50*1000)
 	items := []dataset.ItemID{0, 1, 2}
 	var r1, r2 loader.FetchResult
-	e.Go("x", func(p *sim.Proc) {
-		r1 = f.FetchBatch(p, 0, items) // cold: all disk
-		r2 = f.FetchBatch(p, 0, items) // warm: all memory
-	})
+	// Cold: all disk. Warm: all memory.
+	Script(e, "x", fetch(cl, f, 0, items, &r1), fetch(cl, f, 0, items, &r2))
 	e.Run()
 	if r1.Misses != 3 || r1.DiskBytes != 3000 {
 		t.Fatalf("cold fetch: %+v", r1)
@@ -50,11 +81,7 @@ func TestPartitionedFetcherRemotePath(t *testing.T) {
 	f := NewPartitionedFetcher(d, cl, d.TotalBytes/2, 1) // aggregate = dataset
 	// Warm both caches via owner shards.
 	shards := f.OwnerShards()
-	e.Go("warm", func(p *sim.Proc) {
-		for s, sh := range shards {
-			f.FetchBatch(p, s, sh.Items)
-		}
-	})
+	Script(e, "warm", fetch(cl, f, 0, shards[0].Items, nil), fetch(cl, f, 1, shards[1].Items, nil))
 	e.Run()
 
 	// Steady state: server 0 fetches random items; no disk traffic.
@@ -65,9 +92,7 @@ func TestPartitionedFetcherRemotePath(t *testing.T) {
 		all[i] = dataset.ItemID(i)
 	}
 	disk0 := cl.Servers[0].Disk.TotalBytes()
-	e2.Go("steady", func(p *sim.Proc) {
-		r = f.FetchBatch(p, 0, all)
-	})
+	Script(e2, "steady", fetch(cl, f, 0, all, &r))
 	e2.Run()
 	if r.Misses != 0 {
 		t.Fatalf("steady-state misses: %+v", r)
@@ -101,20 +126,17 @@ func TestStagingAreaExactlyOncePerJob(t *testing.T) {
 	e := sim.New()
 	s := NewStagingArea(e, 2, 1e9)
 	var consumed [2][]int
-	e.Go("producer", func(p *sim.Proc) {
-		for i := 0; i < 5; i++ {
-			p.Sleep(1)
-			s.Put(p, &Batch{Index: i, Owner: 0, PreparedBytes: 10})
-		}
-	})
+	var producer []Step
+	for i := 0; i < 5; i++ {
+		producer = append(producer, Sleep(1), put(s, &Batch{Index: i, Owner: 0, PreparedBytes: 10}))
+	}
+	Script(e, "producer", producer...)
 	for j := 0; j < 2; j++ {
-		j := j
-		e.Go("consumer", func(p *sim.Proc) {
-			for i := 0; i < 5; i++ {
-				b := s.Get(p, j, i)
-				consumed[j] = append(consumed[j], b.Index)
-			}
-		})
+		var consumer []Step
+		for i := 0; i < 5; i++ {
+			consumer = append(consumer, get(s, j, i), Do(func(*sim.Proc) { consumed[j] = append(consumed[j], i) }))
+		}
+		Script(e, "consumer", consumer...)
 	}
 	e.Run()
 	for j := 0; j < 2; j++ {
@@ -134,20 +156,15 @@ func TestStagingAreaExactlyOncePerJob(t *testing.T) {
 func TestStagingAreaEvictsOnlyAfterAllJobsUse(t *testing.T) {
 	e := sim.New()
 	s := NewStagingArea(e, 3, 1e9)
-	e.Go("p", func(p *sim.Proc) {
-		s.Put(p, &Batch{Index: 0, PreparedBytes: 7})
-	})
+	Script(e, "p", put(s, &Batch{Index: 0, PreparedBytes: 7}))
 	got := 0
 	for j := 0; j < 3; j++ {
-		j := j
-		e.Go("c", func(p *sim.Proc) {
-			p.Sleep(float64(j + 1))
-			s.Get(p, j, 0)
+		Script(e, "c", Sleep(float64(j+1)), get(s, j, 0), Do(func(*sim.Proc) {
 			got++
 			if j < 2 && s.UsedBytes() == 0 {
 				t.Errorf("batch evicted before all jobs consumed it")
 			}
-		})
+		}))
 	}
 	e.Run()
 	if got != 3 || s.UsedBytes() != 0 {
@@ -159,18 +176,14 @@ func TestStagingAreaCapacityBlocksProducer(t *testing.T) {
 	e := sim.New()
 	s := NewStagingArea(e, 1, 25) // room for 2 batches of 10
 	var putTimes []float64
-	e.Go("p", func(p *sim.Proc) {
-		for i := 0; i < 3; i++ {
-			s.Put(p, &Batch{Index: i, PreparedBytes: 10})
-			putTimes = append(putTimes, p.Now())
-		}
-	})
-	e.Go("c", func(p *sim.Proc) {
-		for i := 0; i < 3; i++ {
-			p.Sleep(10)
-			s.Get(p, 0, i)
-		}
-	})
+	var producer, consumer []Step
+	for i := 0; i < 3; i++ {
+		producer = append(producer, put(s, &Batch{Index: i, PreparedBytes: 10}),
+			Do(func(p *sim.Proc) { putTimes = append(putTimes, p.Now()) }))
+		consumer = append(consumer, Sleep(10), get(s, 0, i))
+	}
+	Script(e, "p", producer...)
+	Script(e, "c", consumer...)
 	e.Run()
 	if putTimes[2] != 10 {
 		t.Fatalf("third put at %v, want blocked until 10", putTimes[2])
@@ -184,11 +197,7 @@ func TestStagingMemTrace(t *testing.T) {
 	e := sim.New()
 	s := NewStagingArea(e, 1, 1e9)
 	s.EnableMemTrace("staging")
-	e.Go("p", func(p *sim.Proc) {
-		s.Put(p, &Batch{Index: 0, PreparedBytes: 10})
-		p.Sleep(1)
-		s.Get(p, 0, 0)
-	})
+	Script(e, "p", put(s, &Batch{Index: 0, PreparedBytes: 10}), Sleep(1), get(s, 0, 0))
 	e.Run()
 	if s.MemTrace.Len() != 2 {
 		t.Fatalf("trace points %d, want 2", s.MemTrace.Len())
@@ -202,40 +211,31 @@ func TestFailureDetectorRecoversDeadJob(t *testing.T) {
 	// Job 0 produces even batches; job 1 (owner of odd batches) dies
 	// after batch 1. Consumers need batches 0..5.
 	dead := false
-	e.Go("producer0", func(p *sim.Proc) {
-		for i := 0; i < 6; i += 2 {
-			p.Sleep(1)
-			s.Put(p, &Batch{Index: i, Owner: 0, PreparedBytes: 1})
-		}
-	})
-	e.Go("producer1", func(p *sim.Proc) {
-		p.Sleep(1)
-		s.Put(p, &Batch{Index: 1, Owner: 1, PreparedBytes: 1})
-		dead = true // dies before batch 3
-	})
+	var producer0 []Step
+	for i := 0; i < 6; i += 2 {
+		producer0 = append(producer0, Sleep(1), put(s, &Batch{Index: i, Owner: 0, PreparedBytes: 1}))
+	}
+	Script(e, "producer0", producer0...)
+	Script(e, "producer1", Sleep(1), put(s, &Batch{Index: 1, Owner: 1, PreparedBytes: 1}),
+		Do(func(*sim.Proc) { dead = true })) // dies before batch 3
 	fd := &FailureDetector{
 		Staging: s,
 		Timeout: 5,
 		Alive:   func(job int) bool { return !(job == 1 && dead) },
 		Recover: func(job int) {
-			e.Go("recovery", func(p *sim.Proc) {
-				for i := 3; i < 6; i += 2 {
-					p.Sleep(1)
-					s.Put(p, &Batch{Index: i, Owner: job, PreparedBytes: 1})
-				}
-			})
+			Script(e, "recovery",
+				Sleep(1), put(s, &Batch{Index: 3, Owner: job, PreparedBytes: 1}),
+				Sleep(1), put(s, &Batch{Index: 5, Owner: job, PreparedBytes: 1}))
 		},
 	}
-	e.Go("detector", func(p *sim.Proc) { fd.Run(p, 200) })
+	fd.Spawn(e, 200)
 	done := make([]bool, nJobs)
 	for j := 0; j < nJobs; j++ {
-		j := j
-		e.Go("consumer", func(p *sim.Proc) {
-			for i := 0; i < 6; i++ {
-				s.Get(p, j, i)
-			}
-			done[j] = true
-		})
+		var consumer []Step
+		for i := 0; i < 6; i++ {
+			consumer = append(consumer, get(s, j, i))
+		}
+		Script(e, "consumer", append(consumer, Do(func(*sim.Proc) { done[j] = true }))...)
 	}
 	e.Run()
 	if !done[0] || !done[1] {
@@ -254,19 +254,12 @@ func TestFailureDetectorIgnoresAliveJobs(t *testing.T) {
 		Timeout: 2,
 		Alive:   func(int) bool { return true }, // just slow, not dead
 	}
-	e.Go("detector", func(p *sim.Proc) { fd.Run(p, 30) })
-	e.Go("slow-producer", func(p *sim.Proc) {
-		p.Sleep(20)
-		s.Put(p, &Batch{Index: 0, PreparedBytes: 1})
-		p.Sleep(1)
-		s.Put(p, &Batch{Index: 1, PreparedBytes: 1})
-	})
+	fd.Spawn(e, 30)
+	Script(e, "slow-producer",
+		Sleep(20), put(s, &Batch{Index: 0, PreparedBytes: 1}),
+		Sleep(1), put(s, &Batch{Index: 1, PreparedBytes: 1}))
 	for j := 0; j < 2; j++ {
-		j := j
-		e.Go("c", func(p *sim.Proc) {
-			s.Get(p, j, 0)
-			s.Get(p, j, 1)
-		})
+		Script(e, "c", get(s, j, 0), get(s, j, 1))
 	}
 	e.Run()
 	if len(fd.Detected) != 0 {
@@ -283,20 +276,13 @@ func TestPartitionedFetchOrdersOfMagnitude(t *testing.T) {
 	d := &dataset.Dataset{Name: "t", NumItems: 100, TotalBytes: 100 * 300 * stats.KiB}
 	f := NewPartitionedFetcher(d, cl, d.TotalBytes/2, 1)
 	shards := f.OwnerShards()
-	e.Go("warm", func(p *sim.Proc) {
-		for s, sh := range shards {
-			f.FetchBatch(p, s, sh.Items)
-		}
-	})
+	Script(e, "warm", fetch(cl, f, 0, shards[0].Items, nil), fetch(cl, f, 1, shards[1].Items, nil))
 	e.Run()
 
 	// Time fetching server 1's shard from server 0 (all remote).
 	var remoteT float64
-	e.Go("remote", func(p *sim.Proc) {
-		start := p.Now()
-		f.FetchBatch(p, 0, shards[1].Items)
-		remoteT = p.Now() - start
-	})
+	start := e.Now()
+	Script(e, "remote", fetch(cl, f, 0, shards[1].Items, nil), Do(func(p *sim.Proc) { remoteT = p.Now() - start }))
 	e.Run()
 	diskT := 0.0
 	for _, id := range shards[1].Items {

@@ -10,7 +10,6 @@ import (
 	"datastall/internal/cluster"
 	"datastall/internal/dataset"
 	"datastall/internal/pagecache"
-	"datastall/internal/sim"
 )
 
 // Kind names a data-loading configuration from the paper's evaluation.
@@ -82,9 +81,11 @@ func (r *FetchResult) Add(o FetchResult) {
 // shared per server across all jobs on that server, which is how cross-job
 // cache interference (HP-search thrashing) arises.
 type Fetcher interface {
-	// FetchBatch fetches items on behalf of a job running on server, and
-	// blocks p for the storage/network/memory time consumed.
-	FetchBatch(p *sim.Proc, server int, items []dataset.ItemID) FetchResult
+	// Plan fetches items on behalf of a job running on server. It does every
+	// cache lookup and insert at once, then appends the device operations
+	// the fetch occupies, in issue order, to ops and returns them with the
+	// result. A PlannedFetch issues the operations.
+	Plan(server int, items []dataset.ItemID, ops []Op) (FetchResult, []Op)
 }
 
 // PageCacheFetcher is the baseline fetch path: all reads go through the OS
@@ -113,8 +114,9 @@ func NewPageCacheFetcher(d *dataset.Dataset, c *cluster.Cluster, capBytes float6
 // trainer's EpochEnded observer events surface it).
 func (f *PageCacheFetcher) CacheUsedBytes() float64 { return cache.SumUsedBytes(f.Caches) }
 
-// FetchBatch implements Fetcher.
-func (f *PageCacheFetcher) FetchBatch(p *sim.Proc, server int, items []dataset.ItemID) FetchResult {
+// Plan implements Fetcher: the misses are one random storage read, the
+// hits one DRAM copy.
+func (f *PageCacheFetcher) Plan(server int, items []dataset.ItemID, ops []Op) (FetchResult, []Op) {
 	var r FetchResult
 	pc := f.Caches[server]
 	spi := f.SeeksPerItem
@@ -133,19 +135,16 @@ func (f *PageCacheFetcher) FetchBatch(p *sim.Proc, server int, items []dataset.I
 			pc.Insert(id, sz)
 		}
 	}
-	srv := f.Cluster.Servers[server]
-	srv.Disk.ReadRandom(p, r.DiskBytes, r.DiskItems)
-	srv.Mem.Read(p, r.MemBytes)
-	return r
+	return r, AppendLocal(ops, server, r)
 }
 
 // SyntheticFetcher models DS-Analyzer phase 1: data is pre-populated at the
 // GPUs, so fetch costs nothing (measures pure GPU ingestion rate).
 type SyntheticFetcher struct{}
 
-// FetchBatch implements Fetcher at zero cost.
-func (SyntheticFetcher) FetchBatch(p *sim.Proc, server int, items []dataset.ItemID) FetchResult {
-	return FetchResult{Hits: len(items)}
+// Plan implements Fetcher at zero cost.
+func (SyntheticFetcher) Plan(server int, items []dataset.ItemID, ops []Op) (FetchResult, []Op) {
+	return FetchResult{Hits: len(items)}, ops
 }
 
 // CachedFetcher models DS-Analyzer phase 2: the whole working set resides in
@@ -155,15 +154,14 @@ type CachedFetcher struct {
 	Cluster *cluster.Cluster
 }
 
-// FetchBatch implements Fetcher.
-func (f *CachedFetcher) FetchBatch(p *sim.Proc, server int, items []dataset.ItemID) FetchResult {
+// Plan implements Fetcher.
+func (f *CachedFetcher) Plan(server int, items []dataset.ItemID, ops []Op) (FetchResult, []Op) {
 	var r FetchResult
 	for _, id := range items {
 		r.MemBytes += f.Dataset.ItemBytes(id)
 		r.Hits++
 	}
-	f.Cluster.Servers[server].Mem.Read(p, r.MemBytes)
-	return r
+	return r, AppendOp(ops, Op{Kind: OpMemRead, Dev: server, Bytes: r.MemBytes})
 }
 
 // TFRecordFetcher models TensorFlow's serialized-record format (§3.3.3):
@@ -177,6 +175,12 @@ type TFRecordFetcher struct {
 	// RecordBytes is the serialized file size (100-200 MB in TF).
 	RecordBytes float64
 	itemsPerRec int
+
+	// seenIn[rec] numbers the last batch that touched record rec, so a
+	// batch reads each of its records once, in first-seen item order,
+	// without building a per-batch set.
+	seenIn  []uint64
+	batchNo uint64
 }
 
 // NewTFRecordFetcher builds a record-granular fetcher with per-server page
@@ -187,6 +191,7 @@ func NewTFRecordFetcher(d *dataset.Dataset, c *cluster.Cluster, capBytes, record
 	if f.itemsPerRec < 1 {
 		f.itemsPerRec = 1
 	}
+	f.seenIn = make([]uint64, d.NumItems/f.itemsPerRec+1)
 	for i := range c.Servers {
 		f.Caches = append(f.Caches, pagecache.New(pagecache.TwoList, capBytes, seed+int64(i)))
 	}
@@ -201,18 +206,18 @@ func (f *TFRecordFetcher) Record(id dataset.ItemID) dataset.ItemID {
 	return dataset.ItemID(int(id) / f.itemsPerRec)
 }
 
-// FetchBatch implements Fetcher: a batch touches the records containing its
+// Plan implements Fetcher: a batch touches the records containing its
 // items; uncached records stream from disk sequentially.
-func (f *TFRecordFetcher) FetchBatch(p *sim.Proc, server int, items []dataset.ItemID) FetchResult {
+func (f *TFRecordFetcher) Plan(server int, items []dataset.ItemID, ops []Op) (FetchResult, []Op) {
 	var r FetchResult
 	pc := f.Caches[server]
-	seen := make(map[dataset.ItemID]bool, 4)
+	f.batchNo++
 	for _, id := range items {
 		rec := f.Record(id)
-		if seen[rec] {
+		if f.seenIn[rec] == f.batchNo {
 			continue // same record already read for this batch
 		}
-		seen[rec] = true
+		f.seenIn[rec] = f.batchNo
 		if pc.Lookup(rec) {
 			r.MemBytes += f.RecordBytes
 			r.Hits++
@@ -223,8 +228,6 @@ func (f *TFRecordFetcher) FetchBatch(p *sim.Proc, server int, items []dataset.It
 			pc.Insert(rec, f.RecordBytes)
 		}
 	}
-	srv := f.Cluster.Servers[server]
-	srv.Disk.ReadSequential(p, r.DiskBytes)
-	srv.Mem.Read(p, r.MemBytes)
-	return r
+	ops = AppendOp(ops, Op{Kind: OpDiskSeq, Dev: server, Bytes: r.DiskBytes})
+	return r, AppendOp(ops, Op{Kind: OpMemRead, Dev: server, Bytes: r.MemBytes})
 }

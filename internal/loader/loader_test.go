@@ -1,11 +1,13 @@
 package loader
 
 import (
+	"math"
 	"testing"
 
 	"datastall/internal/cluster"
 	"datastall/internal/dataset"
 	"datastall/internal/sim"
+	"datastall/internal/sim/simtest"
 	"datastall/internal/stats"
 )
 
@@ -14,6 +16,28 @@ func testEnv(nServers int) (*sim.Engine, *cluster.Cluster, *dataset.Dataset) {
 	cl := cluster.Build(e, cluster.ConfigSSDV100(), nServers)
 	d := &dataset.Dataset{Name: "t", NumItems: 200, TotalBytes: 200 * 100 * stats.KiB}
 	return e, cl, d
+}
+
+// fetch is a script step that plans items on server 0 through f and issues
+// the plan's device operations; *res (if non-nil) receives the result once
+// they have completed.
+func fetch(cl *cluster.Cluster, f Fetcher, items []dataset.ItemID, res *FetchResult) simtest.Step {
+	var pf PlannedFetch
+	started := false
+	return func(p *sim.Proc) bool {
+		if !started {
+			pf.Start(f, 0, items)
+			started = true
+		}
+		if !pf.Advance(p, cl) {
+			return false
+		}
+		started = false
+		if res != nil {
+			*res = pf.Result
+		}
+		return true
+	}
 }
 
 func TestKindStrings(t *testing.T) {
@@ -46,10 +70,7 @@ func TestPageCacheFetcherColdThenWarm(t *testing.T) {
 	f := NewPageCacheFetcher(d, cl, d.TotalBytes, 1) // cache fits everything
 	items := []dataset.ItemID{0, 1, 2, 3}
 	var cold, warm FetchResult
-	e.Go("x", func(p *sim.Proc) {
-		cold = f.FetchBatch(p, 0, items)
-		warm = f.FetchBatch(p, 0, items)
-	})
+	simtest.Script(e, "x", fetch(cl, f, items, &cold), fetch(cl, f, items, &warm))
 	e.Run()
 	if cold.Misses != 4 || cold.DiskItems != 4 {
 		t.Fatalf("cold: %+v", cold)
@@ -63,19 +84,15 @@ func TestPageCacheFetcherColdThenWarm(t *testing.T) {
 }
 
 func TestPageCacheFetcherSeeksPerItem(t *testing.T) {
-	e, cl, d := testEnv(1)
+	_, cl, d := testEnv(1)
 	f := NewPageCacheFetcher(d, cl, 1, 1) // cache too small: all misses
 	f.SeeksPerItem = 3
-	var r FetchResult
-	e.Go("x", func(p *sim.Proc) {
-		r = f.FetchBatch(p, 0, []dataset.ItemID{0, 1})
-	})
-	e.Run()
+	r, ops := f.Plan(0, []dataset.ItemID{0, 1}, nil)
 	if r.DiskItems != 6 {
 		t.Fatalf("disk items %d, want 2 items x 3 seeks", r.DiskItems)
 	}
-	if cl.Servers[0].Disk.TotalRequests() != 1 {
-		t.Fatal("batch should aggregate into one device request")
+	if len(ops) != 1 || ops[0].Kind != OpDiskRandom || ops[0].N != 6 {
+		t.Fatalf("batch should aggregate into one device request, got %+v", ops)
 	}
 }
 
@@ -85,13 +102,8 @@ func TestPageCacheSharedAcrossCallers(t *testing.T) {
 	e, cl, d := testEnv(1)
 	f := NewPageCacheFetcher(d, cl, d.TotalBytes, 1)
 	var second FetchResult
-	e.Go("job1", func(p *sim.Proc) {
-		f.FetchBatch(p, 0, []dataset.ItemID{7, 8})
-	})
-	e.Go("job2", func(p *sim.Proc) {
-		p.Sleep(100)
-		second = f.FetchBatch(p, 0, []dataset.ItemID{7, 8})
-	})
+	simtest.Script(e, "job1", fetch(cl, f, []dataset.ItemID{7, 8}, nil))
+	simtest.Script(e, "job2", simtest.Sleep(100), fetch(cl, f, []dataset.ItemID{7, 8}, &second))
 	e.Run()
 	if second.Hits != 2 {
 		t.Fatalf("cross-job hits %d, want 2", second.Hits)
@@ -99,13 +111,11 @@ func TestPageCacheSharedAcrossCallers(t *testing.T) {
 }
 
 func TestSyntheticFetcherFree(t *testing.T) {
-	e, _, _ := testEnv(1)
+	e, cl, _ := testEnv(1)
 	var r FetchResult
 	var took float64
-	e.Go("x", func(p *sim.Proc) {
-		r = SyntheticFetcher{}.FetchBatch(p, 0, []dataset.ItemID{0, 1, 2})
-		took = p.Now()
-	})
+	simtest.Script(e, "x", fetch(cl, SyntheticFetcher{}, []dataset.ItemID{0, 1, 2}, &r),
+		simtest.Do(func(p *sim.Proc) { took = p.Now() }))
 	e.Run()
 	if took != 0 || r.Hits != 3 || r.DiskBytes != 0 {
 		t.Fatalf("synthetic fetch not free: t=%v %+v", took, r)
@@ -117,10 +127,8 @@ func TestCachedFetcherChargesMemoryOnly(t *testing.T) {
 	f := &CachedFetcher{Dataset: d, Cluster: cl}
 	var r FetchResult
 	var took float64
-	e.Go("x", func(p *sim.Proc) {
-		r = f.FetchBatch(p, 0, []dataset.ItemID{0, 1})
-		took = p.Now()
-	})
+	simtest.Script(e, "x", fetch(cl, f, []dataset.ItemID{0, 1}, &r),
+		simtest.Do(func(p *sim.Proc) { took = p.Now() }))
 	e.Run()
 	if r.MemBytes != 2*d.AvgItemBytes() || r.DiskBytes != 0 {
 		t.Fatalf("cached fetch: %+v", r)
@@ -140,11 +148,12 @@ func TestTFRecordFetcherRecordGranularity(t *testing.T) {
 	if f.Record(0) != f.Record(9) || f.Record(0) == f.Record(10) {
 		t.Fatal("record mapping wrong")
 	}
-	var r FetchResult
-	e.Go("x", func(p *sim.Proc) {
-		// Items 0..9 share a record; 10 starts the next.
-		r = f.FetchBatch(p, 0, []dataset.ItemID{0, 5, 9, 10})
-	})
+	// Items 0..9 share a record; 10 starts the next. The second batch
+	// covers the same records: all hits, memory only.
+	var r, r2 FetchResult
+	simtest.Script(e, "x",
+		fetch(cl, f, []dataset.ItemID{0, 5, 9, 10}, &r),
+		fetch(cl, f, []dataset.ItemID{1, 11}, &r2))
 	e.Run()
 	if r.Misses != 2 {
 		t.Fatalf("misses %d, want 2 records", r.Misses)
@@ -152,12 +161,6 @@ func TestTFRecordFetcherRecordGranularity(t *testing.T) {
 	if r.DiskBytes != 2*rec {
 		t.Fatalf("disk bytes %v, want 2 records", r.DiskBytes)
 	}
-	// Second batch over the same records: all hits, memory only.
-	var r2 FetchResult
-	e.Go("y", func(p *sim.Proc) {
-		r2 = f.FetchBatch(p, 0, []dataset.ItemID{1, 11})
-	})
-	e.Run()
 	if r2.Hits != 2 || r2.DiskBytes != 0 {
 		t.Fatalf("warm record fetch: %+v", r2)
 	}
@@ -167,16 +170,45 @@ func TestTFRecordFetcherEviction(t *testing.T) {
 	e, cl, d := testEnv(1)
 	rec := 10 * d.AvgItemBytes()
 	f := NewTFRecordFetcher(d, cl, 2*rec, rec, 1) // cache holds 2 records
-	e.Go("x", func(p *sim.Proc) {
-		for i := 0; i < 20; i++ {
-			f.FetchBatch(p, 0, []dataset.ItemID{dataset.ItemID(i * 10)})
-		}
-	})
+	var steps []simtest.Step
+	for i := 0; i < 20; i++ {
+		steps = append(steps, fetch(cl, f, []dataset.ItemID{dataset.ItemID(i * 10)}, nil))
+	}
+	simtest.Script(e, "x", steps...)
 	e.Run()
 	if f.Caches[0].UsedBytes() > 2*rec {
 		t.Fatal("record cache exceeded capacity")
 	}
 	if cl.Servers[0].Disk.TotalBytes() < 18*rec {
 		t.Fatal("expected most record fetches to miss")
+	}
+}
+
+// TestPlannedFetchIssuesInOrder: a plan's operations are booked one after
+// another — the DRAM copy starts only once the storage read has completed —
+// and each disk read is traced at its completion.
+func TestPlannedFetchIssuesInOrder(t *testing.T) {
+	e, cl, d := testEnv(1)
+	disk := cl.Servers[0].Disk
+	disk.EnableTrace("io")
+	f := NewPageCacheFetcher(d, cl, d.TotalBytes, 1)
+	var cold, mixed FetchResult
+	var coldDone, mixedDone float64
+	simtest.Script(e, "x",
+		fetch(cl, f, []dataset.ItemID{0, 1}, &cold),
+		simtest.Do(func(p *sim.Proc) { coldDone = p.Now() }),
+		fetch(cl, f, []dataset.ItemID{0, 2}, &mixed), // item 0 hits, item 2 misses
+		simtest.Do(func(p *sim.Proc) { mixedDone = p.Now() }))
+	e.Run()
+	read := disk.Spec.SeekTime + d.ItemBytes(2)/disk.Spec.SeqBW
+	memCopy := d.ItemBytes(0) / cl.Servers[0].Mem.BW
+	if got := mixedDone - coldDone; math.Abs(got-(read+memCopy)) > 1e-12 {
+		t.Fatalf("mixed fetch took %v, want read %v then copy %v", got, read, memCopy)
+	}
+	if disk.Trace.Len() != 2 || disk.Trace.Times[0] != coldDone {
+		t.Fatalf("disk trace at %v, want one point per read at its completion (first at %v)", disk.Trace.Times, coldDone)
+	}
+	if cold.Misses != 2 || mixed.Hits != 1 || mixed.Misses != 1 {
+		t.Fatalf("cold %+v mixed %+v", cold, mixed)
 	}
 }

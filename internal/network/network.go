@@ -59,13 +59,21 @@ func (n *NIC) EnableTrace(name string) { n.Trace = &stats.TimeSeries{Name: name}
 // EffectiveBW returns the delivered bulk bandwidth in bytes/s.
 func (n *NIC) EffectiveBW() float64 { return n.Spec.RawBW * n.Spec.Efficiency }
 
-// Transfer moves bytes through this NIC, blocking p until completion.
-// nMsgs is the number of request/response exchanges (each pays one RTT).
-func (n *NIC) Transfer(p *sim.Proc, bytes float64, nMsgs int) {
+// TransferAsync books a transfer of bytes through this NIC behind its
+// queued transfers and returns the completion time. nMsgs is the number of
+// request/response exchanges (each pays one RTT). A transfer of nothing is
+// free: it books no request and completes at once.
+func (n *NIC) TransferAsync(bytes float64, nMsgs int) float64 {
 	if bytes <= 0 && nMsgs <= 0 {
-		return
+		return n.eng.Now()
 	}
-	n.srv.Request(p, bytes, n.EffectiveBW(), float64(nMsgs)*n.Spec.RTT)
+	return n.srv.RequestAsync(bytes, n.EffectiveBW(), float64(nMsgs)*n.Spec.RTT)
+}
+
+// Complete records a finished transfer of bytes in the trace (when
+// enabled) at the current simulated time; senders call it once the
+// completion time TransferAsync returned has been reached.
+func (n *NIC) Complete(bytes float64) {
 	if n.Trace != nil {
 		n.Trace.Add(n.eng.Now(), bytes)
 	}
@@ -83,9 +91,11 @@ func (n *NIC) AccountBytes(bytes float64) { n.srv.Bytes += bytes }
 func (n *NIC) BusyTime() float64 { return n.srv.Busy }
 
 // Fabric connects the NICs of a distributed job. A remote fetch crosses the
-// serving server's NIC and the requesting server's NIC; we model the
-// transfer as occupying both (store-and-forward at message granularity is
-// irrelevant at these sizes, so the two requests are issued back to back).
+// serving server's NIC and then the requesting server's NIC: the source side
+// pays one RTT per item, and the receive side (usually overlapped) is
+// charged without a second RTT to avoid double-counting latency.
+// Store-and-forward at message granularity is irrelevant at these sizes, so
+// the two transfers are issued back to back.
 type Fabric struct {
 	NICs []*NIC
 }
@@ -97,16 +107,6 @@ func NewFabric(e *sim.Engine, n int, spec LinkSpec) *Fabric {
 		f.NICs[i] = NewNIC(e, spec)
 	}
 	return f
-}
-
-// RemoteFetch transfers bytes from server src's DRAM to server dst,
-// blocking p. Both endpoints' NICs are charged.
-func (f *Fabric) RemoteFetch(p *sim.Proc, dst, src int, bytes float64, nItems int) {
-	// Source side: serialization out of the serving server.
-	f.NICs[src].Transfer(p, bytes, nItems)
-	// Destination side: receive path (usually overlapped; charge without
-	// a second RTT to avoid double-counting latency).
-	f.NICs[dst].Transfer(p, bytes, 0)
 }
 
 // TotalBytes returns bytes moved across all NICs (each fetch counted twice,

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"datastall/internal/sim"
+	"datastall/internal/sim/simtest"
 	"datastall/internal/stats"
 )
 
@@ -19,13 +20,8 @@ func TestEffectiveBWExceedsSSD(t *testing.T) {
 func TestTransferTiming(t *testing.T) {
 	e := sim.New()
 	n := NewNIC(e, LinkSpec{Name: "t", RawBW: 1000, Efficiency: 0.5, RTT: 1})
-	var done float64
-	e.Go("x", func(p *sim.Proc) {
-		n.Transfer(p, 500, 2) // 2 RTT (2s) + 500/500 (1s) = 3s
-		done = p.Now()
-	})
-	e.Run()
-	if done != 3 {
+	// 2 RTT (2s) + 500/500 (1s) = 3s.
+	if done := n.TransferAsync(500, 2); done != 3 {
 		t.Fatalf("transfer done at %v, want 3", done)
 	}
 	if n.TotalBytes() != 500 {
@@ -36,19 +32,23 @@ func TestTransferTiming(t *testing.T) {
 func TestNICContention(t *testing.T) {
 	e := sim.New()
 	n := NewNIC(e, LinkSpec{Name: "t", RawBW: 100, Efficiency: 1, RTT: 0})
-	var t1, t2 float64
-	e.Go("a", func(p *sim.Proc) { n.Transfer(p, 1000, 0); t1 = p.Now() })
-	e.Go("b", func(p *sim.Proc) { n.Transfer(p, 1000, 0); t2 = p.Now() })
-	e.Run()
+	t1 := n.TransferAsync(1000, 0)
+	t2 := n.TransferAsync(1000, 0)
 	if t1 != 10 || t2 != 20 {
 		t.Fatalf("t1=%v t2=%v, want FIFO 10/20", t1, t2)
 	}
 }
 
+// TestFabricRemoteFetchChargesBothEnds: a remote fetch is the serving NIC's
+// transfer followed by the receiving NIC's, and each endpoint is charged.
 func TestFabricRemoteFetchChargesBothEnds(t *testing.T) {
 	e := sim.New()
 	f := NewFabric(e, 2, LinkSpec{Name: "t", RawBW: 100, Efficiency: 1, RTT: 0})
-	e.Go("x", func(p *sim.Proc) { f.RemoteFetch(p, 0, 1, 500, 1) })
+	f.NICs[1].EnableTrace("src")
+	simtest.Script(e, "x",
+		simtest.Await(func() float64 { return f.NICs[1].TransferAsync(500, 1) }),
+		simtest.Do(func(*sim.Proc) { f.NICs[1].Complete(500) }),
+		simtest.Await(func() float64 { return f.NICs[0].TransferAsync(500, 0) }))
 	e.Run()
 	if f.NICs[0].TotalBytes() != 500 || f.NICs[1].TotalBytes() != 500 {
 		t.Fatalf("bytes: dst=%v src=%v", f.NICs[0].TotalBytes(), f.NICs[1].TotalBytes())
@@ -56,15 +56,18 @@ func TestFabricRemoteFetchChargesBothEnds(t *testing.T) {
 	if math.Abs(f.TotalBytes()-1000) > 1e-9 {
 		t.Fatalf("fabric total %v", f.TotalBytes())
 	}
+	if e.Now() != 10 || f.NICs[1].Trace.Times[0] != 5 {
+		t.Fatalf("fetch done at %v (source leg at %v), want 10 (5)", e.Now(), f.NICs[1].Trace.Times[0])
+	}
 }
 
 func TestZeroTransferFree(t *testing.T) {
 	e := sim.New()
 	n := NewNIC(e, Ethernet40G)
-	var done float64
-	e.Go("x", func(p *sim.Proc) { n.Transfer(p, 0, 0); done = p.Now() })
-	e.Run()
-	if done != 0 {
-		t.Fatalf("zero transfer took %v", done)
+	if done := n.TransferAsync(0, 0); done != 0 {
+		t.Fatalf("zero transfer finishes at %v", done)
+	}
+	if n.BusyTime() != 0 {
+		t.Fatalf("zero transfer was booked: busy %v", n.BusyTime())
 	}
 }

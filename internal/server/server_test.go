@@ -364,6 +364,11 @@ func TestStoreEvictsTerminalRecords(t *testing.T) {
 		}
 		ids = append(ids, id)
 	}
+	// finalize evicts just after it closes Done, so the last job's eviction
+	// can trail waitTerminal; no event marks it, so poll briefly.
+	for deadline := time.Now().Add(5 * time.Second); srv.store.count() > 2 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	if n := srv.store.count(); n != 2 {
 		t.Fatalf("store holds %d records, want 2", n)
 	}

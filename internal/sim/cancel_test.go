@@ -1,16 +1,19 @@
-package sim
+package sim_test
 
 import (
 	"context"
 	"errors"
 	"testing"
+
+	"datastall/internal/sim"
+	. "datastall/internal/sim/simtest"
 )
 
 // TestRunContextUncancelledMatchesRun: with a background context the
 // dispatch loop is Run, event for event.
 func TestRunContextUncancelledMatchesRun(t *testing.T) {
-	trace := func(drive func(e *Engine)) []float64 {
-		e := New()
+	trace := func(drive func(e *sim.Engine)) []float64 {
+		e := sim.New()
 		var ts []float64
 		for i := 0; i < 50; i++ {
 			d := float64(i%7) * 0.5
@@ -19,8 +22,8 @@ func TestRunContextUncancelledMatchesRun(t *testing.T) {
 		drive(e)
 		return ts
 	}
-	a := trace(func(e *Engine) { e.Run() })
-	b := trace(func(e *Engine) {
+	a := trace(func(e *sim.Engine) { e.Run() })
+	b := trace(func(e *sim.Engine) {
 		if err := e.RunContext(context.Background(), 3); err != nil {
 			t.Fatal(err)
 		}
@@ -36,50 +39,52 @@ func TestRunContextUncancelledMatchesRun(t *testing.T) {
 }
 
 // TestRunContextCancelMidRun: cancellation stops the clock mid-simulation
-// and unwinds every process — goroutine and callback — without deadlock.
+// and drops every pending event without deadlock.
 func TestRunContextCancelMidRun(t *testing.T) {
-	e := New()
+	e := sim.New()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	var goroutineSteps, callbackSteps int
-	e.Go("sleeper", func(p *Proc) {
-		for {
-			p.Sleep(1)
-			goroutineSteps++
-			if goroutineSteps == 100 {
-				cancel()
-			}
+	var ticks, otherTicks int
+	e.Spawn("ticker", func(p *sim.Proc) {
+		ticks++
+		if ticks == 100 {
+			cancel()
 		}
-	})
-	e.Spawn("ticker", func(p *Proc) {
-		callbackSteps++
 		p.WakeAfter(1)
 	})
-	// A proc parked forever on a store with no producer: Cancel must
-	// unwind it too.
-	st := NewStore[int](e, 1)
-	e.Go("starved", func(p *Proc) { st.Get(p) })
+	e.Spawn("other", func(p *sim.Proc) {
+		otherTicks++
+		p.WakeAfter(1)
+	})
+	// A process registered forever on a store with no producer.
+	st := sim.NewStore[int](e, 1)
+	Script(e, "starved", Get(st, nil, nil))
 
 	err := e.RunContext(ctx, 8)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if goroutineSteps < 100 || goroutineSteps > 110 {
-		t.Fatalf("goroutine ran %d steps; cancellation not prompt", goroutineSteps)
+	if ticks < 100 || ticks > 110 {
+		t.Fatalf("ticker ran %d steps; cancellation not prompt", ticks)
 	}
-	if callbackSteps < 90 {
-		t.Fatalf("callback proc ran %d steps before cancel", callbackSteps)
+	if otherTicks < 90 {
+		t.Fatalf("other proc ran %d steps before cancel", otherTicks)
 	}
-	// The engine is fully torn down: no live events, nothing parked.
-	if e.Len() != 0 || len(e.parked) != 0 {
-		t.Fatalf("engine not drained: %d events, %d parked", e.Len(), len(e.parked))
+	// The engine is fully torn down: no pending events.
+	if e.Len() != 0 {
+		t.Fatalf("engine not drained: %d events", e.Len())
+	}
+	now := e.Now()
+	e.Run() // nothing left to run, clock unchanged
+	if e.Now() != now {
+		t.Fatalf("clock moved after cancel: %v -> %v", now, e.Now())
 	}
 }
 
 // TestRunContextPreCancelled: an already-dead context never dispatches.
 func TestRunContextPreCancelled(t *testing.T) {
-	e := New()
+	e := sim.New()
 	ran := false
 	e.Schedule(0, func() { ran = true })
 	ctx, cancel := context.WithCancel(context.Background())

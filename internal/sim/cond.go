@@ -1,7 +1,9 @@
 package sim
 
-// Cond is a condition variable for simulated processes. Waiters must
-// re-check their predicate in a loop around Wait, as with sync.Cond.
+// Cond is a condition variable for simulated processes. A process whose
+// predicate is false registers and returns from its step; the next
+// Broadcast resumes it, and its step re-checks the predicate (as with
+// sync.Cond, a wake-up is not a promise that the predicate holds).
 type Cond struct {
 	eng     *Engine
 	waiters []*Proc
@@ -10,13 +12,11 @@ type Cond struct {
 // NewCond returns a condition variable on engine e.
 func NewCond(e *Engine) *Cond { return &Cond{eng: e} }
 
-// Wait parks the calling process until a Broadcast.
-func (c *Cond) Wait(p *Proc) {
-	c.waiters = append(c.waiters, p)
-	p.park()
-}
+// Register queues p to be resumed at the next Broadcast; p's step must
+// return right after calling it.
+func (c *Cond) Register(p *Proc) { c.waiters = append(c.waiters, p) }
 
-// Broadcast wakes every waiting process (at the current simulated time).
+// Broadcast wakes every registered process (at the current simulated time).
 func (c *Cond) Broadcast() {
 	for i, w := range c.waiters {
 		c.eng.wakeup(w)
@@ -25,5 +25,5 @@ func (c *Cond) Broadcast() {
 	c.waiters = c.waiters[:0]
 }
 
-// Waiting returns the number of parked waiters.
+// Waiting returns the number of registered waiters.
 func (c *Cond) Waiting() int { return len(c.waiters) }

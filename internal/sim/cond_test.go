@@ -1,24 +1,37 @@
-package sim
+package sim_test
 
-import "testing"
+import (
+	"testing"
+
+	"datastall/internal/sim"
+	. "datastall/internal/sim/simtest"
+)
+
+// await registers on c until pred holds, re-checking at every wake-up.
+func await(c *sim.Cond, pred func() bool) Step {
+	return Until(func(p *sim.Proc) bool {
+		if pred() {
+			return true
+		}
+		c.Register(p)
+		return false
+	})
+}
 
 func TestCondBroadcastWakesAll(t *testing.T) {
-	e := New()
-	c := NewCond(e)
-	woken := 0
+	e := sim.New()
+	c := sim.NewCond(e)
+	woken, signalled := 0, false
 	for i := 0; i < 3; i++ {
-		e.Go("w", func(p *Proc) {
-			c.Wait(p)
-			woken++
-		})
+		Script(e, "w", await(c, func() bool { return signalled }), Do(func(*sim.Proc) { woken++ }))
 	}
-	e.Go("b", func(p *Proc) {
-		p.Sleep(5)
+	Script(e, "b", Sleep(5), Do(func(*sim.Proc) {
 		if c.Waiting() != 3 {
 			t.Errorf("waiting = %d, want 3", c.Waiting())
 		}
+		signalled = true
 		c.Broadcast()
-	})
+	}))
 	e.Run()
 	if woken != 3 {
 		t.Fatalf("woken = %d, want 3", woken)
@@ -29,59 +42,33 @@ func TestCondBroadcastWakesAll(t *testing.T) {
 }
 
 func TestCondPredicateLoop(t *testing.T) {
-	e := New()
-	c := NewCond(e)
+	e := sim.New()
+	c := sim.NewCond(e)
 	ready := false
 	var seenAt float64
-	e.Go("waiter", func(p *Proc) {
-		for !ready {
-			c.Wait(p)
-		}
-		seenAt = p.Now()
-	})
+	Script(e, "waiter", await(c, func() bool { return ready }),
+		Do(func(p *sim.Proc) { seenAt = p.Now() }))
 	// Spurious broadcast at t=1 (predicate still false), real one at t=4.
-	e.Go("sig", func(p *Proc) {
-		p.Sleep(1)
-		c.Broadcast()
-		p.Sleep(3)
-		ready = true
-		c.Broadcast()
-	})
+	Script(e, "sig", Sleep(1), Do(func(*sim.Proc) { c.Broadcast() }),
+		Sleep(3), Do(func(*sim.Proc) { ready = true; c.Broadcast() }))
 	e.Run()
 	if seenAt != 4 {
 		t.Fatalf("waiter proceeded at %v, want 4 (must re-check predicate)", seenAt)
 	}
 }
 
+// TestCondWaiterKilledAtShutdown: a waiter that is never signalled ends the
+// run without hanging and is never resumed.
 func TestCondWaiterKilledAtShutdown(t *testing.T) {
-	e := New()
-	c := NewCond(e)
+	e := sim.New()
+	c := sim.NewCond(e)
 	reached := false
-	e.Go("stuck", func(p *Proc) {
-		c.Wait(p) // never signalled
-		reached = true
-	})
+	Script(e, "stuck", await(c, func() bool { return false }), Do(func(*sim.Proc) { reached = true }))
 	e.Run()
 	if reached {
-		t.Fatal("stuck waiter should be torn down, not resumed")
+		t.Fatal("stuck waiter should never be resumed")
 	}
-}
-
-func TestRunForAndShutdown(t *testing.T) {
-	e := New()
-	ticks := 0
-	e.Go("ticker", func(p *Proc) {
-		for i := 0; i < 100; i++ {
-			p.Sleep(1)
-			ticks++
-		}
-	})
-	e.RunFor(10.5)
-	if ticks != 10 {
-		t.Fatalf("ticks = %d, want 10", ticks)
+	if c.Waiting() != 1 {
+		t.Fatalf("waiting = %d, want the stuck waiter still registered", c.Waiting())
 	}
-	if e.Now() != 10.5 {
-		t.Fatalf("clock = %v, want 10.5", e.Now())
-	}
-	e.Shutdown() // must reclaim the ticker without hanging
 }

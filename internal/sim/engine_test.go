@@ -1,26 +1,21 @@
-package sim
+package sim_test
 
 import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"datastall/internal/sim"
+	. "datastall/internal/sim/simtest"
 )
 
 func TestSleepOrdering(t *testing.T) {
-	e := New()
+	e := sim.New()
 	var order []int
-	e.Go("a", func(p *Proc) {
-		p.Sleep(2)
-		order = append(order, 2)
-	})
-	e.Go("b", func(p *Proc) {
-		p.Sleep(1)
-		order = append(order, 1)
-	})
-	e.Go("c", func(p *Proc) {
-		p.Sleep(3)
-		order = append(order, 3)
-	})
+	record := func(v int) Step { return Do(func(*sim.Proc) { order = append(order, v) }) }
+	Script(e, "a", Sleep(2), record(2))
+	Script(e, "b", Sleep(1), record(1))
+	Script(e, "c", Sleep(3), record(3))
 	e.Run()
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("wrong order: %v", order)
@@ -31,14 +26,10 @@ func TestSleepOrdering(t *testing.T) {
 }
 
 func TestTieBreakBySpawnOrder(t *testing.T) {
-	e := New()
+	e := sim.New()
 	var order []string
 	for _, name := range []string{"x", "y", "z"} {
-		name := name
-		e.Go(name, func(p *Proc) {
-			p.Sleep(5)
-			order = append(order, name)
-		})
+		Script(e, name, Sleep(5), Do(func(*sim.Proc) { order = append(order, name) }))
 	}
 	e.Run()
 	if order[0] != "x" || order[1] != "y" || order[2] != "z" {
@@ -47,7 +38,7 @@ func TestTieBreakBySpawnOrder(t *testing.T) {
 }
 
 func TestScheduleCallback(t *testing.T) {
-	e := New()
+	e := sim.New()
 	fired := 0.0
 	e.Schedule(7, func() { fired = e.Now() })
 	e.Run()
@@ -57,24 +48,22 @@ func TestScheduleCallback(t *testing.T) {
 }
 
 func TestStoreBlockingFIFO(t *testing.T) {
-	e := New()
-	s := NewStore[int](e, 2)
+	e := sim.New()
+	s := sim.NewStore[int](e, 2)
 	var got []int
-	e.Go("producer", func(p *Proc) {
-		for i := 0; i < 5; i++ {
-			s.Put(p, i)
+	var producer []Step
+	for i := 0; i < 5; i++ {
+		producer = append(producer, Put(s, i))
+	}
+	Script(e, "producer", producer...)
+	var v int
+	ok := true
+	Script(e, "consumer", Repeat(5, Sleep(1), Get(s, &v, &ok), Do(func(*sim.Proc) {
+		if !ok {
+			t.Errorf("store closed early")
 		}
-	})
-	e.Go("consumer", func(p *Proc) {
-		for i := 0; i < 5; i++ {
-			p.Sleep(1)
-			v, ok := s.Get(p)
-			if !ok {
-				t.Errorf("store closed early")
-			}
-			got = append(got, v)
-		}
-	})
+		got = append(got, v)
+	}))...)
 	e.Run()
 	for i, v := range got {
 		if v != i {
@@ -87,20 +76,12 @@ func TestStoreBlockingFIFO(t *testing.T) {
 }
 
 func TestStorePutBlocksWhenFull(t *testing.T) {
-	e := New()
-	s := NewStore[int](e, 1)
+	e := sim.New()
+	s := sim.NewStore[int](e, 1)
 	var putDone float64
-	e.Go("producer", func(p *Proc) {
-		s.Put(p, 1)
-		s.Put(p, 2) // must block until consumer drains at t=10
-		putDone = p.Now()
-	})
-	e.Go("consumer", func(p *Proc) {
-		p.Sleep(10)
-		s.Get(p)
-		p.Sleep(10)
-		s.Get(p)
-	})
+	// The second put must block until the consumer drains at t=10.
+	Script(e, "producer", Put(s, 1), Put(s, 2), Do(func(p *sim.Proc) { putDone = p.Now() }))
+	Script(e, "consumer", Sleep(10), Get(s, nil, nil), Sleep(10), Get(s, nil, nil))
 	e.Run()
 	if putDone != 10 {
 		t.Fatalf("second put completed at %v, want 10", putDone)
@@ -111,16 +92,11 @@ func TestStorePutBlocksWhenFull(t *testing.T) {
 }
 
 func TestStoreCloseUnblocksGetter(t *testing.T) {
-	e := New()
-	s := NewStore[int](e, 4)
+	e := sim.New()
+	s := sim.NewStore[int](e, 4)
 	ok := true
-	e.Go("getter", func(p *Proc) {
-		_, ok = s.Get(p)
-	})
-	e.Go("closer", func(p *Proc) {
-		p.Sleep(3)
-		s.Close()
-	})
+	Script(e, "getter", Get(s, nil, &ok))
+	Script(e, "closer", Sleep(3), Do(func(*sim.Proc) { s.Close() }))
 	e.Run()
 	if ok {
 		t.Fatal("Get on closed empty store should return ok=false")
@@ -128,16 +104,11 @@ func TestStoreCloseUnblocksGetter(t *testing.T) {
 }
 
 func TestBarrier(t *testing.T) {
-	e := New()
-	b := NewBarrier(e, 3)
+	e := sim.New()
+	b := sim.NewBarrier(e, 3)
 	var done []float64
 	for i := 0; i < 3; i++ {
-		d := float64(i + 1)
-		e.Go("w", func(p *Proc) {
-			p.Sleep(d)
-			b.Wait(p)
-			done = append(done, p.Now())
-		})
+		Script(e, "w", Sleep(float64(i+1)), Wait(b), Do(func(p *sim.Proc) { done = append(done, p.Now()) }))
 	}
 	e.Run()
 	if len(done) != 3 {
@@ -154,17 +125,12 @@ func TestBarrier(t *testing.T) {
 }
 
 func TestBarrierReusable(t *testing.T) {
-	e := New()
-	b := NewBarrier(e, 2)
+	e := sim.New()
+	b := sim.NewBarrier(e, 2)
 	rounds := 0
 	for i := 0; i < 2; i++ {
-		e.Go("w", func(p *Proc) {
-			for r := 0; r < 5; r++ {
-				p.Sleep(1)
-				b.Wait(p)
-			}
-			rounds++
-		})
+		steps := append(Repeat(5, Sleep(1), Wait(b)), Do(func(*sim.Proc) { rounds++ }))
+		Script(e, "w", steps...)
 	}
 	e.Run()
 	if rounds != 2 {
@@ -172,44 +138,14 @@ func TestBarrierReusable(t *testing.T) {
 	}
 }
 
-func TestResourceFIFO(t *testing.T) {
-	e := New()
-	r := NewResource(e, 2)
-	var order []string
-	hold := func(name string, units int, at, dur float64) {
-		e.Go(name, func(p *Proc) {
-			p.Sleep(at)
-			r.Acquire(p, units)
-			order = append(order, name)
-			p.Sleep(dur)
-			r.Release(units)
-		})
-	}
-	hold("a", 2, 0, 10)
-	hold("b", 1, 1, 5) // queued behind a
-	hold("c", 1, 2, 5) // queued behind b
-	e.Run()
-	if order[0] != "a" || order[1] != "b" || order[2] != "c" {
-		t.Fatalf("order = %v", order)
-	}
-	if r.InUse() != 0 {
-		t.Fatalf("resource leaked: %d", r.InUse())
-	}
-}
-
 func TestBandwidthServerQueueing(t *testing.T) {
-	e := New()
-	d := NewBandwidthServer(e)
+	e := sim.New()
+	d := sim.NewBandwidthServer(e)
 	var t1, t2 float64
-	e.Go("a", func(p *Proc) {
-		d.Request(p, 100, 10, 0) // 10s service
-		t1 = p.Now()
-	})
-	e.Go("b", func(p *Proc) {
-		p.Sleep(1)
-		d.Request(p, 100, 10, 0) // queues behind a, finishes at 20
-		t2 = p.Now()
-	})
+	request := func() float64 { return d.RequestAsync(100, 10, 0) } // 10s service
+	Script(e, "a", Await(request), Do(func(p *sim.Proc) { t1 = p.Now() }))
+	// b queues behind a and finishes at 20.
+	Script(e, "b", Sleep(1), Await(request), Do(func(p *sim.Proc) { t2 = p.Now() }))
 	e.Run()
 	if t1 != 10 {
 		t.Fatalf("t1 = %v, want 10", t1)
@@ -226,55 +162,44 @@ func TestBandwidthServerQueueing(t *testing.T) {
 }
 
 func TestBandwidthServerOverhead(t *testing.T) {
-	e := New()
-	d := NewBandwidthServer(e)
-	var done float64
-	e.Go("a", func(p *Proc) {
-		d.Request(p, 100, 100, 2.5)
-		done = p.Now()
-	})
-	e.Run()
-	if done != 3.5 {
+	e := sim.New()
+	d := sim.NewBandwidthServer(e)
+	if done := d.RequestAsync(100, 100, 2.5); done != 3.5 {
 		t.Fatalf("done = %v, want 3.5", done)
 	}
 }
 
+// TestRunTearsDownParkedProcs: a process registered forever on a store ends
+// the run without hanging and is never stepped again.
 func TestRunTearsDownParkedProcs(t *testing.T) {
-	e := New()
-	s := NewStore[int](e, 1)
+	e := sim.New()
+	s := sim.NewStore[int](e, 1)
 	reached := false
-	e.Go("stuck", func(p *Proc) {
-		s.Get(p) // never satisfied
-		reached = true
-	})
-	e.Go("other", func(p *Proc) { p.Sleep(1) })
+	Script(e, "stuck", Get(s, nil, nil), Do(func(*sim.Proc) { reached = true })) // never satisfied
+	Script(e, "other", Sleep(1))
 	e.Run() // must not hang
 	if reached {
-		t.Fatal("stuck proc should have been killed, not resumed")
+		t.Fatal("stuck proc should never have been resumed")
+	}
+	if e.Len() != 0 {
+		t.Fatalf("%d events left after Run", e.Len())
 	}
 }
 
 func TestDeterminism(t *testing.T) {
 	run := func(seed int64) []float64 {
-		e := New()
+		e := sim.New()
 		rng := rand.New(rand.NewSource(seed))
-		s := NewStore[float64](e, 3)
+		s := sim.NewStore[float64](e, 3)
 		var out []float64
 		for i := 0; i < 4; i++ {
 			d := rng.Float64()
-			e.Go("p", func(p *Proc) {
-				for k := 0; k < 10; k++ {
-					p.Sleep(d)
-					s.Put(p, p.Now())
-				}
-			})
+			var val float64
+			Script(e, "p", Repeat(10, Sleep(d), Do(func(p *sim.Proc) { val = p.Now() }),
+				Until(func(p *sim.Proc) bool { return s.TryPut(p, val, p.Now()) }))...)
 		}
-		e.Go("c", func(p *Proc) {
-			for k := 0; k < 40; k++ {
-				v, _ := s.Get(p)
-				out = append(out, v)
-			}
-		})
+		var v float64
+		Script(e, "c", Repeat(40, Get(s, &v, nil), Do(func(*sim.Proc) { out = append(out, v) }))...)
 		e.Run()
 		return out
 	}
@@ -299,7 +224,7 @@ func TestSleepClockProperty(t *testing.T) {
 		if len(durs) > 50 {
 			durs = durs[:50]
 		}
-		e := New()
+		e := sim.New()
 		max := 0.0
 		count := 0
 		for _, u := range durs {
@@ -307,10 +232,7 @@ func TestSleepClockProperty(t *testing.T) {
 			if d > max {
 				max = d
 			}
-			e.Go("p", func(p *Proc) {
-				p.Sleep(d)
-				count++
-			})
+			Script(e, "p", Sleep(d), Do(func(*sim.Proc) { count++ }))
 		}
 		e.Run()
 		return e.Now() == max && count == len(durs)
@@ -326,28 +248,29 @@ func TestStoreFIFOProperty(t *testing.T) {
 	f := func(capacity uint8, n uint8) bool {
 		c := int(capacity)%5 + 1
 		items := int(n)%100 + 1
-		e := New()
-		s := NewStore[int](e, c)
+		e := sim.New()
+		s := sim.NewStore[int](e, c)
 		ok := true
-		e.Go("prod", func(p *Proc) {
-			for i := 0; i < items; i++ {
-				s.Put(p, i)
-				if s.Len() > c {
-					ok = false
-				}
+		check := Do(func(*sim.Proc) {
+			if s.Len() > c {
+				ok = false
 			}
 		})
-		e.Go("cons", func(p *Proc) {
-			for i := 0; i < items; i++ {
-				p.Sleep(0.01)
-				v, good := s.Get(p)
-				if !good || v != i {
-					ok = false
-				}
+		var producer []Step
+		for i := 0; i < items; i++ {
+			producer = append(producer, Put(s, i), check)
+		}
+		Script(e, "prod", producer...)
+		var v int
+		good, want := true, 0
+		Script(e, "cons", Repeat(items, Sleep(0.01), Get(s, &v, &good), Do(func(*sim.Proc) {
+			if !good || v != want {
+				ok = false
 			}
-		})
+			want++
+		}))...)
 		e.Run()
-		return ok
+		return ok && want == items
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)

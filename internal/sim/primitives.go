@@ -1,15 +1,11 @@
 package sim
 
-// Store is a bounded FIFO queue of values exchanged between processes.
-// Put blocks while the store is full; Get blocks while it is empty.
-// A capacity of 0 means unbounded.
+// Store is a bounded FIFO queue of values exchanged between processes. A
+// capacity of 0 means unbounded.
 //
-// Goroutine processes use Put/Get; callback processes use TryPut/TryGet,
-// which either complete inline or register the process as a waiter and
-// return not-ready. Both pairs run the same code path, consume the same
-// engine events, and accumulate the same blocked-time statistics, so a
-// process can be converted between flavours without changing simulation
-// results.
+// TryPut and TryGet either complete inline or register the process as a
+// waiter and report not-ready; the store resumes the process when space
+// frees (putters) or a value arrives (getters), and its step retries.
 type Store[T any] struct {
 	eng     *Engine
 	cap     int
@@ -43,19 +39,10 @@ func popProc(list *[]*Proc) *Proc {
 	return p
 }
 
-// Put appends v, blocking while the store is full.
-func (s *Store[T]) Put(p *Proc, v T) {
-	start := s.eng.now
-	for !s.TryPut(p, v, start) {
-		p.park()
-	}
-}
-
-// TryPut is the callback-process fast path for Put: it either appends v
-// (true) or registers p as a waiting putter and returns false, in which
-// case the store resumes p when space frees and p's step must call TryPut
-// again, passing the simulated time of its first attempt as since so
-// blocked-time accounting matches Put exactly.
+// TryPut either appends v (true) or registers p as a waiting putter and
+// returns false, in which case the store resumes p when space frees and p's
+// step must call TryPut again, passing the simulated time of its first
+// attempt as since so PutBlocked counts the whole wait.
 func (s *Store[T]) TryPut(p *Proc, v T, since float64) bool {
 	if s.cap > 0 && len(s.buf) >= s.cap && !s.closed {
 		s.putters = append(s.putters, p)
@@ -69,25 +56,11 @@ func (s *Store[T]) TryPut(p *Proc, v T, since float64) bool {
 	return true
 }
 
-// Get removes and returns the oldest value, blocking while empty. The second
-// result is false if the store was closed while empty.
-func (s *Store[T]) Get(p *Proc) (T, bool) {
-	start := s.eng.now
-	for {
-		v, ok, ready := s.TryGet(p, start)
-		if ready {
-			return v, ok
-		}
-		p.park()
-	}
-}
-
-// TryGet is the callback-process fast path for Get: it either pops a value
-// (ready=true), reports closure on an empty store (ready=true, ok=false),
-// or registers p as a waiting getter (ready=false), in which case the store
-// resumes p when a value arrives and p's step must call TryGet again,
-// passing the simulated time of its first attempt as since so blocked-time
-// accounting matches Get exactly.
+// TryGet either pops the oldest value (ready=true), reports closure on an
+// empty store (ready=true, ok=false), or registers p as a waiting getter
+// (ready=false), in which case the store resumes p when a value arrives and
+// p's step must call TryGet again, passing the simulated time of its first
+// attempt as since so GetBlocked counts the whole wait.
 func (s *Store[T]) TryGet(p *Proc, since float64) (v T, ok, ready bool) {
 	if len(s.buf) == 0 {
 		if s.closed {
@@ -109,9 +82,9 @@ func (s *Store[T]) TryGet(p *Proc, since float64) (v T, ok, ready bool) {
 	return v, true, true
 }
 
-// Close marks the store closed and wakes all blocked getters; subsequent Gets
-// on an empty store return ok=false. Puts after Close still succeed (used to
-// flush trailing batches) but never block.
+// Close marks the store closed and wakes all waiting getters and putters;
+// subsequent TryGets on an empty store report ok=false. TryPuts after Close
+// still succeed (used to flush trailing batches) but never wait.
 func (s *Store[T]) Close() {
 	s.closed = true
 	for i, g := range s.getters {
@@ -126,16 +99,17 @@ func (s *Store[T]) Close() {
 	s.putters = s.putters[:0]
 }
 
-// Barrier synchronises n processes: each Wait blocks until all n arrive.
-// It is reusable across generations (like sync.WaitGroup cycles).
+// Barrier synchronises n processes: each generation releases once all n
+// have arrived. It is reusable across generations (like sync.WaitGroup
+// cycles).
 type Barrier struct {
 	eng     *Engine
 	n       int
 	arrived int
 	waiters []*Proc
 	// Waited accumulates total blocked time across all processes. A
-	// callback process that Arrives without releasing the barrier adds its
-	// own share when it is resumed (see Arrive).
+	// process that Arrives without releasing the barrier adds its own share
+	// when it is resumed (see Arrive).
 	Waited float64
 }
 
@@ -147,22 +121,11 @@ func NewBarrier(e *Engine, n int) *Barrier {
 	return &Barrier{eng: e, n: n}
 }
 
-// Wait blocks until n processes have called Wait for this generation.
-func (b *Barrier) Wait(p *Proc) {
-	if b.Arrive(p) {
-		return
-	}
-	start := b.eng.now
-	p.park()
-	b.Waited += b.eng.now - start
-}
-
-// Arrive is the callback-process fast path for Wait: the arrival is
-// recorded and, if p completed the generation, every earlier arriver is
-// woken and Arrive returns true (proceed inline). Otherwise p is registered
-// as a waiter and Arrive returns false; p's step must return, and when the
-// barrier resumes it, add its blocked time (now - arrival time) to Waited —
-// exactly what Wait does for goroutine processes.
+// Arrive records p's arrival. If p completed the generation, every earlier
+// arriver is woken and Arrive returns true (proceed inline). Otherwise p is
+// registered as a waiter and Arrive returns false; p's step must return,
+// and when the barrier resumes it, add its blocked time (now - arrival time)
+// to Waited.
 func (b *Barrier) Arrive(p *Proc) bool {
 	b.arrived++
 	if b.arrived >= b.n {
@@ -176,74 +139,6 @@ func (b *Barrier) Arrive(p *Proc) bool {
 	}
 	b.waiters = append(b.waiters, p)
 	return false
-}
-
-// Resource is a counting semaphore with FIFO granting.
-type Resource struct {
-	eng     *Engine
-	cap     int
-	inUse   int
-	waiters []*resWaiter
-	// Waited accumulates total blocked time across acquisitions.
-	Waited float64
-}
-
-type resWaiter struct {
-	p *Proc
-	n int
-}
-
-// NewResource returns a resource with the given capacity.
-func NewResource(e *Engine, capacity int) *Resource {
-	if capacity < 1 {
-		panic("sim: resource needs capacity >= 1")
-	}
-	return &Resource{eng: e, cap: capacity}
-}
-
-// InUse returns the currently acquired units.
-func (r *Resource) InUse() int { return r.inUse }
-
-// Acquire blocks until n units are available, then takes them. FIFO order is
-// preserved: a large request at the head blocks later small requests.
-func (r *Resource) Acquire(p *Proc, n int) {
-	if n > r.cap {
-		panic("sim: acquire exceeds resource capacity")
-	}
-	start := r.eng.now
-	for len(r.waiters) > 0 || r.inUse+n > r.cap {
-		w := &resWaiter{p: p, n: n}
-		r.waiters = append(r.waiters, w)
-		p.park()
-		// Woken at the head of the queue; re-check capacity.
-		if len(r.waiters) > 0 && r.waiters[0] == w && r.inUse+n <= r.cap {
-			l := r.waiters
-			m := copy(l, l[1:])
-			l[m] = nil
-			r.waiters = l[:m]
-			break
-		}
-		// Otherwise remove self and retry from scratch.
-		for i, x := range r.waiters {
-			if x == w {
-				r.waiters = append(r.waiters[:i], r.waiters[i+1:]...)
-				break
-			}
-		}
-	}
-	r.Waited += r.eng.now - start
-	r.inUse += n
-}
-
-// Release returns n units and wakes the head waiter if it now fits.
-func (r *Resource) Release(n int) {
-	r.inUse -= n
-	if r.inUse < 0 {
-		panic("sim: resource over-released")
-	}
-	if len(r.waiters) > 0 && r.inUse+r.waiters[0].n <= r.cap {
-		r.eng.wakeup(r.waiters[0].p)
-	}
 }
 
 // BandwidthServer models a FIFO device (disk, NIC) characterised by a
@@ -266,21 +161,10 @@ func NewBandwidthServer(e *Engine) *BandwidthServer {
 	return &BandwidthServer{eng: e}
 }
 
-// Request transfers bytes at bwBytesPerSec with a fixed overhead (e.g. seek
-// time) and blocks the calling process until the transfer completes.
-func (d *BandwidthServer) Request(p *Proc, bytes, bwBytesPerSec, overhead float64) {
-	p.SleepUntil(d.account(bytes, bwBytesPerSec, overhead))
-}
-
-// RequestAsync accounts the transfer and returns its completion time
-// without blocking — the callback-process fast path: the caller schedules
-// its own wake-up (WakeAfter) for the returned time.
+// RequestAsync books a transfer of bytes at bwBytesPerSec with a fixed
+// overhead (e.g. seek time) behind the device's queued work and returns its
+// completion time; the caller waits for it with Proc.WakeAt.
 func (d *BandwidthServer) RequestAsync(bytes, bwBytesPerSec, overhead float64) float64 {
-	return d.account(bytes, bwBytesPerSec, overhead)
-}
-
-// account books one FIFO transfer and returns its completion time.
-func (d *BandwidthServer) account(bytes, bwBytesPerSec, overhead float64) float64 {
 	if bytes < 0 {
 		panic("sim: negative transfer")
 	}

@@ -60,24 +60,31 @@ func (d *Disk) EnableTrace(name string) {
 	d.Trace = &stats.TimeSeries{Name: name}
 }
 
-// ReadRandom reads bytes spread over nItems separately-located files,
-// blocking p until the transfer completes. Each item costs one seek.
-func (d *Disk) ReadRandom(p *sim.Proc, bytes float64, nItems int) {
+// ReadRandomAsync books a read of bytes spread over nItems
+// separately-located files — each item costs one seek — behind the
+// device's queued requests, and returns its completion time. A read of
+// nothing is free: it books no request and completes at once.
+func (d *Disk) ReadRandomAsync(bytes float64, nItems int) float64 {
 	if bytes <= 0 && nItems <= 0 {
-		return
+		return d.eng.Now()
 	}
-	d.srv.Request(p, bytes, d.Spec.SeqBW, float64(nItems)*d.Spec.SeekTime)
-	if d.Trace != nil {
-		d.Trace.Add(d.eng.Now(), bytes)
-	}
+	return d.srv.RequestAsync(bytes, d.Spec.SeqBW, float64(nItems)*d.Spec.SeekTime)
 }
 
-// ReadSequential reads bytes laid out contiguously (one seek total).
-func (d *Disk) ReadSequential(p *sim.Proc, bytes float64) {
+// ReadSequentialAsync books a read of bytes laid out contiguously (one seek
+// total) and returns its completion time; a zero-byte read is free.
+func (d *Disk) ReadSequentialAsync(bytes float64) float64 {
 	if bytes <= 0 {
-		return
+		return d.eng.Now()
 	}
-	d.srv.Request(p, bytes, d.Spec.SeqBW, d.Spec.SeekTime)
+	return d.srv.RequestAsync(bytes, d.Spec.SeqBW, d.Spec.SeekTime)
+}
+
+// Complete records a finished read of bytes in the I/O trace (when
+// enabled) at the current simulated time. Readers call it once the
+// completion time an *Async read returned has been reached, so the trace
+// holds completion instants.
+func (d *Disk) Complete(bytes float64) {
 	if d.Trace != nil {
 		d.Trace.Add(d.eng.Now(), bytes)
 	}
@@ -115,11 +122,12 @@ type Memory struct {
 // NewMemory returns a memory source with the given bandwidth.
 func NewMemory(bw float64) *Memory { return &Memory{BW: bw} }
 
-// Read blocks p for the copy time of bytes from DRAM.
-func (m *Memory) Read(p *sim.Proc, bytes float64) {
+// ReadAsync serves bytes from DRAM and returns the copy time; a zero-byte
+// read is free.
+func (m *Memory) ReadAsync(bytes float64) float64 {
 	if bytes <= 0 {
-		return
+		return 0
 	}
 	m.Bytes += bytes
-	p.Sleep(bytes / m.BW)
+	return bytes / m.BW
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"datastall/internal/sim"
+	"datastall/internal/sim/simtest"
 	"datastall/internal/stats"
 )
 
@@ -25,14 +26,9 @@ func TestEffectiveRandomBW(t *testing.T) {
 func TestDiskReadTiming(t *testing.T) {
 	e := sim.New()
 	d := NewDisk(e, DeviceSpec{Name: "t", SeqBW: 100, SeekTime: 1})
-	var done float64
-	e.Go("r", func(p *sim.Proc) {
-		d.ReadRandom(p, 200, 2) // 2 seeks (2s) + 200/100 (2s) = 4s
-		done = p.Now()
-	})
-	e.Run()
-	if done != 4 {
-		t.Fatalf("read finished at %v, want 4", done)
+	// 2 seeks (2s) + 200/100 (2s) = 4s.
+	if done := d.ReadRandomAsync(200, 2); done != 4 {
+		t.Fatalf("read finishes at %v, want 4", done)
 	}
 	if d.TotalBytes() != 200 || d.TotalRequests() != 1 {
 		t.Fatalf("stats: %v bytes %d reqs", d.TotalBytes(), d.TotalRequests())
@@ -43,15 +39,8 @@ func TestDiskFIFOContention(t *testing.T) {
 	e := sim.New()
 	d := NewDisk(e, DeviceSpec{Name: "t", SeqBW: 100, SeekTime: 0})
 	var t1, t2 float64
-	e.Go("a", func(p *sim.Proc) {
-		d.ReadSequential(p, 1000) // 10s
-		t1 = p.Now()
-	})
-	e.Go("b", func(p *sim.Proc) {
-		p.Sleep(1)
-		d.ReadSequential(p, 100) // queues: done at 11
-		t2 = p.Now()
-	})
+	e.Schedule(0, func() { t1 = d.ReadSequentialAsync(1000) }) // 10s
+	e.Schedule(1, func() { t2 = d.ReadSequentialAsync(100) })  // queues: done at 11
 	e.Run()
 	if t1 != 10 || t2 != 11 {
 		t.Fatalf("t1=%v t2=%v, want 10, 11", t1, t2)
@@ -65,11 +54,10 @@ func TestDiskTrace(t *testing.T) {
 	e := sim.New()
 	d := NewDisk(e, SSD)
 	d.EnableTrace("io")
-	e.Go("r", func(p *sim.Proc) {
-		for i := 0; i < 3; i++ {
-			d.ReadRandom(p, stats.MiB, 1)
-		}
-	})
+	read := simtest.Repeat(3,
+		simtest.Await(func() float64 { return d.ReadRandomAsync(stats.MiB, 1) }),
+		simtest.Do(func(*sim.Proc) { d.Complete(stats.MiB) }))
+	simtest.Script(e, "r", read...)
 	e.Run()
 	if d.Trace.Len() != 3 {
 		t.Fatalf("trace has %d points", d.Trace.Len())
@@ -77,19 +65,15 @@ func TestDiskTrace(t *testing.T) {
 	if math.Abs(d.Trace.Sum()-3*stats.MiB) > 1 {
 		t.Fatalf("trace sum %v", d.Trace.Sum())
 	}
+	if d.Trace.Times[2] != e.Now() {
+		t.Fatalf("last trace point at %v, want the completion time %v", d.Trace.Times[2], e.Now())
+	}
 }
 
 func TestMemoryRead(t *testing.T) {
-	e := sim.New()
 	m := NewMemory(1000)
-	var done float64
-	e.Go("r", func(p *sim.Proc) {
-		m.Read(p, 500)
-		done = p.Now()
-	})
-	e.Run()
-	if done != 0.5 {
-		t.Fatalf("memory read at %v, want 0.5", done)
+	if d := m.ReadAsync(500); d != 0.5 {
+		t.Fatalf("memory read takes %v, want 0.5", d)
 	}
 	if m.Bytes != 500 {
 		t.Fatalf("bytes %v", m.Bytes)
@@ -100,15 +84,19 @@ func TestZeroByteReadsAreFree(t *testing.T) {
 	e := sim.New()
 	d := NewDisk(e, SSD)
 	m := NewMemory(1000)
-	var done float64
-	e.Go("r", func(p *sim.Proc) {
-		d.ReadRandom(p, 0, 0)
-		d.ReadSequential(p, 0)
-		m.Read(p, 0)
-		done = p.Now()
+	e.Schedule(2, func() {
+		if done := d.ReadRandomAsync(0, 0); done != 2 {
+			t.Errorf("zero random read finishes at %v, want now (2)", done)
+		}
+		if done := d.ReadSequentialAsync(0); done != 2 {
+			t.Errorf("zero sequential read finishes at %v, want now (2)", done)
+		}
 	})
 	e.Run()
-	if done != 0 {
-		t.Fatalf("zero reads consumed time: %v", done)
+	if dur := m.ReadAsync(0); dur != 0 {
+		t.Fatalf("zero memory read took %v", dur)
+	}
+	if d.TotalRequests() != 0 || m.Bytes != 0 {
+		t.Fatalf("zero reads were booked: %d requests, %v memory bytes", d.TotalRequests(), m.Bytes)
 	}
 }

@@ -81,15 +81,27 @@ func RunConcurrentContext(ctx context.Context, cc ConcurrentConfig) (*Concurrent
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	cc, err := cc.resolve()
+	if err != nil {
+		return nil, err
+	}
+	if cc.Coordinated {
+		return runCoordinated(ctx, cc)
+	}
+	return runIndependent(ctx, cc)
+}
+
+// resolve validates the workload and fills in its defaults.
+func (cc ConcurrentConfig) resolve() (ConcurrentConfig, error) {
 	if cc.NumJobs < 1 || cc.GPUsPerJob < 1 {
-		return nil, fmt.Errorf("trainer: need >= 1 job and GPU per job")
+		return cc, fmt.Errorf("trainer: need >= 1 job and GPU per job")
 	}
 	if cc.Base.Backend == BackendConcurrent {
 		// HP-search jobs share one simulation engine (cross-job cache and
 		// staging contention is the whole point); they have no concurrent
 		// execution path yet, and silently running analytic would
 		// misrepresent the requested backend.
-		return nil, fmt.Errorf("trainer: HP-search jobs are not supported by the concurrent backend")
+		return cc, fmt.Errorf("trainer: HP-search jobs are not supported by the concurrent backend")
 	}
 	base := cc.Base
 	base.NumServers = 1
@@ -106,10 +118,10 @@ func RunConcurrentContext(ctx context.Context, cc ConcurrentConfig) (*Concurrent
 	}
 	base = base.withDefaults()
 	if err := base.Validate(); err != nil {
-		return nil, err
+		return cc, err
 	}
 	if cc.NumJobs*cc.GPUsPerJob > base.Spec.NumGPUs {
-		return nil, fmt.Errorf("trainer: %d jobs x %d GPUs exceed the server's %d GPUs",
+		return cc, fmt.Errorf("trainer: %d jobs x %d GPUs exceed the server's %d GPUs",
 			cc.NumJobs, cc.GPUsPerJob, base.Spec.NumGPUs)
 	}
 	if cc.StagingCapBytes == 0 {
@@ -119,11 +131,7 @@ func RunConcurrentContext(ctx context.Context, cc ConcurrentConfig) (*Concurrent
 		cc.KillJob = -1
 	}
 	cc.Base = base
-
-	if cc.Coordinated {
-		return runCoordinated(ctx, cc)
-	}
-	return runIndependent(ctx, cc)
+	return cc, nil
 }
 
 // runIndependent runs NumJobs uncoordinated jobs sharing one server's page
@@ -182,6 +190,16 @@ func fillDiskAggregates(res *ConcurrentResult, rt0 *jobRuntime, base Config) {
 // runCoordinated runs CoorDL's coordinated prep: one fetch+prep sweep per
 // epoch shared by all jobs through the staging area.
 func runCoordinated(ctx context.Context, cc ConcurrentConfig) (*ConcurrentResult, error) {
+	rt := newCoordRuntime(cc)
+	if err := rt.eng.RunContext(ctx, sim.DefaultCancelPoll); err != nil {
+		return nil, err
+	}
+	return rt.result(), nil
+}
+
+// newCoordRuntime builds a resolved workload's coordinated runtime on a
+// fresh engine, with every process spawned.
+func newCoordRuntime(cc ConcurrentConfig) *coordRuntime {
 	eng := sim.New()
 	base := cc.Base
 	cl := cluster.Build(eng, base.Spec, 1)
@@ -206,10 +224,7 @@ func runCoordinated(ctx context.Context, cc ConcurrentConfig) (*ConcurrentResult
 	}
 	rt.setup()
 	rt.launch()
-	if err := eng.RunContext(ctx, sim.DefaultCancelPoll); err != nil {
-		return nil, err
-	}
-	return rt.result(), nil
+	return rt
 }
 
 // coordRuntime is the coordinated-prep runtime (§4.3).
@@ -298,20 +313,18 @@ func (rt *coordRuntime) setup() {
 	}
 }
 
+// launch spawns every job's producers and GPU consumers, plus the failure
+// detector when a job is to be killed, all as state machines.
 func (rt *coordRuntime) launch() {
 	cc := rt.cc
 	for j := 0; j < cc.NumJobs; j++ {
 		for k := 0; k < rt.producers; k++ {
-			j, k := j, k
-			rt.eng.Go(fmt.Sprintf("coord-prod-%d-%d", j, k), func(p *sim.Proc) {
-				rt.producer(p, j, k, 0)
-			})
+			ps := &coordProducerSM{rt: rt, j: j, n: k, restart: k, stride: rt.producers}
+			rt.eng.Spawn(fmt.Sprintf("coord-prod-%d-%d", j, k), ps.step)
 		}
 		for g := 0; g < cc.GPUsPerJob; g++ {
-			j, g := j, g
-			rt.eng.Go(fmt.Sprintf("coord-gpu-%d-%d", j, g), func(p *sim.Proc) {
-				rt.consumer(p, j, g)
-			})
+			cs := &coordConsumerSM{rt: rt, j: j, g: g}
+			rt.eng.Spawn(fmt.Sprintf("coord-gpu-%d-%d", j, g), cs.step)
 		}
 	}
 	if cc.KillJob >= 0 {
@@ -321,15 +334,11 @@ func (rt *coordRuntime) launch() {
 			Alive:   func(job int) bool { return !(job == cc.KillJob && rt.jobDead) },
 			Recover: func(job int) {
 				rt.staging.RemoveJob(job)
-				rt.eng.Go("coord-recovery", func(p *sim.Proc) {
-					rt.recoveryProducer(p, job)
-				})
+				rt.eng.Spawn("coord-recovery", rt.recoveryProducer(job).step)
 			},
 		}
 		horizon := float64(rt.itersPerGPU*cc.Base.Epochs) * rt.iterTime * 50
-		rt.eng.Go("failure-detector", func(p *sim.Proc) {
-			rt.detector.Run(p, horizon)
-		})
+		rt.detector.Spawn(rt.eng, horizon)
 	}
 }
 
@@ -350,95 +359,207 @@ func (rt *coordRuntime) shardOrder(j, epoch int) []dataset.ItemID {
 	return order
 }
 
-// producer fetches and preps job j's shard, staging batches for all jobs.
-// Producer k handles batches k, k+P, ... of the shard. startEpoch lets a
-// recovery producer resume mid-run.
-func (rt *coordRuntime) producer(p *sim.Proc, j, k, startEpoch int) {
+// coordProdState enumerates the points where a coordinated producer waits.
+type coordProdState uint8
+
+const (
+	cpEpoch   coordProdState = iota // waiting for every live job to finish the last epoch
+	cpBatch                         // next batch or the epoch's end
+	cpFetch                         // batch's device operations
+	cpPrepped                       // woke from the prep server
+	cpStaged                        // woke from the shared-memory copy
+	cpPut                           // trying to stage the batch
+	cpResume                        // recovery: pick up where the dead job stopped
+	cpDone
+)
+
+// coordProducerSM fetches and preps job j's shard, staging batches for all
+// jobs: batches n, n+stride, ... of each epoch's shard order. Producer k of
+// a job's P starts every epoch at batch k with stride P. A recovery
+// producer takes over a dead job's shard from the batch it stopped at, with
+// stride 1; its batches are not counted in the job's fetch stats.
+type coordProducerSM struct {
+	rt       *coordRuntime
+	j        int
+	recovery bool
+	stride   int
+	restart  int // n at the start of each later epoch
+	state    coordProdState
+	epoch    int
+	n        int
+	order    []dataset.ItemID
+	batch    *core.Batch
+	fetch    loader.PlannedFetch
+}
+
+// recoveryProducer returns the producer that takes over dead job j's shard.
+func (rt *coordRuntime) recoveryProducer(j int) *coordProducerSM {
+	return &coordProducerSM{rt: rt, j: j, recovery: true, stride: 1, state: cpResume}
+}
+
+// step runs the producer until it waits or finishes.
+func (ps *coordProducerSM) step(p *sim.Proc) {
+	rt := ps.rt
 	cc := rt.cc
 	base := cc.Base
-	for e := startEpoch; e < base.Epochs; e++ {
-		rt.staging.WaitEpochStart(p, e)
-		order := rt.shardOrder(j, e)
-		epochBase := e * cc.NumJobs * rt.batchesPerJob
-		for n := k; n < rt.batchesPerJob; n += rt.producers {
-			if cc.KillJob == j && rt.produced[j] >= cc.KillAfterBatches {
-				rt.jobDead = true
+	for {
+		switch ps.state {
+		case cpResume:
+			done := rt.produced[ps.j]
+			ps.epoch, ps.n = done/rt.batchesPerJob, done%rt.batchesPerJob
+			ps.state = cpEpoch
+		case cpEpoch:
+			if ps.epoch >= base.Epochs {
+				ps.state = cpDone
 				return
 			}
-			items := order[n*base.Batch : (n+1)*base.Batch]
-			res := rt.fetcher.FetchBatch(p, 0, items)
-			rt.jobs[j].fetch.Add(res)
-			raw := res.MemBytes + res.DiskBytes + res.NetBytes
-			rt.prepSrv[j].Request(p, raw, rt.prepRate, 0)
-			// Write the prepared batch into shared memory.
-			rt.cl.Servers[0].Staging.Request(p, rt.prepBatch, base.Spec.StagingBW, 0)
-			rt.staging.Put(p, &core.Batch{
-				Index: epochBase + n*cc.NumJobs + j,
-				Owner: j, Items: items, PreparedBytes: rt.prepBatch,
-			})
-			rt.produced[j]++
-		}
-	}
-}
-
-// recoveryProducer takes over a dead job's shard from where it stopped.
-func (rt *coordRuntime) recoveryProducer(p *sim.Proc, j int) {
-	cc := rt.cc
-	base := cc.Base
-	done := rt.produced[j]
-	epoch := done / rt.batchesPerJob
-	offset := done % rt.batchesPerJob
-	for e := epoch; e < base.Epochs; e++ {
-		rt.staging.WaitEpochStart(p, e)
-		order := rt.shardOrder(j, e)
-		epochBase := e * cc.NumJobs * rt.batchesPerJob
-		start := 0
-		if e == epoch {
-			start = offset
-		}
-		for n := start; n < rt.batchesPerJob; n++ {
-			items := order[n*base.Batch : (n+1)*base.Batch]
-			res := rt.fetcher.FetchBatch(p, 0, items)
-			raw := res.MemBytes + res.DiskBytes + res.NetBytes
-			rt.prepSrv[j].Request(p, raw, rt.prepRate, 0)
-			rt.cl.Servers[0].Staging.Request(p, rt.prepBatch, base.Spec.StagingBW, 0)
-			rt.staging.Put(p, &core.Batch{
-				Index: epochBase + n*cc.NumJobs + j,
-				Owner: j, Items: items, PreparedBytes: rt.prepBatch,
-			})
-		}
-	}
-}
-
-// consumer is GPU g of job j: it reads every staged batch exactly once.
-func (rt *coordRuntime) consumer(p *sim.Proc, j, g int) {
-	cc := rt.cc
-	base := cc.Base
-	js := rt.jobs[j]
-	for e := 0; e < base.Epochs; e++ {
-		epochBase := e * cc.NumJobs * rt.batchesPerJob
-		hi := epochBase + cc.NumJobs*rt.batchesPerJob
-		for it := 0; it < rt.itersPerGPU; it++ {
-			if cc.KillJob == j && rt.jobDead {
-				return // the killed job's consumers exit too
+			if !rt.staging.TryEpochStart(p, ps.epoch) {
+				return
 			}
-			t0 := p.Now()
-			rt.staging.GetAny(p, j, epochBase, hi)
-			js.waitGet += p.Now() - t0
-			// Copy the prepared batch out of shared memory.
-			rt.cl.Servers[0].Staging.Request(p, rt.prepBatch, base.Spec.StagingBW, 0)
-			p.Sleep(rt.iterTime)
-			js.barrier.Wait(p)
+			ps.order = rt.shardOrder(ps.j, ps.epoch)
+			ps.state = cpBatch
+		case cpBatch:
+			if ps.n >= rt.batchesPerJob {
+				ps.epoch++
+				ps.n = ps.restart
+				ps.state = cpEpoch
+				continue
+			}
+			if !ps.recovery && cc.KillJob == ps.j && rt.produced[ps.j] >= cc.KillAfterBatches {
+				rt.jobDead = true
+				ps.state = cpDone
+				return
+			}
+			ps.fetch.Start(rt.fetcher, 0, ps.order[ps.n*base.Batch:(ps.n+1)*base.Batch])
+			ps.state = cpFetch
+		case cpFetch:
+			if !ps.fetch.Advance(p, rt.cl) {
+				return
+			}
+			res := ps.fetch.Result
+			if !ps.recovery {
+				rt.jobs[ps.j].fetch.Add(res)
+			}
+			raw := res.MemBytes + res.DiskBytes + res.NetBytes
+			ps.state = cpPrepped
+			if p.WakeAt(rt.prepSrv[ps.j].RequestAsync(raw, rt.prepRate, 0)) {
+				return
+			}
+		case cpPrepped:
+			// Write the prepared batch into shared memory.
+			ps.state = cpStaged
+			if p.WakeAt(rt.cl.Servers[0].Staging.RequestAsync(rt.prepBatch, base.Spec.StagingBW, 0)) {
+				return
+			}
+		case cpStaged:
+			ps.batch = &core.Batch{
+				Index: ps.epoch*cc.NumJobs*rt.batchesPerJob + ps.n*cc.NumJobs + ps.j,
+				Owner: ps.j, Items: ps.order[ps.n*base.Batch : (ps.n+1)*base.Batch],
+				PreparedBytes: rt.prepBatch,
+			}
+			ps.state = cpPut
+		case cpPut:
+			if !rt.staging.TryPut(p, ps.batch) {
+				return
+			}
+			ps.batch = nil
+			if !ps.recovery {
+				rt.produced[ps.j]++
+			}
+			ps.n += ps.stride
+			ps.state = cpBatch
+		case cpDone:
+			return
 		}
-		js.samples += rt.itersPerGPU * base.Batch * cc.GPUsPerJob
-		if g == 0 {
-			js.snaps = append(js.snaps, snapshot{
-				t:       rt.eng.Now(),
-				disk:    rt.cl.TotalDiskBytes(),
-				fetch:   js.fetch,
-				samples: js.samples,
-			})
-			rt.staging.JobEpochDone(e)
+	}
+}
+
+// coordConsState enumerates the points where a coordinated consumer waits.
+type coordConsState uint8
+
+const (
+	ccIter         coordConsState = iota // next iteration or the epoch's end
+	ccGet                                // waiting for a staged batch
+	ccCopied                             // woke from the shared-memory copy
+	ccComputed                           // woke from the iteration's compute
+	ccBarrierWoken                       // woken by the job's iteration barrier
+	ccDone
+)
+
+// coordConsumerSM is GPU g of job j: it reads every staged batch of each
+// epoch exactly once.
+type coordConsumerSM struct {
+	rt    *coordRuntime
+	j, g  int
+	state coordConsState
+	epoch int
+	it    int
+	since float64 // start of the pending wait
+}
+
+// step runs the consumer until it waits or finishes.
+func (cs *coordConsumerSM) step(p *sim.Proc) {
+	rt := cs.rt
+	cc := rt.cc
+	base := cc.Base
+	js := rt.jobs[cs.j]
+	for {
+		switch cs.state {
+		case ccIter:
+			if cs.epoch >= base.Epochs {
+				cs.state = ccDone
+				return
+			}
+			if cs.it >= rt.itersPerGPU {
+				js.samples += rt.itersPerGPU * base.Batch * cc.GPUsPerJob
+				if cs.g == 0 {
+					js.snaps = append(js.snaps, snapshot{
+						t:       rt.eng.Now(),
+						disk:    rt.cl.TotalDiskBytes(),
+						fetch:   js.fetch,
+						samples: js.samples,
+					})
+					rt.staging.JobEpochDone(cs.epoch)
+				}
+				cs.epoch++
+				cs.it = 0
+				continue
+			}
+			if cc.KillJob == cs.j && rt.jobDead {
+				cs.state = ccDone // the killed job's consumers exit too
+				return
+			}
+			cs.since = p.Now()
+			cs.state = ccGet
+		case ccGet:
+			lo := cs.epoch * cc.NumJobs * rt.batchesPerJob
+			if rt.staging.TryGetAny(p, cs.j, lo, lo+cc.NumJobs*rt.batchesPerJob) == nil {
+				return
+			}
+			js.waitGet += p.Now() - cs.since
+			// Copy the prepared batch out of shared memory.
+			cs.state = ccCopied
+			if p.WakeAt(rt.cl.Servers[0].Staging.RequestAsync(rt.prepBatch, base.Spec.StagingBW, 0)) {
+				return
+			}
+		case ccCopied:
+			cs.state = ccComputed
+			p.WakeAfter(rt.iterTime)
+			return
+		case ccComputed:
+			if !js.barrier.Arrive(p) {
+				cs.since = p.Now()
+				cs.state = ccBarrierWoken
+				return
+			}
+			cs.it++
+			cs.state = ccIter
+		case ccBarrierWoken:
+			js.barrier.Waited += p.Now() - cs.since
+			cs.it++
+			cs.state = ccIter
+		case ccDone:
+			return
 		}
 	}
 }

@@ -349,20 +349,16 @@ func (rt *jobRuntime) plan(epoch int) *epochPlan {
 	return pl
 }
 
-// launch spawns all producer and consumer processes. Producers run as
-// goroutine processes (they drive the fetcher stack's blocking device
-// requests); consumers run as callback state machines on the engine
-// goroutine — the sim fast path — which removes two channel handoffs per
-// blocking operation without changing the event sequence.
+// launch spawns all producer and consumer processes, each a state machine
+// stepped inline on the engine goroutine: a simulated job starts no
+// goroutines.
 func (rt *jobRuntime) launch() {
 	cfg := rt.cfg
 	for s := 0; s < cfg.NumServers; s++ {
 		for g := 0; g < cfg.GPUsPerServer; g++ {
 			for k := 0; k < rt.producersPerGPU; k++ {
-				s, g, k := s, g, k
-				rt.eng.Go(fmt.Sprintf("prod-%d-%d-%d", s, g, k), func(p *sim.Proc) {
-					rt.producer(p, s, g, k)
-				})
+				ps := &producerSM{rt: rt, server: s, g: g, k: k}
+				rt.eng.Spawn(fmt.Sprintf("prod-%d-%d-%d", s, g, k), ps.step)
 			}
 			sm := &consumerSM{rt: rt, server: s, g: g}
 			rt.eng.Spawn(fmt.Sprintf("gpu-%d-%d", s, g), sm.step)
@@ -370,48 +366,132 @@ func (rt *jobRuntime) launch() {
 	}
 }
 
-// producer fetches and pre-processes this GPU's share of batches.
-func (rt *jobRuntime) producer(p *sim.Proc, server, g, k int) {
+// producerState enumerates the points where a producer waits; the state
+// machine resumes from the matching state.
+type producerState uint8
+
+const (
+	psEpoch        producerState = iota // start the next epoch
+	psTail                              // next owner-shard tail chunk (epoch 0)
+	psTailFetch                         // tail chunk's device operations
+	psIter                              // next batch or the epoch barrier
+	psFetch                             // batch's device operations
+	psPrepped                           // woke from the prep server
+	psPut                               // trying to stage the prepped batch
+	psBarrierWoken                      // woken by the epoch barrier
+	psDone
+)
+
+// producerSM is producer k of GPU g on server: it fetches and pre-processes
+// batches k, k+P, ... of the GPU's share of every epoch, then meets the GPU
+// consumers at the epoch barrier.
+type producerSM struct {
+	rt           *jobRuntime
+	server, g, k int
+	state        producerState
+	epoch        int
+	n            int // tail chunk or iteration index
+	pl           *epochPlan
+	raw          float64 // the staged batch's raw bytes
+	since        float64 // first-attempt time of the pending block
+	fetch        loader.PlannedFetch
+}
+
+// step runs the producer until it waits (registered with a primitive or a
+// wake scheduled) or finishes.
+func (ps *producerSM) step(p *sim.Proc) {
+	rt := ps.rt
 	cfg := rt.cfg
-	for e := 0; e < cfg.Epochs; e++ {
-		pl := rt.plan(e)
-		order := pl.orders[server]
-		if e == 0 && g == 0 && rt.ownerShards != nil {
-			// Partitioned caching populates each server's cache with
-			// its *entire* owner shard in the first epoch (§4.2);
-			// drop-last truncation must not leave a tail uncached.
-			tail := order[pl.iters*cfg.Batch*cfg.GPUsPerServer:]
-			for c := k; c*cfg.Batch < len(tail); c += rt.producersPerGPU {
-				i := c * cfg.Batch
-				j := i + cfg.Batch
-				if j > len(tail) {
-					j = len(tail)
-				}
-				rt.fetch.Add(rt.fetcher.FetchBatch(p, server, tail[i:j]))
+	for {
+		switch ps.state {
+		case psEpoch:
+			if ps.epoch >= cfg.Epochs {
+				ps.state = psDone
+				return
 			}
-		}
-		for it := k; it < pl.iters; it += rt.producersPerGPU {
-			bi := it*cfg.GPUsPerServer + g
-			items := order[bi*cfg.Batch : (bi+1)*cfg.Batch]
-			res := rt.fetcher.FetchBatch(p, server, items)
+			ps.pl = rt.plan(ps.epoch)
+			ps.n = ps.k
+			ps.state = psIter
+			if ps.epoch == 0 && ps.g == 0 && rt.ownerShards != nil {
+				// Partitioned caching populates each server's cache with
+				// its *entire* owner shard in the first epoch (§4.2);
+				// drop-last truncation must not leave a tail uncached.
+				ps.state = psTail
+			}
+		case psTail:
+			tail := ps.pl.orders[ps.server][ps.pl.iters*cfg.Batch*cfg.GPUsPerServer:]
+			i := ps.n * cfg.Batch
+			if i >= len(tail) {
+				ps.n = ps.k
+				ps.state = psIter
+				continue
+			}
+			ps.fetch.Start(rt.fetcher, ps.server, tail[i:min(i+cfg.Batch, len(tail))])
+			ps.state = psTailFetch
+		case psTailFetch:
+			if !ps.fetch.Advance(p, rt.cl) {
+				return
+			}
+			rt.fetch.Add(ps.fetch.Result)
+			ps.n += rt.producersPerGPU
+			ps.state = psTail
+		case psIter:
+			if ps.n >= ps.pl.iters {
+				if !rt.epochBarrier.Arrive(p) {
+					ps.since = p.Now()
+					ps.state = psBarrierWoken
+					return
+				}
+				ps.epoch++
+				ps.state = psEpoch
+				continue
+			}
+			bi := ps.n*cfg.GPUsPerServer + ps.g
+			ps.fetch.Start(rt.fetcher, ps.server, ps.pl.orders[ps.server][bi*cfg.Batch:(bi+1)*cfg.Batch])
+			ps.state = psFetch
+		case psFetch:
+			if !ps.fetch.Advance(p, rt.cl) {
+				return
+			}
+			// The epoch-end snapshot reads rt.fetch, so a batch counts
+			// once its last device operation has completed.
+			res := ps.fetch.Result
 			rt.fetch.Add(res)
-			raw := res.MemBytes + res.DiskBytes + res.NetBytes
-			if cfg.FetchMode != Synthetic && raw > 0 {
-				rt.prepSrv[server][g].Request(p, raw, rt.prepRatePerGPU, 0)
-				dur := raw / rt.prepRatePerGPU
-				rt.prepBusy += dur
-				if rt.cpuTrace != nil {
-					rt.cpuTrace.Add(p.Now(), dur)
+			ps.raw = res.MemBytes + res.DiskBytes + res.NetBytes
+			ps.state = psPut
+			ps.since = p.Now()
+			if cfg.FetchMode != Synthetic && ps.raw > 0 {
+				ps.state = psPrepped
+				if p.WakeAt(rt.prepSrv[ps.server][ps.g].RequestAsync(ps.raw, rt.prepRatePerGPU, 0)) {
+					return
 				}
 			}
-			rt.stores[server][g].Put(p, prepped{rawBytes: raw})
+		case psPrepped:
+			dur := ps.raw / rt.prepRatePerGPU
+			rt.prepBusy += dur
+			if rt.cpuTrace != nil {
+				rt.cpuTrace.Add(p.Now(), dur)
+			}
+			ps.since = p.Now()
+			ps.state = psPut
+		case psPut:
+			if !rt.stores[ps.server][ps.g].TryPut(p, prepped{rawBytes: ps.raw}, ps.since) {
+				return // registered as a putter; re-stepped on wakeup
+			}
+			ps.n += rt.producersPerGPU
+			ps.state = psIter
+		case psBarrierWoken:
+			rt.epochBarrier.Waited += p.Now() - ps.since
+			ps.epoch++
+			ps.state = psEpoch
+		case psDone:
+			return
 		}
-		rt.epochBarrier.Wait(p)
 	}
 }
 
-// consumerState enumerates the points where the old goroutine consumer
-// blocked; the state machine resumes from the matching state.
+// consumerState enumerates the points where a GPU consumer waits; the state
+// machine resumes from the matching state.
 type consumerState int
 
 const (
@@ -427,15 +507,10 @@ const (
 	csDone
 )
 
-// consumerSM is one GPU consumer run as a callback process on the engine
-// goroutine (the sim fast path): the same blocking structure as a goroutine
-// consumer — store Get, compute sleep, iteration barrier, optional
-// communication sleep, epoch barrier — with the loop state held explicitly
-// in the struct instead of on a goroutine stack. It consumes exactly the
-// event sequence the goroutine version did (blocks register with the same
-// primitives, wakes schedule the same events), so simulation output is
-// bit-identical; it just never pays the two channel handoffs per blocking
-// operation.
+// consumerSM is one GPU consumer: per iteration it takes a prepped batch
+// from its store, computes, meets the other GPUs at the iteration barrier
+// and, for distributed jobs, pays the unoverlapped gradient exchange; at
+// each epoch's end it meets the producers at the epoch barrier.
 type consumerSM struct {
 	rt        *jobRuntime
 	server, g int
