@@ -62,8 +62,8 @@ benchjson:
 	$(GO) run ./cmd/stallbench -bench -bench-out BENCH_1.json
 
 # Allocation guards on the hot paths: zero on steady-state cache Lookup,
-# page-cache churn, sim event dispatch and every fetcher's Plan, plus a
-# ceiling on one whole simulated case. Run WITHOUT -race: the detector
+# page-cache churn, sim event dispatch and every fetcher's Plan, plus
+# ceilings on the object count and heap bytes of one whole simulated case. Run WITHOUT -race: the detector
 # allocates shadow state on paths that are allocation-free in normal
 # builds, so the guards skip themselves under instrumentation.
 allocguard:
@@ -71,9 +71,11 @@ allocguard:
 
 # CPU + allocation profiles of one serial full-suite run -> cpu.pprof,
 # mem.pprof. Inspect with `go tool pprof -top cpu.pprof` (or mem.pprof
-# with -sample_index=alloc_objects for allocation counts).
+# with -sample_index=alloc_space for bytes, alloc_objects for counts).
+# GODEBUG=asyncpreemptoff=1 turns off asynchronous preemption, so CPU
+# samples land on their real callers instead of runtime.asyncPreempt.
 profile:
-	$(GO) run ./cmd/stallbench -run all -parallel 1 -cpuprofile cpu.pprof -memprofile mem.pprof > /dev/null
+	GODEBUG=asyncpreemptoff=1 $(GO) run ./cmd/stallbench -run all -parallel 1 -cpuprofile cpu.pprof -memprofile mem.pprof > /dev/null
 	@echo "wrote cpu.pprof mem.pprof"
 
 # Full experiment suite, fanned across all CPUs; one run emits both the

@@ -87,7 +87,7 @@ func runBench(out string) int {
 		Columns: []string{"workers", "wall-s", "Mitems/s", "hit-%"},
 	}
 	d := &dataset.Dataset{Name: "bench", NumItems: items, TotalBytes: items * 1024}
-	order := dataset.NewRandomSampler(dataset.FullShard(d), 1).EpochOrder(0)
+	order := dataset.NewWholeRandomSampler(d, 1).EpochOrder(0)
 	for _, w := range workerCounts {
 		c := cache.NewShardedMinIO(d.TotalBytes/2, 0)
 		loader.MeasureEpochWall(d, c, order, w, batch) // warmup epoch

@@ -368,7 +368,7 @@ func TestShardedPartitionedRace(t *testing.T) {
 				loc, _ := p.Lookup(s, id)
 				lookups[s].Add(1)
 				if loc == Miss {
-					p.Insert(s, id, d.ItemBytes(id))
+					p.Insert(s, id, d.Sizes().Bytes(id))
 				}
 			}
 		}(int64(g))

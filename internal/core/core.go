@@ -48,8 +48,9 @@ func (f *MinIOFetcher) CacheUsedBytes() float64 { return cache.SumUsedBytes(f.Ca
 func (f *MinIOFetcher) Plan(server int, items []dataset.ItemID, ops []loader.Op) (loader.FetchResult, []loader.Op) {
 	var r loader.FetchResult
 	mc := f.Caches[server]
+	sizes := f.Dataset.Sizes()
 	for _, id := range items {
-		sz := f.Dataset.ItemBytes(id)
+		sz := sizes.Bytes(id)
 		if mc.Lookup(id) {
 			r.MemBytes += sz
 			r.Hits++
@@ -113,8 +114,9 @@ func (f *PartitionedFetcher) Plan(server int, items []dataset.ItemID, ops []load
 	remoteBytes, remoteItems := f.remoteBytes, f.remoteItems
 	clear(remoteBytes)
 	clear(remoteItems)
+	sizes := f.Dataset.Sizes()
 	for _, id := range items {
-		sz := f.Dataset.ItemBytes(id)
+		sz := sizes.Bytes(id)
 		loc, src := f.Part.Lookup(server, id)
 		switch loc {
 		case cache.LocalHit:

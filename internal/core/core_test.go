@@ -286,7 +286,7 @@ func TestPartitionedFetchOrdersOfMagnitude(t *testing.T) {
 	e.Run()
 	diskT := 0.0
 	for _, id := range shards[1].Items {
-		sz := d.ItemBytes(id)
+		sz := d.Sizes().Bytes(id)
 		diskT += spec.Disk.SeekTime + sz/spec.Disk.SeqBW
 	}
 	if remoteT >= diskT/3 {

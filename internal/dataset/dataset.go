@@ -33,21 +33,40 @@ func (d *Dataset) AvgItemBytes() float64 {
 	return d.TotalBytes / float64(d.NumItems)
 }
 
-// ItemBytes returns the deterministic size of item id. Sizes follow a
+// Sizes is the deterministic item-size model of a dataset. Sizes follow a
 // two-point mixture around the mean (mean preserved exactly in expectation)
-// so caches see realistic variance without requiring a size table in memory.
-func (d *Dataset) ItemBytes(id ItemID) float64 {
-	if d.sizeSpread == 0 {
-		return d.AvgItemBytes()
+// so caches see realistic variance without requiring a size table in
+// memory. The per-dataset terms — the mean and the seed's hash product —
+// are computed once, so a fetch loop that hoists Sizes() does only the
+// per-item arithmetic.
+type Sizes struct {
+	avg    float64
+	spread float64
+	seedH  uint64
+}
+
+// Sizes returns d's item-size model.
+func (d *Dataset) Sizes() Sizes {
+	return Sizes{
+		avg:    d.AvgItemBytes(),
+		spread: d.sizeSpread,
+		seedH:  uint64(d.seed) * 0x9E3779B97F4A7C15,
+	}
+}
+
+// Bytes returns the deterministic size of item id.
+func (s Sizes) Bytes(id ItemID) float64 {
+	if s.spread == 0 {
+		return s.avg
 	}
 	// Deterministic hash of (seed, id) -> [0,1).
-	h := uint64(d.seed)*0x9E3779B97F4A7C15 + uint64(uint32(id))*0xBF58476D1CE4E5B9
+	h := s.seedH + uint64(uint32(id))*0xBF58476D1CE4E5B9
 	h ^= h >> 31
 	h *= 0x94D049BB133111EB
 	h ^= h >> 29
 	u := float64(h%1_000_003) / 1_000_003.0
 	// Symmetric triangular-ish multiplier in [1-spread, 1+spread], mean 1.
-	return d.AvgItemBytes() * (1 + d.sizeSpread*(2*u-1))
+	return s.avg * (1 + s.spread*(2*u-1))
 }
 
 // Scale returns a copy of d with item count and total size scaled by f
@@ -152,13 +171,29 @@ type Shard struct {
 	Items []ItemID
 }
 
-// FullShard returns a shard covering the whole dataset.
+// FullShard returns a shard covering the whole dataset. Samplers over the
+// whole dataset need no materialised shard: see NewWholeRandomSampler and
+// NewWholeSequentialSampler.
 func FullShard(d *Dataset) Shard {
-	items := make([]ItemID, d.NumItems)
-	for i := range items {
-		items[i] = ItemID(i)
+	return Shard{Items: fillOrder(nil, d.NumItems, nil)}
+}
+
+// fillOrder writes items — or, when items is nil, the identity order
+// 0..n-1 — into buf (grown if its capacity is short) and returns it.
+func fillOrder(items []ItemID, n int, buf []ItemID) []ItemID {
+	if cap(buf) < n {
+		buf = make([]ItemID, n)
+	} else {
+		buf = buf[:n]
 	}
-	return Shard{Items: items}
+	if items != nil {
+		copy(buf, items)
+		return buf
+	}
+	for i := range buf {
+		buf[i] = ItemID(i)
+	}
+	return buf
 }
 
 // permInto writes the same permutation rand.Perm(n) would produce for rng
@@ -199,21 +234,54 @@ func SplitRandom(d *Dataset, n int, seed int64) []Shard {
 	return shards
 }
 
+// shuffle permutes buf exactly as rng.Shuffle(len(buf), swap) would. It
+// replicates Shuffle's Fisher-Yates draw sequence — Int63n for indices past
+// 2^31-2, then math/rand's unexported int31n (Lemire's multiply-shift with
+// rejection over Uint32) — with the swap inlined, so the visit orders of
+// every experiment stay bit-identical to the historical ones.
+func shuffle(rng *rand.Rand, buf []ItemID) {
+	i := len(buf) - 1
+	for ; i > 1<<31-1-1; i-- {
+		j := rng.Int63n(int64(i + 1))
+		buf[i], buf[j] = buf[j], buf[i]
+	}
+	for ; i > 0; i-- {
+		n := uint32(i + 1)
+		prod := uint64(rng.Uint32()) * uint64(n)
+		if low := uint32(prod); low < n {
+			thresh := -n % n
+			for low < thresh {
+				prod = uint64(rng.Uint32()) * uint64(n)
+				low = uint32(prod)
+			}
+		}
+		j := prod >> 32
+		buf[i], buf[j] = buf[j], buf[i]
+	}
+}
+
 // RandomSampler visits a shard in a fresh uniform-random permutation each
 // epoch — the DNN-training access pattern (random within an epoch, each item
 // exactly once per epoch).
 type RandomSampler struct {
-	shard Shard
+	items []ItemID // nil: the whole dataset, IDs 0..n-1
+	n     int
 	seed  int64
 }
 
 // NewRandomSampler returns a sampler over shard with the given seed.
 func NewRandomSampler(shard Shard, seed int64) *RandomSampler {
-	return &RandomSampler{shard: shard, seed: seed}
+	return &RandomSampler{items: shard.Items, n: len(shard.Items), seed: seed}
+}
+
+// NewWholeRandomSampler returns the sampler NewRandomSampler(FullShard(d),
+// seed) would, without materialising the shard.
+func NewWholeRandomSampler(d *Dataset, seed int64) *RandomSampler {
+	return &RandomSampler{n: d.NumItems, seed: seed}
 }
 
 // Len implements Sampler.
-func (s *RandomSampler) Len() int { return len(s.shard.Items) }
+func (s *RandomSampler) Len() int { return s.n }
 
 // EpochOrder implements Sampler.
 func (s *RandomSampler) EpochOrder(epoch int) []ItemID {
@@ -223,14 +291,8 @@ func (s *RandomSampler) EpochOrder(epoch int) []ItemID {
 // EpochOrderInto implements Sampler: same permutation, caller's buffer.
 func (s *RandomSampler) EpochOrderInto(epoch int, buf []ItemID) []ItemID {
 	rng := rand.New(rand.NewSource(s.seed + int64(epoch)*7919))
-	n := len(s.shard.Items)
-	if cap(buf) < n {
-		buf = make([]ItemID, n)
-	} else {
-		buf = buf[:n]
-	}
-	copy(buf, s.shard.Items)
-	rng.Shuffle(n, func(i, j int) { buf[i], buf[j] = buf[j], buf[i] })
+	buf = fillOrder(s.items, s.n, buf)
+	shuffle(rng, buf)
 	return buf
 }
 
@@ -238,16 +300,23 @@ func (s *RandomSampler) EpochOrderInto(epoch int, buf []ItemID) []ItemID {
 // in-memory shuffle window — DALI-seq / TFRecord-style access (§3.3.3,
 // Table 3). The on-storage access order is what the cache sees.
 type SequentialSampler struct {
-	shard Shard
+	items []ItemID // nil: the whole dataset, IDs 0..n-1
+	n     int
 }
 
 // NewSequentialSampler returns a sampler that replays file order each epoch.
 func NewSequentialSampler(shard Shard) *SequentialSampler {
-	return &SequentialSampler{shard: shard}
+	return &SequentialSampler{items: shard.Items, n: len(shard.Items)}
+}
+
+// NewWholeSequentialSampler returns the sampler
+// NewSequentialSampler(FullShard(d)) would, without materialising the shard.
+func NewWholeSequentialSampler(d *Dataset) *SequentialSampler {
+	return &SequentialSampler{n: d.NumItems}
 }
 
 // Len implements Sampler.
-func (s *SequentialSampler) Len() int { return len(s.shard.Items) }
+func (s *SequentialSampler) Len() int { return s.n }
 
 // EpochOrder implements Sampler.
 func (s *SequentialSampler) EpochOrder(epoch int) []ItemID {
@@ -256,14 +325,7 @@ func (s *SequentialSampler) EpochOrder(epoch int) []ItemID {
 
 // EpochOrderInto implements Sampler.
 func (s *SequentialSampler) EpochOrderInto(epoch int, buf []ItemID) []ItemID {
-	n := len(s.shard.Items)
-	if cap(buf) < n {
-		buf = make([]ItemID, n)
-	} else {
-		buf = buf[:n]
-	}
-	copy(buf, s.shard.Items)
-	return buf
+	return fillOrder(s.items, s.n, buf)
 }
 
 // EpochShards splits the dataset into n random disjoint shards that change

@@ -41,8 +41,8 @@ func TestItemBytesDeterministicAndMeanPreserving(t *testing.T) {
 	d := OpenImages.Scale(0.01)
 	sum := 0.0
 	for i := 0; i < d.NumItems; i++ {
-		a := d.ItemBytes(ItemID(i))
-		b := d.ItemBytes(ItemID(i))
+		a := d.Sizes().Bytes(ItemID(i))
+		b := d.Sizes().Bytes(ItemID(i))
 		if a != b {
 			t.Fatal("item size not deterministic")
 		}

@@ -63,10 +63,11 @@ func MinIOBatchFetch(d *dataset.Dataset, c cache.Cache, seeksPerItem int) BatchF
 	if seeksPerItem < 1 {
 		seeksPerItem = 1
 	}
+	sizes := d.Sizes()
 	return func(_ int, items []dataset.ItemID) FetchResult {
 		var r FetchResult
 		for _, id := range items {
-			sz := d.ItemBytes(id)
+			sz := sizes.Bytes(id)
 			if c.Lookup(id) {
 				r.MemBytes += sz
 				r.Hits++

@@ -51,7 +51,7 @@ func FuzzPipeline(f *testing.F) {
 			Fetch: func(_ int, items []dataset.ItemID) FetchResult {
 				var r FetchResult
 				for _, id := range items {
-					sz := d.ItemBytes(id)
+					sz := d.Sizes().Bytes(id)
 					if c.Lookup(id) {
 						r.Hits++
 					} else {

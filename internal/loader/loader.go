@@ -101,11 +101,12 @@ type PageCacheFetcher struct {
 	SeeksPerItem int
 }
 
-// NewPageCacheFetcher builds page caches of capBytes per server.
+// NewPageCacheFetcher builds page caches of capBytes per server, pre-sized
+// for the dataset's dense ID range so inserts never reallocate.
 func NewPageCacheFetcher(d *dataset.Dataset, c *cluster.Cluster, capBytes float64, seed int64) *PageCacheFetcher {
 	f := &PageCacheFetcher{Dataset: d, Cluster: c}
 	for i := range c.Servers {
-		f.Caches = append(f.Caches, pagecache.New(pagecache.TwoList, capBytes, seed+int64(i)))
+		f.Caches = append(f.Caches, pagecache.NewSized(pagecache.TwoList, capBytes, seed+int64(i), d.NumItems))
 	}
 	return f
 }
@@ -115,20 +116,22 @@ func NewPageCacheFetcher(d *dataset.Dataset, c *cluster.Cluster, capBytes float6
 func (f *PageCacheFetcher) CacheUsedBytes() float64 { return cache.SumUsedBytes(f.Caches) }
 
 // Plan implements Fetcher: the misses are one random storage read, the
-// hits one DRAM copy.
+// hits one DRAM copy. A hit's size is the one the cache holds for it, so
+// sizes are computed on misses only.
 func (f *PageCacheFetcher) Plan(server int, items []dataset.ItemID, ops []Op) (FetchResult, []Op) {
 	var r FetchResult
 	pc := f.Caches[server]
+	sizes := f.Dataset.Sizes()
 	spi := f.SeeksPerItem
 	if spi < 1 {
 		spi = 1
 	}
 	for _, id := range items {
-		sz := f.Dataset.ItemBytes(id)
-		if pc.Lookup(id) {
+		if sz, ok := pc.Get(id); ok {
 			r.MemBytes += sz
 			r.Hits++
 		} else {
+			sz = sizes.Bytes(id)
 			r.DiskBytes += sz
 			r.DiskItems += spi
 			r.Misses++
@@ -157,8 +160,9 @@ type CachedFetcher struct {
 // Plan implements Fetcher.
 func (f *CachedFetcher) Plan(server int, items []dataset.ItemID, ops []Op) (FetchResult, []Op) {
 	var r FetchResult
+	sizes := f.Dataset.Sizes()
 	for _, id := range items {
-		r.MemBytes += f.Dataset.ItemBytes(id)
+		r.MemBytes += sizes.Bytes(id)
 		r.Hits++
 	}
 	return r, AppendOp(ops, Op{Kind: OpMemRead, Dev: server, Bytes: r.MemBytes})
@@ -184,7 +188,7 @@ type TFRecordFetcher struct {
 }
 
 // NewTFRecordFetcher builds a record-granular fetcher with per-server page
-// caches of capBytes.
+// caches of capBytes, pre-sized for the record count.
 func NewTFRecordFetcher(d *dataset.Dataset, c *cluster.Cluster, capBytes, recordBytes float64, seed int64) *TFRecordFetcher {
 	f := &TFRecordFetcher{Dataset: d, Cluster: c, RecordBytes: recordBytes}
 	f.itemsPerRec = int(recordBytes / d.AvgItemBytes())
@@ -193,7 +197,7 @@ func NewTFRecordFetcher(d *dataset.Dataset, c *cluster.Cluster, capBytes, record
 	}
 	f.seenIn = make([]uint64, d.NumItems/f.itemsPerRec+1)
 	for i := range c.Servers {
-		f.Caches = append(f.Caches, pagecache.New(pagecache.TwoList, capBytes, seed+int64(i)))
+		f.Caches = append(f.Caches, pagecache.NewSized(pagecache.TwoList, capBytes, seed+int64(i), len(f.seenIn)))
 	}
 	return f
 }

@@ -200,8 +200,8 @@ func TestPlannedFetchIssuesInOrder(t *testing.T) {
 		fetch(cl, f, []dataset.ItemID{0, 2}, &mixed), // item 0 hits, item 2 misses
 		simtest.Do(func(p *sim.Proc) { mixedDone = p.Now() }))
 	e.Run()
-	read := disk.Spec.SeekTime + d.ItemBytes(2)/disk.Spec.SeqBW
-	memCopy := d.ItemBytes(0) / cl.Servers[0].Mem.BW
+	read := disk.Spec.SeekTime + d.Sizes().Bytes(2)/disk.Spec.SeqBW
+	memCopy := d.Sizes().Bytes(0) / cl.Servers[0].Mem.BW
 	if got := mixedDone - coldDone; math.Abs(got-(read+memCopy)) > 1e-12 {
 		t.Fatalf("mixed fetch took %v, want read %v then copy %v", got, read, memCopy)
 	}

@@ -29,7 +29,7 @@ func TestPipelineExactAccounting(t *testing.T) {
 	ref := cache.NewMinIO(500 * 8)
 	var want FetchResult
 	for _, id := range order {
-		sz := d.ItemBytes(id)
+		sz := d.Sizes().Bytes(id)
 		if ref.Lookup(id) {
 			want.MemBytes += sz
 			want.Hits++

@@ -13,14 +13,16 @@
 //     paper's key finding (Fig 3, Table 6).
 //   - Random: random replacement, included for ablations.
 //
-// Storage layout: entries live by value in a slab ([]entry) threaded into
-// intrusive doubly-linked recency lists via int32 indices, with evicted
-// slots recycled through a free list; residency is a dense []int32 indexed
-// by ItemID (IDs are dense small integers). Steady-state Lookup and
-// Insert-with-eviction therefore allocate nothing — no map operations, no
-// container/list element boxes, no per-entry heap objects. Eviction order,
-// rng consumption, and every statistic are identical to the original
-// map+container/list implementation (pinned by TestSlabMatchesReference).
+// Storage layout: one []entry indexed by ItemID (IDs are dense small
+// integers) holds each item's size, its residency state and the int32 links
+// that thread it into an intrusive doubly-linked recency list, so a lookup
+// is one bounds-checked load and there is no separate index or free list.
+// The slot array grows on demand; NewSized pre-sizes it for a known ID
+// range. Steady-state Lookup and Insert-with-eviction therefore allocate
+// nothing — no map operations, no container/list element boxes, no
+// per-entry heap objects. Eviction order, rng consumption, and every
+// statistic are identical to the original map+container/list
+// implementation (pinned by TestSlabMatchesReference).
 //
 // A Cache is NOT safe for concurrent use: the recency lists cannot be
 // lock-striped without changing eviction order (and with it the simulated
@@ -57,19 +59,27 @@ func (p Policy) String() string {
 	return "unknown"
 }
 
-// nilIdx marks an empty link / absent entry.
+// nilIdx marks an empty link.
 const nilIdx = int32(-1)
 
-// entry is one resident item, stored by value in the slab. prev/next thread
-// it into the inactive or active list.
+// Residency states of a slot. The zero value is absent, so slots added by
+// growth start empty.
+const (
+	absent uint8 = iota
+	inactive
+	active
+)
+
+// entry is the slot of the item whose ItemID is its index. While the item
+// is resident, prev/next (item IDs) thread it into the inactive or active
+// list; Random-policy entries are resident but unlinked.
 type entry struct {
-	id         dataset.ItemID
 	bytes      float64
-	active     bool
 	prev, next int32
+	state      uint8
 }
 
-// clist is an intrusive doubly-linked list over slab indices.
+// clist is an intrusive doubly-linked list over slot indices.
 // front = most recent.
 type clist struct {
 	head, tail int32
@@ -81,9 +91,7 @@ type Cache struct {
 	policy   Policy
 	capBytes float64
 
-	slab []entry
-	free []int32 // recycled slab slots
-	idx  []int32 // ItemID -> slab index, nilIdx = absent; grown on demand
+	slots []entry // indexed by ItemID; grown on demand
 
 	inactive clist
 	active   clist
@@ -103,8 +111,8 @@ type Cache struct {
 	refaultProb float64
 
 	rng *rand.Rand
-	// randKeys mirrors resident items for O(1) random eviction (Random
-	// only); positions are recovered through the dense index on eviction.
+	// randKeys lists resident items for O(1) random eviction (Random
+	// only).
 	randKeys []dataset.ItemID
 
 	hits, misses int64
@@ -123,6 +131,16 @@ func New(policy Policy, capBytes float64, seed int64) *Cache {
 		refaultProb: 0.30,
 		rng:         rand.New(rand.NewSource(seed)),
 	}
+}
+
+// NewSized is New with the slot array pre-sized for numItems dense IDs, so
+// inserts of IDs below numItems never reallocate.
+func NewSized(policy Policy, capBytes float64, seed int64, numItems int) *Cache {
+	c := New(policy, capBytes, seed)
+	if numItems > 0 {
+		c.slots = make([]entry, numItems)
+	}
+	return c
 }
 
 // SetActiveRatio overrides the TwoList active-list share (for ablations).
@@ -153,25 +171,18 @@ func (c *Cache) ResetStats() { c.hits, c.misses, c.evictions = 0, 0, 0 }
 // Len returns the number of cached items.
 func (c *Cache) Len() int { return c.count }
 
-// lookupIdx returns id's slab index, or nilIdx if absent.
-func (c *Cache) lookupIdx(id dataset.ItemID) int32 {
-	if i := int(id); uint(i) < uint(len(c.idx)) {
-		return c.idx[i]
-	}
-	return nilIdx
-}
-
 // Contains reports whether id is resident without updating recency.
 func (c *Cache) Contains(id dataset.ItemID) bool {
-	return c.lookupIdx(id) != nilIdx
+	i := int(id)
+	return uint(i) < uint(len(c.slots)) && c.slots[i].state != absent
 }
 
-// pushFront links slab entry e at the front of l.
+// pushFront links slot e at the front of l.
 func (c *Cache) pushFront(l *clist, e int32) {
-	en := &c.slab[e]
+	en := &c.slots[e]
 	en.prev, en.next = nilIdx, l.head
 	if l.head != nilIdx {
-		c.slab[l.head].prev = e
+		c.slots[l.head].prev = e
 	} else {
 		l.tail = e
 	}
@@ -179,16 +190,16 @@ func (c *Cache) pushFront(l *clist, e int32) {
 	l.n++
 }
 
-// unlink removes slab entry e from l.
+// unlink removes slot e from l.
 func (c *Cache) unlink(l *clist, e int32) {
-	en := &c.slab[e]
+	en := &c.slots[e]
 	if en.prev != nilIdx {
-		c.slab[en.prev].next = en.next
+		c.slots[en.prev].next = en.next
 	} else {
 		l.head = en.next
 	}
 	if en.next != nilIdx {
-		c.slab[en.next].prev = en.prev
+		c.slots[en.next].prev = en.prev
 	} else {
 		l.tail = en.prev
 	}
@@ -205,89 +216,48 @@ func (c *Cache) moveToFront(l *clist, e int32) {
 	c.pushFront(l, e)
 }
 
-// Lookup reports whether id is cached, updating recency/promotion state and
-// hit/miss counters.
-func (c *Cache) Lookup(id dataset.ItemID) bool {
-	e := c.lookupIdx(id)
-	if e == nilIdx {
+// Get reports whether id is cached and, on a hit, the size it was cached
+// with, updating recency/promotion state and hit/miss counters.
+func (c *Cache) Get(id dataset.ItemID) (bytes float64, ok bool) {
+	if !c.Contains(id) {
 		c.misses++
-		return false
+		return 0, false
 	}
 	c.hits++
+	e := int32(id)
+	en := &c.slots[e]
 	switch c.policy {
 	case LRU:
 		c.moveToFront(&c.inactive, e)
 	case TwoList:
-		if c.slab[e].active {
+		if en.state == active {
 			c.moveToFront(&c.active, e)
 		} else {
 			// Second touch while resident on the inactive list:
 			// promote to the active list (Linux mark_page_accessed).
 			c.unlink(&c.inactive, e)
 			c.pushFront(&c.active, e)
-			c.slab[e].active = true
-			c.activeBytes += c.slab[e].bytes
+			en.state = active
+			c.activeBytes += en.bytes
 			c.rebalance()
 		}
 	case Random:
 		// No recency state.
 	}
-	return true
+	return en.bytes, true
 }
 
-// alloc takes a slab slot (recycling freed ones) and initialises it.
-func (c *Cache) alloc(id dataset.ItemID, bytes float64) int32 {
-	var e int32
-	if n := len(c.free); n > 0 {
-		e = c.free[n-1]
-		c.free = c.free[:n-1]
-	} else {
-		c.slab = append(c.slab, entry{})
-		e = int32(len(c.slab) - 1)
-	}
-	c.slab[e] = entry{id: id, bytes: bytes, prev: nilIdx, next: nilIdx}
-	return e
-}
-
-// setIdx records id -> e, growing the dense index on demand.
-func (c *Cache) setIdx(id dataset.ItemID, e int32) {
-	i := int(id)
-	if i >= len(c.idx) {
-		if i < cap(c.idx) {
-			old := len(c.idx)
-			c.idx = c.idx[:i+1]
-			for k := old; k <= i; k++ {
-				c.idx[k] = nilIdx
-			}
-		} else {
-			newCap := 2 * cap(c.idx)
-			if newCap < i+1 {
-				newCap = i + 1
-			}
-			if newCap < 64 {
-				newCap = 64
-			}
-			ni := make([]int32, i+1, newCap)
-			copy(ni, c.idx)
-			for k := len(c.idx); k <= i; k++ {
-				ni[k] = nilIdx
-			}
-			c.idx = ni
-		}
-	}
-	c.idx[i] = e
+// Lookup reports whether id is cached, updating recency/promotion state and
+// hit/miss counters.
+func (c *Cache) Lookup(id dataset.ItemID) bool {
+	_, ok := c.Get(id)
+	return ok
 }
 
 // Insert caches id (typically after a miss fetched it from storage), evicting
 // as needed to respect capacity. Items larger than the cache are not cached.
 func (c *Cache) Insert(id dataset.ItemID, bytes float64) {
-	if id < 0 {
-		return
-	}
-	if c.lookupIdx(id) != nilIdx {
-		return
-	}
-	if bytes > c.capBytes {
+	if id < 0 || c.Contains(id) || bytes > c.capBytes {
 		return
 	}
 	for c.usedBytes+bytes > c.capBytes {
@@ -295,16 +265,20 @@ func (c *Cache) Insert(id dataset.ItemID, bytes float64) {
 			return
 		}
 	}
-	e := c.alloc(id, bytes)
+	if n := int(id) + 1; n > len(c.slots) {
+		c.slots = append(c.slots, make([]entry, n-len(c.slots))...)
+	}
+	e := int32(id)
+	en := &c.slots[e]
+	en.bytes, en.state = bytes, inactive
 	switch c.policy {
 	case Random:
 		c.randKeys = append(c.randKeys, id)
 	case TwoList:
 		if c.refaultProb > 0 && c.rng.Float64() < c.refaultProb {
 			c.pushFront(&c.active, e)
-			c.slab[e].active = true
+			en.state = active
 			c.activeBytes += bytes
-			c.setIdx(id, e)
 			c.count++
 			c.usedBytes += bytes
 			c.rebalance()
@@ -314,7 +288,6 @@ func (c *Cache) Insert(id dataset.ItemID, bytes float64) {
 	default:
 		c.pushFront(&c.inactive, e)
 	}
-	c.setIdx(id, e)
 	c.count++
 	c.usedBytes += bytes
 }
@@ -326,20 +299,18 @@ func (c *Cache) rebalance() {
 		e := c.active.tail
 		c.unlink(&c.active, e)
 		c.pushFront(&c.inactive, e)
-		c.slab[e].active = false
-		c.activeBytes -= c.slab[e].bytes
+		c.slots[e].state = inactive
+		c.activeBytes -= c.slots[e].bytes
 	}
 }
 
-// release evicts slab entry e: clears the index, recycles the slot, and
-// books the eviction.
+// release evicts resident slot e and books the eviction.
 func (c *Cache) release(e int32) {
-	en := &c.slab[e]
-	c.idx[en.id] = nilIdx
+	en := &c.slots[e]
+	en.state = absent
 	c.usedBytes -= en.bytes
 	c.count--
 	c.evictions++
-	c.free = append(c.free, e)
 }
 
 // evictOne removes one item according to the policy; returns false if empty.
@@ -351,11 +322,10 @@ func (c *Cache) evictOne() bool {
 		}
 		i := c.rng.Intn(len(c.randKeys))
 		id := c.randKeys[i]
-		e := c.idx[id]
 		last := len(c.randKeys) - 1
 		c.randKeys[i] = c.randKeys[last]
 		c.randKeys = c.randKeys[:last]
-		c.release(e)
+		c.release(int32(id))
 		return true
 	case TwoList:
 		// Evict from the inactive tail; refill inactive from active if
@@ -372,7 +342,7 @@ func (c *Cache) evictOne() bool {
 				return false
 			}
 			c.unlink(&c.active, e)
-			c.activeBytes -= c.slab[e].bytes
+			c.activeBytes -= c.slots[e].bytes
 			c.release(e)
 			return true
 		}
@@ -390,8 +360,8 @@ func (c *Cache) rebalanceForce() {
 	}
 	c.unlink(&c.active, e)
 	c.pushFront(&c.inactive, e)
-	c.slab[e].active = false
-	c.activeBytes -= c.slab[e].bytes
+	c.slots[e].state = inactive
+	c.activeBytes -= c.slots[e].bytes
 }
 
 // HitRate returns hits/(hits+misses), or 0 with no lookups.

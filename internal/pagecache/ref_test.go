@@ -1,9 +1,9 @@
 package pagecache
 
-// refCache is the pre-slab page-cache implementation (map of *entry +
+// refCache is the original page-cache implementation (map of *entry +
 // container/list recency lists), frozen as the behavioural reference model:
 // TestSlabMatchesReference replays identical op sequences through it and
-// the slab-backed Cache and requires identical hits, misses, evictions,
+// the ID-indexed Cache and requires identical hits, misses, evictions,
 // residency and rng consumption at every step. It exists only in tests.
 
 import (

@@ -9,58 +9,99 @@ import (
 )
 
 // TestSlabMatchesReference replays long random op sequences through the
-// slab-backed cache and the frozen map+container/list reference model:
-// every policy must produce identical hits, misses, evictions, used bytes,
-// and residency at every step — the slab layout is a pure representation
-// change, down to rng consumption.
+// frozen map+container/list reference model and two ID-indexed caches, one
+// growing its slot array on demand and one pre-sized by NewSized: every
+// policy must produce identical hits, misses, evictions, used bytes, hit
+// sizes and residency at every step — the slot layout is a pure
+// representation change, down to rng consumption.
 func TestSlabMatchesReference(t *testing.T) {
+	const ids = 200
 	for _, pol := range []Policy{LRU, TwoList, Random} {
-		c := New(pol, 300, 17)
+		grown := New(pol, 300, 17)
+		sized := NewSized(pol, 300, 17, ids)
 		ref := newRef(pol, 300, 17)
 		rng := rand.New(rand.NewSource(99))
 		for op := 0; op < 50000; op++ {
-			id := dataset.ItemID(rng.Intn(200))
+			id := dataset.ItemID(rng.Intn(ids))
 			switch rng.Intn(3) {
 			case 0:
-				if got, want := c.Lookup(id), ref.Lookup(id); got != want {
+				var wantBytes float64
+				if e, ok := ref.items[id]; ok {
+					wantBytes = e.bytes
+				}
+				want := ref.Lookup(id)
+				if got := grown.Lookup(id); got != want {
 					t.Fatalf("%v op %d: Lookup(%d) = %v, reference %v", pol, op, id, got, want)
+				}
+				if got, ok := sized.Get(id); ok != want || got != wantBytes {
+					t.Fatalf("%v op %d: Get(%d) = %v, %v; reference %v, %v", pol, op, id, got, ok, wantBytes, want)
 				}
 			case 1:
 				bytes := float64(1 + rng.Intn(8))
-				c.Insert(id, bytes)
+				grown.Insert(id, bytes)
+				sized.Insert(id, bytes)
 				ref.Insert(id, bytes)
 			default:
-				if got, want := c.Contains(id), ref.Contains(id); got != want {
-					t.Fatalf("%v op %d: Contains(%d) = %v, reference %v", pol, op, id, got, want)
+				want := ref.Contains(id)
+				if grown.Contains(id) != want || sized.Contains(id) != want {
+					t.Fatalf("%v op %d: Contains(%d) = %v/%v, reference %v",
+						pol, op, id, grown.Contains(id), sized.Contains(id), want)
 				}
 			}
-			if c.UsedBytes() != ref.usedBytes || c.Len() != len(ref.items) {
-				t.Fatalf("%v op %d: used/len %v/%d, reference %v/%d",
-					pol, op, c.UsedBytes(), c.Len(), ref.usedBytes, len(ref.items))
-			}
-			if c.Hits() != ref.hits || c.Misses() != ref.misses || c.Evictions() != ref.evictions {
-				t.Fatalf("%v op %d: hits/misses/evictions %d/%d/%d, reference %d/%d/%d",
-					pol, op, c.Hits(), c.Misses(), c.Evictions(), ref.hits, ref.misses, ref.evictions)
+			for _, c := range []*Cache{grown, sized} {
+				if c.UsedBytes() != ref.usedBytes || c.Len() != len(ref.items) {
+					t.Fatalf("%v op %d: used/len %v/%d, reference %v/%d",
+						pol, op, c.UsedBytes(), c.Len(), ref.usedBytes, len(ref.items))
+				}
+				if c.Hits() != ref.hits || c.Misses() != ref.misses || c.Evictions() != ref.evictions {
+					t.Fatalf("%v op %d: hits/misses/evictions %d/%d/%d, reference %d/%d/%d",
+						pol, op, c.Hits(), c.Misses(), c.Evictions(), ref.hits, ref.misses, ref.evictions)
+				}
 			}
 		}
 		// Final residency sweep: every ID agrees.
-		for id := dataset.ItemID(0); id < 200; id++ {
-			if c.Contains(id) != ref.Contains(id) {
+		for id := dataset.ItemID(0); id < ids; id++ {
+			if want := ref.Contains(id); grown.Contains(id) != want || sized.Contains(id) != want {
 				t.Fatalf("%v: residency of %d diverged", pol, id)
 			}
 		}
 	}
 }
 
-// TestSlabFreeListReuse: after the cache reaches capacity, evict+insert
-// cycles recycle slab slots instead of growing the slab.
-func TestSlabFreeListReuse(t *testing.T) {
-	c := New(LRU, 100, 1)
-	for i := 0; i < 1000; i++ {
-		c.Insert(dataset.ItemID(i), 1)
+// TestSizedCacheNeverGrows: a NewSized cache keeps the slot array it was
+// built with while IDs stay inside its range, across fills, evictions and
+// refills, for every policy.
+func TestSizedCacheNeverGrows(t *testing.T) {
+	const n = 1000
+	for _, pol := range []Policy{LRU, TwoList, Random} {
+		c := NewSized(pol, 100, 1, n)
+		slots := &c.slots[0]
+		for epoch := 0; epoch < 3; epoch++ {
+			for i := 0; i < n; i++ {
+				if !c.Lookup(dataset.ItemID(i)) {
+					c.Insert(dataset.ItemID(i), 1)
+				}
+			}
+		}
+		if len(c.slots) != n || cap(c.slots) != n || &c.slots[0] != slots {
+			t.Fatalf("%v: slot array reallocated to len %d cap %d for %d sized IDs", pol, len(c.slots), cap(c.slots), n)
+		}
 	}
-	if got := len(c.slab); got > 101 {
-		t.Fatalf("slab grew to %d entries for a 100-item cache", got)
+}
+
+// TestInsertGrowsSlotsOnDemand: an unsized cache accepts any non-negative
+// ID, and growth keeps earlier residents and leaves new slots absent.
+func TestInsertGrowsSlotsOnDemand(t *testing.T) {
+	c := New(LRU, 10, 1)
+	c.Insert(3, 1)
+	c.Insert(1000, 1)
+	c.Insert(-1, 1)
+	if !c.Contains(3) || !c.Contains(1000) || c.Contains(-1) || c.Contains(999) || c.Len() != 2 {
+		t.Fatalf("residency after growth: 3=%v 1000=%v -1=%v 999=%v len=%d",
+			c.Contains(3), c.Contains(1000), c.Contains(-1), c.Contains(999), c.Len())
+	}
+	if b, ok := c.Get(1000); !ok || b != 1 {
+		t.Fatalf("Get(1000) = %v, %v; want 1, true", b, ok)
 	}
 }
 
@@ -75,7 +116,7 @@ func TestAllocsPagecacheHotPaths(t *testing.T) {
 	for _, pol := range []Policy{LRU, TwoList, Random} {
 		const n = 512
 		c := New(pol, n/2, 7)
-		// Warm until the dense index, slab, and randKeys reach their
+		// Warm until the slot array and randKeys reach their
 		// steady-state footprint.
 		for e := 0; e < 2; e++ {
 			for i := 0; i < n; i++ {

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"datastall/internal/experiments"
+	"datastall/internal/wal"
 )
 
 // TestE2ESpecByteIdentical is the service's core fidelity guarantee: a spec
@@ -206,6 +207,70 @@ func TestE2EEventStreamSSE(t *testing.T) {
 	if st := waitTerminal(t, srv, id, time.Second); st != StatusCompleted {
 		t.Fatalf("job ended %s", st)
 	}
+}
+
+// TestE2EJobDoneFollowsTerminalRecord: a job_done line on a job's event
+// stream means the job's terminal record is already in the WAL, so a
+// client that reacts to job_done by reading durable state finds the job
+// finished. The hook delays every terminal append; a stream that closed
+// before the append would deliver job_done inside that window and fail.
+func TestE2EJobDoneFollowsTerminalRecord(t *testing.T) {
+	t.Cleanup(func() { testHookWALTerminal = nil })
+	testHookWALTerminal = func() { time.Sleep(500 * time.Millisecond) }
+	walDir := t.TempDir()
+	srv, ts := newTestServer(t, Config{Workers: 1, WALDir: walDir})
+	// Park a long job on the single worker so the streamed job is still
+	// queued when its stream attaches.
+	blocker := submitID(t, ts, cancelJobBody)
+	id := submitID(t, ts, tinyJob)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, "GET", ts.URL+"/v1/jobs/"+id+"/events", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	scanner := bufio.NewScanner(resp.Body)
+	scanner.Buffer(make([]byte, 1<<20), 1<<20)
+	released, done := false, false
+	for !done && scanner.Scan() {
+		var ev wireEvent
+		if err := json.Unmarshal(scanner.Bytes(), &ev); err != nil {
+			t.Fatalf("bad event line %q: %v", scanner.Text(), err)
+		}
+		if !released {
+			// The opening status line proves the subscription is
+			// attached; only now let the streamed job run.
+			if resp, body := doMethod(t, "DELETE", ts.URL+"/v1/jobs/"+blocker); resp.StatusCode != 200 {
+				t.Fatalf("DELETE blocker: %d %s", resp.StatusCode, body)
+			}
+			released = true
+		}
+		done = ev.Type == "job_done"
+	}
+	if !done {
+		t.Fatalf("stream ended without job_done: %v", scanner.Err())
+	}
+	rec, err := wal.ReadAll(walDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	terminal := false
+	for _, r := range rec.Records {
+		terminal = terminal || (r.JobID == id && r.Type == wal.TypeTerminal)
+	}
+	if !terminal {
+		t.Fatalf("job_done streamed before job %s's terminal record was in the WAL", id)
+	}
+	if st := waitTerminal(t, srv, id, 10*time.Second); st != StatusCompleted {
+		t.Fatalf("job ended %s", st)
+	}
+	waitTerminal(t, srv, blocker, 10*time.Second)
 }
 
 // TestE2ESubmitBuiltinSpecByName: the documented {"spec_name": "fig5"}

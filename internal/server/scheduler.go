@@ -287,17 +287,14 @@ func (s *Server) finishRun(j *Job, rep *experiments.Report, res *trainer.Result,
 	s.finalize(j)
 }
 
-// finalize closes the job's event stream, accounts its drops, logs and
-// snapshots its terminal state, and signals Done. Exactly one caller
-// reaches it per job: the worker via finishRun, or the DELETE handler for
-// a job cancelled out of the queue. The terminal WAL record lands before
-// done closes, so anything that waits on Done() observes a state that is
-// already durable (under -fsync always).
+// finalize logs and snapshots the job's terminal state, closes its event
+// stream, accounts its drops, and signals Done. Exactly one caller reaches
+// it per job: the worker via finishRun, or the DELETE handler for a job
+// cancelled out of the queue. The terminal WAL record lands before the
+// event stream closes and before done closes, so a client that reads
+// job_done from /events, and anything that waits on Done(), observes a
+// state that is already durable (under -fsync always).
 func (s *Server) finalize(j *Job) {
-	if j.bc != nil {
-		j.bc.Close()
-		s.metrics.eventsDropped.Add(int64(j.bc.Dropped()))
-	}
 	j.mu.Lock()
 	j.walFinal = true
 	j.mu.Unlock()
@@ -306,6 +303,10 @@ func (s *Server) finalize(j *Job) {
 		if err := persistJob(s.cfg.PersistDir, j); err != nil {
 			j.logger().Warn("persist failed", "error", err)
 		}
+	}
+	if j.bc != nil {
+		j.bc.Close()
+		s.metrics.eventsDropped.Add(int64(j.bc.Dropped()))
 	}
 	s.endTrace(j)
 	close(j.done)

@@ -126,11 +126,19 @@ func (s *Server) walCancelRequested(j *Job) {
 	s.walRecord(j, wal.TypeCancelRequested, struct{}{})
 }
 
+// testHookWALTerminal, when set, runs just before each terminal record is
+// appended. Tests set it before starting a server to widen the window in
+// which a finished job is not yet durable.
+var testHookWALTerminal func()
+
 // walTerminal logs the job's final record and, every WALCompactEvery
 // terminals, folds the log into a checkpoint.
 func (s *Server) walTerminal(j *Job) {
 	if s.wal == nil {
 		return
+	}
+	if testHookWALTerminal != nil {
+		testHookWALTerminal()
 	}
 	s.walRecord(j, wal.TypeTerminal, persistJSON{jobJSON: *j.view(true), Cases: j.caseResults()})
 	every := s.cfg.WALCompactEvery

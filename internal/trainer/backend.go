@@ -155,6 +155,7 @@ func runConcurrent(ctx context.Context, cfg Config, obs observers) (*Result, err
 // reports total cache occupancy for EpochEnded events (never nil).
 func concurrentFetchers(cfg Config) ([]loader.BatchFetch, []dataset.Shard, func() float64, error) {
 	d := cfg.Dataset
+	sizes := d.Sizes()
 	fetches := make([]loader.BatchFetch, cfg.NumServers)
 	noCache := func() float64 { return 0 }
 	switch {
@@ -171,7 +172,7 @@ func concurrentFetchers(cfg Config) ([]loader.BatchFetch, []dataset.Shard, func(
 			fetches[s] = func(_ int, items []dataset.ItemID) loader.FetchResult {
 				var r loader.FetchResult
 				for _, id := range items {
-					r.MemBytes += d.ItemBytes(id)
+					r.MemBytes += sizes.Bytes(id)
 					r.Hits++
 				}
 				return r
@@ -187,7 +188,7 @@ func concurrentFetchers(cfg Config) ([]loader.BatchFetch, []dataset.Shard, func(
 			fetches[s] = func(_ int, items []dataset.ItemID) loader.FetchResult {
 				var r loader.FetchResult
 				for _, id := range items {
-					sz := d.ItemBytes(id)
+					sz := sizes.Bytes(id)
 					loc, _ := part.Lookup(s, id)
 					switch loc {
 					case cache.LocalHit:

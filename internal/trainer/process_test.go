@@ -2,6 +2,7 @@ package trainer
 
 import (
 	"context"
+	"math"
 	"runtime"
 	"testing"
 
@@ -81,15 +82,21 @@ func TestSimulationStartsNoGoroutines(t *testing.T) {
 	}
 }
 
-// wholeCaseAllocs is the allocation ceiling of one small single-server case
-// run end to end (TestAllocsWholeCase): the count measured when every
-// simulated process became a state machine (goroutine producers took 278).
-const wholeCaseAllocs = 247
+// wholeCaseAllocs and wholeCaseBytes are the allocation ceilings of one
+// small single-server case run end to end (TestAllocsWholeCase): the
+// object count and heap bytes measured once the page cache was indexed by
+// item ID and whole-dataset samplers stopped materialising an identity
+// shard (before: 247 objects, 197,600 bytes; goroutine producers took 278
+// objects).
+const (
+	wholeCaseAllocs = 226
+	wholeCaseBytes  = 111_200
+)
 
-// TestAllocsWholeCase guards the allocation count of a whole case. The
-// count does not depend on host speed, so a per-batch or per-event
-// allocation creeping back into the engine, the fetchers or the processes
-// fails here exactly.
+// TestAllocsWholeCase guards the allocation count and heap bytes of a whole
+// case. Neither depends on host speed, so a per-batch or per-event
+// allocation creeping back into the engine, the fetchers or the processes,
+// or a per-case buffer growing, fails here exactly.
 func TestAllocsWholeCase(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race instrumentation allocates on otherwise allocation-free paths")
@@ -99,12 +106,33 @@ func TestAllocsWholeCase(t *testing.T) {
 		Model: gpu.MustByName("resnet18"), Dataset: d, Spec: cluster.ConfigSSDV100(),
 		Epochs: 2, CacheBytes: 0.5 * d.TotalBytes, Batch: 64,
 	}
-	avg := testing.AllocsPerRun(3, func() {
+	run := func() {
 		if _, err := RunContext(context.Background(), cfg); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if avg > wholeCaseAllocs {
+	}
+	if avg := testing.AllocsPerRun(3, run); avg > wholeCaseAllocs {
 		t.Fatalf("one case allocates %v objects, ceiling %d", avg, wholeCaseAllocs)
 	}
+	if b := allocBytesPerRun(3, run); b > wholeCaseBytes {
+		t.Fatalf("one case allocates %d heap bytes, ceiling %d", b, wholeCaseBytes)
+	}
+}
+
+// allocBytesPerRun is testing.AllocsPerRun for bytes: the heap bytes
+// (runtime.MemStats.TotalAlloc) one call of f allocates, after a warm-up
+// call, measured on one P. It reports the least of runs calls, since a
+// stray allocation by another goroutine can only add bytes.
+func allocBytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	least := uint64(math.MaxUint64)
+	var before, after runtime.MemStats
+	for i := 0; i < runs; i++ {
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
 }

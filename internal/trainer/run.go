@@ -161,11 +161,11 @@ type epochPlan struct {
 }
 
 // orderSource produces per-epoch visit orders for one job. It is built once
-// per job — the full-dataset shard and sampler behind it are constructed a
-// single time, not once per epoch per process — and is the sampling policy
-// shared by both backends: the analytic simulation and the concurrent
-// pipeline drive identical orders, which is what makes their cache
-// statistics comparable.
+// per job — its sampler is constructed a single time, not once per epoch per
+// process, and writes IDs straight into the epoch buffer with no
+// materialised shard — and is the sampling policy shared by both backends:
+// the analytic simulation and the concurrent pipeline drive identical
+// orders, which is what makes their cache statistics comparable.
 type orderSource struct {
 	cfg         Config
 	ownerShards []dataset.Shard
@@ -176,9 +176,9 @@ func newOrderSource(cfg Config, ownerShards []dataset.Shard) *orderSource {
 	src := &orderSource{cfg: cfg, ownerShards: ownerShards}
 	if cfg.NumServers == 1 {
 		if cfg.Loader == loader.DALISeq && cfg.FetchMode == Normal {
-			src.sampler = dataset.NewSequentialSampler(dataset.FullShard(cfg.Dataset))
+			src.sampler = dataset.NewWholeSequentialSampler(cfg.Dataset)
 		} else {
-			src.sampler = dataset.NewRandomSampler(dataset.FullShard(cfg.Dataset), cfg.Seed)
+			src.sampler = dataset.NewWholeRandomSampler(cfg.Dataset, cfg.Seed)
 		}
 	}
 	return src
