@@ -3,7 +3,7 @@
 
 GO ?= go
 
-# Coverage floor (%) enforced on the concurrency-critical packages.
+# Coverage floor (%) enforced on each package in COVER_PKGS.
 COVER_FLOOR ?= 70
 COVER_PKGS  ?= internal/cache internal/loader internal/server internal/query internal/wal internal/memo internal/obs
 
@@ -11,7 +11,7 @@ COVER_PKGS  ?= internal/cache internal/loader internal/server internal/query int
 # binaries); git-ignored, removed by clean.
 BUILD_DIR ?= build
 
-.PHONY: all build test cover lint bench benchcheck benchjson allocguard profile suite speccheck querycheck servesmoke distsmoke crashsmoke memosmoke tracesmoke experiments-md clean
+.PHONY: all build test cover lint bench benchcheck allocguard profile suite speccheck querycheck servesmoke distsmoke crashsmoke memosmoke tracesmoke experiments-md clean
 
 all: lint build test
 
@@ -23,9 +23,10 @@ build:
 test:
 	$(GO) test -race -count=2 ./...
 
-# Per-package coverage floor on the packages the concurrent pipeline and
-# the job service live in; a refactor that strands their tests fails here,
-# not in review. Profiles land in $(BUILD_DIR), not the repo root.
+# Per-package coverage floor on the caches and fetchers the simulator
+# drives and on the job service's packages; a refactor that strands their
+# tests fails here, not in review. Profiles land in $(BUILD_DIR), not the
+# repo root.
 cover:
 	@mkdir -p $(BUILD_DIR)
 	@set -e; for pkg in $(COVER_PKGS); do \
@@ -56,11 +57,6 @@ bench:
 benchcheck:
 	cd bench && $(GO) vet ./... && $(GO) test -count=1 ./...
 
-# Concurrent-loader benchmark: sharded vs single-mutex lookup throughput and
-# pipeline epoch wall time at 1/2/4/8 workers, written to BENCH_1.json.
-benchjson:
-	$(GO) run ./cmd/stallbench -bench -bench-out BENCH_1.json
-
 # Allocation guards on the hot paths: zero on steady-state cache Lookup,
 # page-cache churn, sim event dispatch and every fetcher's Plan, plus
 # ceilings on the object count and heap bytes of one whole simulated case. Run WITHOUT -race: the detector
@@ -75,7 +71,7 @@ allocguard:
 # GODEBUG=asyncpreemptoff=1 turns off asynchronous preemption, so CPU
 # samples land on their real callers instead of runtime.asyncPreempt.
 profile:
-	GODEBUG=asyncpreemptoff=1 $(GO) run ./cmd/stallbench -run all -parallel 1 -cpuprofile cpu.pprof -memprofile mem.pprof > /dev/null
+	GODEBUG=asyncpreemptoff=1 $(GO) run ./cmd/runsuite -parallel 1 -q -cpuprofile cpu.pprof -memprofile mem.pprof > /dev/null
 	@echo "wrote cpu.pprof mem.pprof"
 
 # Full experiment suite, fanned across all CPUs; one run emits both the
@@ -88,10 +84,15 @@ suite:
 # round-tripped through JSON marshal -> unmarshal -> run and byte-compared
 # against the direct registry run, and the committed example scenario
 # (testdata/specs/cache-sweep.json — a sweep that exists nowhere in compiled
-# code) must load and run clean.
+# code) must load and run clean. A spec that sets the deleted "backend"
+# job field must make runsuite exit non-zero with an error naming it.
 speccheck:
 	$(GO) test -count=1 -run 'TestSpec|TestLoadSpec' ./internal/experiments
 	$(GO) run ./cmd/runsuite -spec testdata/specs/cache-sweep.json > /dev/null
+	@mkdir -p $(BUILD_DIR)
+	@echo '{"name":"b","base":{"model":"resnet18","scale":0.01,"backend":"concurrent"},"rows":{"cases":[{"label":"r","set":{}}]},"row_header":["model"],"columns":[{"label":"s","metric":"epoch_s"}]}' > $(BUILD_DIR)/backend-spec.json
+	! $(GO) run ./cmd/runsuite -spec $(BUILD_DIR)/backend-spec.json > /dev/null 2> $(BUILD_DIR)/backend-spec.err
+	grep -q '"backend"' $(BUILD_DIR)/backend-spec.err
 
 # Query gate: the committed example queries run against the committed
 # fig18-style scenario (testdata/specs/fig18-query.json) and their NDJSON

@@ -5,8 +5,8 @@
 //
 //	go test -bench=Fig9a -benchmem
 //
-// Scales are small (ratios are scale-invariant; see DESIGN.md §2); pass the
-// paper-scale path through cmd/stallbench -scale 1 when you have hours.
+// Scales are small (ratios are scale-invariant); run at paper scale with
+// cmd/runsuite -scale 1 when you have hours.
 package datastall_test
 
 import (

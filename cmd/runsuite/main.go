@@ -4,6 +4,7 @@
 //
 //	runsuite                         # every experiment, one worker per CPU
 //	runsuite -ids fig2,fig5,table6   # a subset
+//	runsuite -ids fig16              # one experiment
 //	runsuite -parallel 8 -json > suite.json
 //	runsuite -md EXPERIMENTS.md      # regenerate the experiments index
 //	runsuite -json -md EXPERIMENTS.md > suite.json   # both from one run
@@ -41,6 +42,11 @@
 //
 //	runsuite -ids fig5,fig9a,fig18 -memo ./memocache   # cold: simulates
 //	runsuite -ids fig5,fig9a,fig18 -memo ./memocache   # warm: replays
+//
+// -cpuprofile/-memprofile write pprof profiles of whatever work the other
+// flags select; `make profile` profiles one serial full-suite run:
+//
+//	runsuite -parallel 1 -q -cpuprofile cpu.pprof -memprofile mem.pprof
 package main
 
 import (
@@ -50,6 +56,8 @@ import (
 	"log/slog"
 	"os"
 	"os/signal"
+	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"syscall"
@@ -62,7 +70,9 @@ import (
 	"datastall/internal/trainer"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+func run() int {
 	list := flag.Bool("list", false, "list available experiments and exit")
 	ids := flag.String("ids", "", "comma-separated experiment ids (default: all)")
 	scale := flag.Float64("scale", 0, "dataset scale (0 = per-experiment default)")
@@ -82,41 +92,73 @@ func main() {
 	memoDir := flag.String("memo", "", "content-addressed result cache directory (shared with stallserved -memo): cases already simulated are replayed byte-identically instead of re-run (empty = off)")
 	memoMax := flag.Int64("memo-max-bytes", 0, "memo cache budget in bytes, enforced on disk and in memory, at insert and at open (0 = 256 MiB)")
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON file of the run to this path (viewable in Perfetto / chrome://tracing)")
+	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
+	memprofile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	flag.Parse()
 
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
 
+	// SIGINT/SIGTERM cancel the context; the simulations poll it, so an
+	// interrupted run dies cleanly (profiles still flush via the defers).
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+
+	if *cpuprofile != "" {
+		f, err := os.Create(*cpuprofile)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "runsuite: %v\n", err)
+			return 1
+		}
+		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			fmt.Fprintf(os.Stderr, "runsuite: %v\n", err)
+			return 1
+		}
+		defer pprof.StopCPUProfile()
+	}
+	if *memprofile != "" {
+		defer func() {
+			f, err := os.Create(*memprofile)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "runsuite: %v\n", err)
+				return
+			}
+			defer f.Close()
+			runtime.GC()
+			if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+				fmt.Fprintf(os.Stderr, "runsuite: %v\n", err)
+			}
+		}()
+	}
 
 	if *list {
 		fmt.Printf("%-18s %s\n", "ID", "TITLE")
 		for _, e := range datastall.Experiments() {
 			fmt.Printf("%-18s %s\n", e.ID, e.Title)
 		}
-		return
+		return 0
 	}
 	// -query claims stdout for NDJSON; -json claims it for the report. The
 	// combination would interleave two formats, so refuse it (save the
 	// report with -json -cases first, then -report it).
 	if *queryFile != "" && *jsonOut {
 		fmt.Fprintln(os.Stderr, "runsuite: -query and -json both write stdout; run them separately (-json -cases saves a -report-able file)")
-		os.Exit(2)
+		return 2
 	}
 	if *withCases && !*jsonOut {
 		fmt.Fprintln(os.Stderr, "runsuite: -cases only applies to the -json report")
-		os.Exit(2)
+		return 2
 	}
 	if *reportFile != "" {
 		if *queryFile == "" {
 			fmt.Fprintln(os.Stderr, "runsuite: -report requires -query (it selects what to query, not what to run)")
-			os.Exit(2)
+			return 2
 		}
 		if *specFile != "" {
 			fmt.Fprintln(os.Stderr, "runsuite: -report and -spec are two different case sources; pick one")
-			os.Exit(2)
+			return 2
 		}
-		os.Exit(queryReportFile(ctx, *reportFile, *queryFile))
+		return queryReportFile(ctx, *reportFile, *queryFile)
 	}
 	// The memo cache serves both execution paths (-spec and the suite);
 	// the summary line tells the user how much the cache actually saved.
@@ -125,7 +167,7 @@ func main() {
 		c, err := datastall.OpenResultCache(*memoDir, *memoMax)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "runsuite: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		cache = c
 	}
@@ -175,12 +217,12 @@ func main() {
 		if bad := suiteOnlyFlagsSet(); len(bad) > 0 {
 			fmt.Fprintf(os.Stderr, "runsuite: -%s cannot be combined with -spec\n",
 				strings.Join(bad, ", -"))
-			os.Exit(2)
+			return 2
 		}
 		code := runSpecFile(ctx, *specFile, *scale, *epochs, *seed, cache, *progress, *queryFile, root)
 		memoStats()
 		writeTrace()
-		os.Exit(code)
+		return code
 	}
 	if *progress {
 		fmt.Fprintln(os.Stderr, "runsuite: -progress applies to -spec runs; ignored")
@@ -215,7 +257,7 @@ func main() {
 	rep, err := datastall.RunSuite(ctx, opts)
 	if err != nil && rep == nil {
 		fmt.Fprintf(os.Stderr, "runsuite: %v\n", err)
-		os.Exit(1)
+		return 1
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "runsuite: %v\n", err)
@@ -225,7 +267,7 @@ func main() {
 	if *mdOut != "" {
 		if werr := os.WriteFile(*mdOut, []byte(rep.Markdown()), 0o644); werr != nil {
 			fmt.Fprintf(os.Stderr, "runsuite: %v\n", werr)
-			os.Exit(1)
+			return 1
 		}
 		fmt.Fprintf(os.Stderr, "runsuite: wrote %s\n", *mdOut)
 	}
@@ -237,21 +279,21 @@ func main() {
 		b, jerr := rep.JSONWith(false, true)
 		if jerr != nil {
 			fmt.Fprintf(os.Stderr, "runsuite: %v\n", jerr)
-			os.Exit(1)
+			return 1
 		}
 		cases, cerr := experiments.LoadSuiteCases(b)
 		if cerr != nil {
 			fmt.Fprintf(os.Stderr, "runsuite: %v\n", cerr)
-			os.Exit(1)
+			return 1
 		}
 		if code := runQueryNDJSON(ctx, *queryFile, cases); code != 0 {
-			os.Exit(code)
+			return code
 		}
 	case *jsonOut:
 		b, jerr := rep.JSONWith(*timings, *withCases)
 		if jerr != nil {
 			fmt.Fprintf(os.Stderr, "runsuite: %v\n", jerr)
-			os.Exit(1)
+			return 1
 		}
 		fmt.Printf("%s\n", b)
 	case *mdOut != "":
@@ -267,8 +309,9 @@ func main() {
 	fmt.Fprintf(os.Stderr, "runsuite: %d ok, %d failed, %d skipped on %d worker(s) in %.2fs\n",
 		rep.OK, rep.Failed, rep.Skipped, rep.Parallel, time.Since(start).Seconds())
 	if rep.Failed > 0 || rep.Skipped > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // suiteOnlyFlagsSet reports which explicitly-set flags have no meaning on

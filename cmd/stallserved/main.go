@@ -4,7 +4,7 @@
 // specs are runnable by name.
 //
 //	stallserved -addr :8080
-//	stallserved -addr :8080 -workers 4 -queue 128 -persist ./jobs
+//	stallserved -addr :8080 -workers 4 -queue 128 -wal ./wal
 //
 //	curl -X POST localhost:8080/v1/jobs -d '{"spec_name": "fig5"}'
 //	curl localhost:8080/v1/jobs/job-000001
@@ -23,8 +23,7 @@
 //
 // SIGTERM/SIGINT begin a graceful drain: the listener stops accepting, new
 // submissions get 503, and queued/running jobs are given -drain to finish
-// before being cancelled through their contexts. Completed jobs snapshot to
-// -persist (when set) and are served again after a restart.
+// before being cancelled through their contexts.
 //
 // With -wal, the whole job lifecycle is logged to a crash-safe write-ahead
 // log: after a kill -9, a restart replays the clean prefix, serves finished
@@ -83,7 +82,6 @@ func run() int {
 	tenantQuota := flag.Int("tenant-quota", 0, "max queued+running jobs per X-Tenant header (0 = unlimited)")
 	queue := flag.Int("queue", 64, "bounded submission queue depth (full queue rejects with 503)")
 	subBuf := flag.Int("subbuf", 256, "per-subscriber event ring size on /events streams")
-	persist := flag.String("persist", "", "directory for completed-job JSON snapshots (empty = in-memory only)")
 	walDir := flag.String("wal", "", "write-ahead-log directory: crash-safe job lifecycle log with restart resume (empty = off)")
 	fsyncMode := flag.String("fsync", "always", "WAL durability: always (fsync per append), interval, or never")
 	fsyncInterval := flag.Duration("fsync-interval", 100*time.Millisecond, "fsync period under -fsync interval")
@@ -115,7 +113,7 @@ func run() int {
 
 	cfg := server.Config{
 		QueueDepth: *queue, SubscriberBuffer: *subBuf,
-		MaxRecords: *maxRecords, PersistDir: *persist, Log: logger,
+		MaxRecords: *maxRecords, Log: logger,
 		TenantQuota: *tenantQuota, TraceDir: *traceDir,
 		WALDir: *walDir, WALFsync: fsyncPolicy, WALFsyncInterval: *fsyncInterval,
 		WALSegmentBytes: *walSegment, WALCompactEvery: *walCompact,

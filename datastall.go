@@ -41,12 +41,10 @@
 // Command-line entry points (go run ./cmd/<name>):
 //
 //   - runsuite: the full experiment suite in parallel; -json emits the suite
-//     report, -md regenerates EXPERIMENTS.md, -ids selects a subset. CI runs
-//     "make suite" (this binary) and uploads the JSON report as an artifact.
-//   - stallbench: single experiments, or -run all through the same
-//     orchestrator; -bench measures the concurrent loader backend (sharded
-//     vs single-mutex cache throughput, pipeline epoch wall time) and
-//     writes BENCH_1.json.
+//     report, -md regenerates EXPERIMENTS.md, -ids selects a subset (one
+//     experiment is -ids fig16), -cpuprofile/-memprofile profile the run.
+//     CI runs "make suite" (this binary) and uploads the JSON report as an
+//     artifact.
 //   - dsanalyzer: differential stall profiles and what-if questions for one
 //     model, or every model concurrently with -model all.
 //   - coordlsim: one training job, epoch by epoch, under a chosen loader.
@@ -60,11 +58,9 @@
 // stall fractions, speedups — is preserved. The full-suite output is pinned
 // by golden_test.go against testdata/golden-suite.json.
 //
-// Besides the analytic simulation, trainer jobs can run on a concurrent
-// backend (trainer.Config.Backend = BackendConcurrent) that executes the
-// data-loading path on real goroutines: a bounded-channel fetch->prep
-// pipeline per server over lock-striped sharded caches. See README.md for
-// the concurrency model and the backend-equivalence property tests.
+// Every training job runs on the one discrete-event simulator; a job's
+// result is a function of its configuration alone, which is what lets the
+// memo cache address results by content.
 package datastall
 
 import (

@@ -13,14 +13,13 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden suite files from current output")
 
-// TestSuiteGolden is the analytic-backend regression gate: the full
+// TestSuiteGolden is the simulator's regression gate: the full
 // experiment suite (default scales, seed 1, timings excluded) must be
 // byte-identical to the committed golden report and paper tables. Any drift
 // — a changed metric, a reordered row, a reworded note — fails here and must
 // be a deliberate `go test -run TestSuiteGolden -update .` commit, never an
 // accident of a refactor. This is what "runsuite output stays byte-identical"
-// means mechanically: the concurrent backend, sharded caches, and every
-// future perf PR ride behind this file.
+// means mechanically: every refactor and perf PR rides behind this file.
 func TestSuiteGolden(t *testing.T) {
 	rep, err := datastall.RunSuite(context.Background(), datastall.SuiteOptions{})
 	if err != nil {

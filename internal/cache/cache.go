@@ -52,7 +52,6 @@ type Cache interface {
 // in steady state (map lookups dominated the old Lookup profile). The
 // slice grows on demand; pre-size it with NewMinIOSized when the dataset
 // size is known. Negative IDs are never resident and never cached.
-// MapMinIO is the retained map-backed reference implementation.
 type MinIO struct {
 	capBytes  float64
 	usedBytes float64
@@ -164,78 +163,6 @@ func (m *MinIO) HitRate() float64 {
 	return float64(m.hits) / float64(t)
 }
 
-// MapMinIO is the original map-backed MinIO implementation, retained as
-// the reference model (with the same negative-ID guard the dense MinIO
-// applies): the equivalence tests replay identical op sequences through it
-// and the dense MinIO (BENCH_2.json records what the dense layout saved).
-// New code should use MinIO.
-type MapMinIO struct {
-	capBytes  float64
-	usedBytes float64
-	items     map[dataset.ItemID]float64
-
-	hits, misses int64
-	rejected     int64
-}
-
-// NewMapMinIO returns an empty map-backed MinIO cache.
-func NewMapMinIO(capBytes float64) *MapMinIO {
-	return &MapMinIO{capBytes: capBytes, items: make(map[dataset.ItemID]float64)}
-}
-
-// Lookup implements Cache.
-func (m *MapMinIO) Lookup(id dataset.ItemID) bool {
-	if _, ok := m.items[id]; ok {
-		m.hits++
-		return true
-	}
-	m.misses++
-	return false
-}
-
-// Insert implements Cache: first-come-first-cached, never evict.
-func (m *MapMinIO) Insert(id dataset.ItemID, bytes float64) {
-	if id < 0 {
-		return
-	}
-	if _, ok := m.items[id]; ok {
-		return
-	}
-	if m.usedBytes+bytes > m.capBytes {
-		m.rejected++
-		return
-	}
-	m.items[id] = bytes
-	m.usedBytes += bytes
-}
-
-// Contains implements Cache.
-func (m *MapMinIO) Contains(id dataset.ItemID) bool {
-	_, ok := m.items[id]
-	return ok
-}
-
-// UsedBytes implements Cache.
-func (m *MapMinIO) UsedBytes() float64 { return m.usedBytes }
-
-// CapBytes implements Cache.
-func (m *MapMinIO) CapBytes() float64 { return m.capBytes }
-
-// Hits implements Cache.
-func (m *MapMinIO) Hits() int64 { return m.hits }
-
-// Misses implements Cache.
-func (m *MapMinIO) Misses() int64 { return m.misses }
-
-// Rejected returns inserts refused because the cache was full.
-func (m *MapMinIO) Rejected() int64 { return m.rejected }
-
-// Len returns the number of cached items.
-func (m *MapMinIO) Len() int { return len(m.items) }
-
-// ResetStats implements Cache.
-func (m *MapMinIO) ResetStats() { m.hits, m.misses, m.rejected = 0, 0, 0 }
-
 // Location classifies where a partitioned-cache lookup was satisfied.
 type Location int
 
@@ -305,10 +232,8 @@ func (p *Partitioned) OwnerShards() []dataset.Shard {
 	return ownerShardsOf(p.owner, len(p.caches))
 }
 
-// ownerShardsOf groups items by owning server, ascending by item ID. Both
-// partitioned caches derive their epoch-0 population orders through this one
-// function, so the analytic and concurrent backends can never disagree on
-// the order (the backend-equivalence property tests depend on that).
+// ownerShardsOf groups items by owning server, ascending by item ID: the
+// epoch-0 population orders.
 func ownerShardsOf(owner []int32, nServers int) []dataset.Shard {
 	shards := make([]dataset.Shard, nServers)
 	for id, o := range owner {

@@ -111,3 +111,59 @@ func TestAllocsMinIOLookup(t *testing.T) {
 		t.Fatalf("steady-state MinIO lookup+insert allocates %v per 512 accesses, want 0", avg)
 	}
 }
+
+// MapMinIO is the original map-backed MinIO implementation, kept as the
+// reference oracle the equivalence tests above replay op sequences through
+// (with the same negative-ID guard the dense MinIO applies).
+type MapMinIO struct {
+	capBytes  float64
+	usedBytes float64
+	items     map[dataset.ItemID]float64
+
+	hits, misses int64
+	rejected     int64
+}
+
+// NewMapMinIO returns an empty map-backed MinIO cache.
+func NewMapMinIO(capBytes float64) *MapMinIO {
+	return &MapMinIO{capBytes: capBytes, items: make(map[dataset.ItemID]float64)}
+}
+
+// Lookup reports residency and counts a hit or a miss.
+func (m *MapMinIO) Lookup(id dataset.ItemID) bool {
+	if _, ok := m.items[id]; ok {
+		m.hits++
+		return true
+	}
+	m.misses++
+	return false
+}
+
+// Insert caches id first-come-first-cached and never evicts.
+func (m *MapMinIO) Insert(id dataset.ItemID, bytes float64) {
+	if id < 0 {
+		return
+	}
+	if _, ok := m.items[id]; ok {
+		return
+	}
+	if m.usedBytes+bytes > m.capBytes {
+		m.rejected++
+		return
+	}
+	m.items[id] = bytes
+	m.usedBytes += bytes
+}
+
+// Contains reports residency without side effects.
+func (m *MapMinIO) Contains(id dataset.ItemID) bool {
+	_, ok := m.items[id]
+	return ok
+}
+
+func (m *MapMinIO) UsedBytes() float64 { return m.usedBytes }
+func (m *MapMinIO) Hits() int64        { return m.hits }
+func (m *MapMinIO) Misses() int64      { return m.misses }
+func (m *MapMinIO) Rejected() int64    { return m.rejected }
+func (m *MapMinIO) Len() int           { return len(m.items) }
+func (m *MapMinIO) ResetStats()        { m.hits, m.misses, m.rejected = 0, 0, 0 }

@@ -63,7 +63,7 @@ func TestPredictFetchRateMatchesEmpirical(t *testing.T) {
 	p := profileFor(t, "alexnet", 0.35)
 	for _, frac := range []float64{0.25, 0.35, 0.50} {
 		pred := p.PredictThroughput(frac)
-		r, err := trainer.Run(trainer.Config{
+		r, err := trainer.RunContext(context.Background(), trainer.Config{
 			Model: gpu.MustByName("alexnet"), Dataset: d,
 			Spec: cluster.ConfigSSDV100(), Loader: loader.CoorDL,
 			CacheBytes: frac * d.TotalBytes, Epochs: 3,

@@ -42,10 +42,8 @@ type caseKeyJSON struct {
 	GPUPrep   int `json:"gpu_prep"`
 	Loader    int `json:"loader"`
 	FetchMode int `json:"fetch_mode"`
-	Backend   int `json:"backend"`
 
 	CacheBytes  float64 `json:"cache_bytes"`
-	CacheShards int     `json:"cache_shards"`
 	RecordBytes float64 `json:"record_bytes"`
 
 	DisableRemoteFetch bool  `json:"disable_remote_fetch"`
@@ -64,7 +62,7 @@ func CaseKey(js JobSpec, o Options, salt string) (memo.Key, error) {
 	}
 	rc := trainer.FromConfig(cfg).Config()
 	pre := caseKeyJSON{
-		V: 1, Salt: salt,
+		V: 2, Salt: salt,
 		Model:   rc.Model.Name,
 		Dataset: rc.Dataset.Name, Items: rc.Dataset.NumItems, DatasetBytes: rc.Dataset.TotalBytes,
 		Server:  rc.Spec.Name,
@@ -72,8 +70,8 @@ func CaseKey(js JobSpec, o Options, salt string) (memo.Key, error) {
 		Batch: rc.Batch, Epochs: rc.Epochs,
 		Threads: rc.ThreadsPerGPU, Prefetch: rc.PrefetchDepth,
 		Framework: int(rc.Framework), GPUPrep: int(rc.GPUPrep),
-		Loader: int(rc.Loader), FetchMode: int(rc.FetchMode), Backend: int(rc.Backend),
-		CacheBytes: rc.CacheBytes, CacheShards: rc.CacheShards, RecordBytes: rc.RecordBytes,
+		Loader: int(rc.Loader), FetchMode: int(rc.FetchMode),
+		CacheBytes: rc.CacheBytes, RecordBytes: rc.RecordBytes,
 		DisableRemoteFetch: rc.DisableRemoteFetch, Seed: rc.Seed,
 	}
 	b, err := json.Marshal(pre)

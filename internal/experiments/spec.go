@@ -49,8 +49,6 @@ type JobSpec struct {
 	GPUPrep string `json:"gpu_prep,omitempty"`
 	// FetchMode: "normal" (default), "synthetic", "fully-cached".
 	FetchMode string `json:"fetch_mode,omitempty"`
-	// Backend: "analytic" (default) or "concurrent".
-	Backend string `json:"backend,omitempty"`
 
 	// CacheFraction sizes the per-server cache as a fraction of the scaled
 	// dataset; when zero, CacheBudgetGiB (default 400, the paper's budget)
@@ -108,9 +106,6 @@ func (s JobSpec) overlay(patch JobSpec) JobSpec {
 	}
 	if patch.FetchMode != "" {
 		s.FetchMode = patch.FetchMode
-	}
-	if patch.Backend != "" {
-		s.Backend = patch.Backend
 	}
 	if patch.CacheFraction != 0 {
 		s.CacheFraction = patch.CacheFraction
@@ -231,14 +226,6 @@ func (s JobSpec) build(o Options) (trainer.Config, error) {
 		cfg.FetchMode = trainer.FullyCached
 	default:
 		return trainer.Config{}, fmt.Errorf("spec: unknown fetch_mode %q", s.FetchMode)
-	}
-	switch s.Backend {
-	case "", "analytic":
-		cfg.Backend = trainer.BackendAnalytic
-	case "concurrent":
-		cfg.Backend = trainer.BackendConcurrent
-	default:
-		return trainer.Config{}, fmt.Errorf("spec: unknown backend %q", s.Backend)
 	}
 	if s.CacheFraction > 0 {
 		cfg.CacheBytes = s.CacheFraction * d.TotalBytes

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"os"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -180,7 +181,6 @@ func TestSpecUnknownNamesFailAtRun(t *testing.T) {
 		"framework":  {Model: "resnet18", Framework: "not-a-framework"},
 		"gpu_prep":   {Model: "resnet18", GPUPrep: "sideways"},
 		"fetch_mode": {Model: "resnet18", FetchMode: "psychic"},
-		"backend":    {Model: "resnet18", Backend: "quantum"},
 		"no model":   {},
 	} {
 		sp := &Spec{
@@ -190,6 +190,29 @@ func TestSpecUnknownNamesFailAtRun(t *testing.T) {
 		}
 		if _, err := RunSpec(context.Background(), sp, Options{Scale: 0.01}); err == nil {
 			t.Errorf("%s: ran without error", name)
+		}
+	}
+}
+
+// TestLoadSpecRejectsBackend: there is one simulator, so the job schema
+// has no "backend" field. A spec that sets one — in its base, in a case
+// patch, or as a grid axis — fails to load with an error naming the field,
+// for the value the field once defaulted to as much as for the deleted one.
+func TestLoadSpecRejectsBackend(t *testing.T) {
+	const tail = `"row_header":["model"],"columns":[{"label":"s","metric":"epoch_s"}]}`
+	for _, backend := range []string{"concurrent", "analytic"} {
+		for name, src := range map[string]string{
+			"base": `{"name":"b","base":{"model":"resnet18","backend":"` + backend + `"},
+				"rows":{"cases":[{"label":"r","set":{}}]},` + tail,
+			"case": `{"name":"b","base":{"model":"resnet18"},
+				"rows":{"cases":[{"label":"r","set":{"backend":"` + backend + `"}}]},` + tail,
+			"axis": `{"name":"b","base":{"model":"resnet18"},
+				"rows":{"param":"backend","values":["` + backend + `"]},` + tail,
+		} {
+			_, err := LoadSpec([]byte(src))
+			if err == nil || !strings.Contains(err.Error(), "backend") {
+				t.Errorf("%s/%s: LoadSpec error %v, want one naming backend", backend, name, err)
+			}
 		}
 	}
 }

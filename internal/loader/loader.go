@@ -50,9 +50,7 @@ func (k Kind) String() string {
 
 // PyTorchSeeksPerItem is the native PyTorch DataLoader's scattered-read
 // cost: each item is demand-paged as several partially-merged reads instead
-// of one whole-file read (Appendix E.2.1). Both execution backends (the
-// analytic jobRuntime and trainer's concurrentFetchers) must use this one
-// constant or their disk-read statistics diverge.
+// of one whole-file read (Appendix E.2.1).
 const PyTorchSeeksPerItem = 3
 
 // FetchResult reports where a batch's bytes came from.

@@ -24,10 +24,8 @@
 // statistic are identical to the original map+container/list
 // implementation (pinned by TestSlabMatchesReference).
 //
-// A Cache is NOT safe for concurrent use: the recency lists cannot be
-// lock-striped without changing eviction order (and with it the simulated
-// hit rates). The concurrent loader backend shares one per server behind a
-// single mutex via cache.Locked instead.
+// A Cache is NOT safe for concurrent use; each simulated job owns its
+// caches and drives them from the one simulation goroutine.
 package pagecache
 
 import (

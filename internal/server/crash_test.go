@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -453,54 +454,39 @@ func TestWALSurvivesRestartWithNewSubmissions(t *testing.T) {
 	}
 }
 
-// TestSnapshotMigratesIntoWAL: a legacy -persist snapshot loads next to
-// the WAL and the first compaction folds it into the checkpoint, so the
-// snapshot directory can be dropped afterwards.
-func TestSnapshotMigratesIntoWAL(t *testing.T) {
-	persistDir := t.TempDir()
-	walDir := filepath.Join(t.TempDir(), "wal")
-
-	// Run 1: snapshots only (the legacy deployment).
-	srv1, ts1 := newTestServer(t, Config{Workers: 1, PersistDir: persistDir})
-	id1 := submitID(t, ts1, tinyJob)
-	if st := waitTerminal(t, srv1, id1, 60*time.Second); st != StatusCompleted {
-		t.Fatalf("job %s ended %s", id1, st)
+// TestPersistLoadErrorsCounted: a corrupt WAL frame is counted in the
+// load-error metric and on /healthz instead of only being logged, and the
+// records before it still load.
+func TestPersistLoadErrorsCounted(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "wal")
+	srv1, ts1 := newTestServer(t, Config{Workers: 1, WALDir: dir})
+	id := submitID(t, ts1, tinyJob)
+	if st := waitTerminal(t, srv1, id, 60*time.Second); st != StatusCompleted {
+		t.Fatalf("job %s ended %s", id, st)
 	}
-	result1 := outputJSON(t, ts1.URL, id1, "result")
 	ts1.Close()
 	srv1.Close()
-
-	// Run 2: both flags during the migration window; a new job's terminal
-	// triggers compaction, which gathers the snapshot-loaded job too.
-	srv2, ts2 := newTestServer(t, Config{Workers: 1, PersistDir: persistDir, WALDir: walDir, WALCompactEvery: 1})
-	if got := outputJSON(t, ts2.URL, id1, "result"); got != result1 {
-		t.Fatal("snapshot job not loaded in migration run")
+	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.wal"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no WAL segment to corrupt (%v)", err)
 	}
-	id2 := submitID(t, ts2, tinyJob)
-	if st := waitTerminal(t, srv2, id2, 60*time.Second); st != StatusCompleted {
-		t.Fatalf("job %s ended %s", id2, st)
-	}
-	ts2.Close()
-	srv2.Close()
-
-	// Run 3: WAL only — the snapshot history must have migrated.
-	srv3, ts3 := newTestServer(t, Config{Workers: 1, WALDir: walDir})
-	defer func() { _ = srv3 }()
-	if got := outputJSON(t, ts3.URL, id1, "result"); got != result1 {
-		t.Fatal("snapshot job lost after migration to WAL-only")
-	}
-}
-
-// TestPersistLoadErrorsCounted: corrupt snapshots are counted in the new
-// metric and on /healthz instead of only being logged.
-func TestPersistLoadErrorsCounted(t *testing.T) {
-	dir := t.TempDir()
-	if err := wal.AtomicWriteFile(filepath.Join(dir, "job-000007.json"), []byte("{truncated"), 0o644); err != nil {
+	f, err := os.OpenFile(segs[len(segs)-1], os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	srv, ts := newTestServer(t, Config{Workers: 1, PersistDir: dir})
+	if _, err := f.Write([]byte("{truncated")); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	srv, ts := newTestServer(t, Config{Workers: 1, WALDir: dir})
 	if got := srv.metrics.persistLoadErrors.Load(); got != 1 {
 		t.Fatalf("persistLoadErrors = %d, want 1", got)
+	}
+	if j := srv.store.get(id); j == nil || j.StatusNow() != StatusCompleted {
+		t.Fatalf("job %s before the corrupt frame did not reload", id)
 	}
 	_, body := getJSON(t, ts.URL+"/metrics")
 	if !strings.Contains(body, "stallserved_persist_load_errors_total 1") {

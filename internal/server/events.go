@@ -22,8 +22,7 @@ import (
 type wireEvent struct {
 	Type string `json:"type"`
 	Job  string `json:"job"`
-	// Time is the event's simulation time (host seconds under the
-	// concurrent backend).
+	// Time is the event's simulation time.
 	Time float64 `json:"time,omitempty"`
 
 	// status / job_done fields.
@@ -32,10 +31,9 @@ type wireEvent struct {
 	Dropped uint64 `json:"dropped,omitempty"`
 
 	// job_started fields.
-	Epochs  int    `json:"epochs,omitempty"`
-	Servers int    `json:"servers,omitempty"`
-	GPUs    int    `json:"gpus,omitempty"`
-	Backend string `json:"backend,omitempty"`
+	Epochs  int `json:"epochs,omitempty"`
+	Servers int `json:"servers,omitempty"`
+	GPUs    int `json:"gpus,omitempty"`
 
 	// epoch_started / epoch_ended fields.
 	Epoch          *int                `json:"epoch,omitempty"`
@@ -55,7 +53,6 @@ func toWire(jobID string, ev trainer.Event) wireEvent {
 		return wireEvent{
 			Type: "job_started", Job: jobID, Time: e.Time,
 			Epochs: e.Epochs, Servers: e.Servers, GPUs: e.GPUsPerServer,
-			Backend: e.Backend.String(),
 		}
 	case trainer.EpochStarted:
 		ep := e.Epoch

@@ -35,8 +35,8 @@ type metrics struct {
 	caseRetries     atomic.Int64 // case attempts beyond each case's first
 	quotaRejected   atomic.Int64 // submissions refused by the tenant quota
 
-	// Durability counters (zero without -wal/-persist).
-	persistLoadErrors atomic.Int64 // corrupt snapshots/WAL records skipped at load
+	// Durability counters (zero without -wal).
+	persistLoadErrors atomic.Int64 // corrupt WAL records skipped at load
 	walAppends        atomic.Int64 // records appended to the WAL
 	walCompactions    atomic.Int64 // checkpoint compactions completed
 	walResumed        atomic.Int64 // interrupted jobs re-enqueued at startup
@@ -98,7 +98,7 @@ func (m *metrics) writeProm(w io.Writer, queueDepth, workersHealthy, workersTota
 	c("stallserved_cases_dispatched_total", "Case attempts dispatched to fleet workers (coordinator mode).", m.casesDispatched.Load())
 	c("stallserved_case_retries_total", "Case attempts beyond each case's first (coordinator mode).", m.caseRetries.Load())
 	c("stallserved_jobs_quota_rejected_total", "Submissions refused by the per-tenant quota.", m.quotaRejected.Load())
-	c("stallserved_persist_load_errors_total", "Corrupt or unusable snapshots/WAL records skipped at load.", m.persistLoadErrors.Load())
+	c("stallserved_persist_load_errors_total", "Corrupt or unusable WAL records skipped at load.", m.persistLoadErrors.Load())
 	c("stallserved_wal_appends_total", "Records appended to the write-ahead log.", m.walAppends.Load())
 	c("stallserved_wal_compactions_total", "WAL compactions folded into a checkpoint.", m.walCompactions.Load())
 	c("stallserved_wal_resumed_jobs_total", "Interrupted jobs re-enqueued from the WAL at startup.", m.walResumed.Load())

@@ -76,8 +76,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 // queryStore snapshots every completed job's cases into a store. Jobs are
 // visited in submission order, so case_ids are stable across queries for a
-// given job history. Jobs rehydrated from persist snapshots serve the case
-// capture stored in their snapshot, so a restart keeps history queryable.
+// given job history. Jobs rehydrated from WAL terminal records serve the
+// case capture stored in the record, so a restart keeps history queryable.
 func (s *Server) queryStore() *query.Store {
 	st := query.NewStore()
 	for _, j := range s.store.list() {
@@ -104,8 +104,8 @@ func (f *flushWriter) Flush() error {
 
 // caseResults exposes a completed job's runs for the query surface: the
 // captured grid cells of a spec job, the single run of a job submission, or
-// — for jobs rehydrated from persist snapshots — the capture stored in the
-// snapshot.
+// — for jobs rehydrated from a WAL terminal record — the capture stored in
+// the record.
 func (j *Job) caseResults() []*experiments.CaseResult {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -119,8 +119,8 @@ func (j *Job) caseResults() []*experiments.CaseResult {
 		return j.cases
 	case j.result != nil && j.bc != nil:
 		// Deriving the capture needs the resolved config, which only live
-		// jobs carry (bc is nil exactly for loaded ones); old snapshots
-		// written before case persistence stay invisible rather than wrong.
+		// jobs carry (bc is nil exactly for loaded ones); a loaded record
+		// without a case capture stays invisible rather than wrong.
 		return []*experiments.CaseResult{experiments.CaseFromConfig(j.ID, j.cfg, j.result)}
 	}
 	return nil

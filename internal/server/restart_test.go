@@ -8,12 +8,12 @@ import (
 	"time"
 )
 
-// TestRestartKeepsQueryHistory: persist snapshots carry the per-case
+// TestRestartKeepsQueryHistory: WAL terminal records carry the per-case
 // capture, so after a restart /v1/query serves exactly the rows it served
 // before — a restart must not silently erase query history.
 func TestRestartKeepsQueryHistory(t *testing.T) {
 	dir := t.TempDir()
-	srv, ts := newTestServer(t, Config{Workers: 2, PersistDir: dir})
+	srv, ts := newTestServer(t, Config{Workers: 2, WALDir: dir})
 	jobID := submitID(t, ts, tinyJob)
 	specID := submitID(t, ts, tinySpec)
 	for _, id := range []string{jobID, specID} {
@@ -25,35 +25,39 @@ func TestRestartKeepsQueryHistory(t *testing.T) {
 	if n := len(strings.Split(strings.TrimRight(before, "\n"), "\n")); n != 3 {
 		t.Fatalf("pre-restart scan has %d rows, want 3 (1 job + 2 spec cells):\n%s", n, before)
 	}
+	ts.Close()
+	srv.Close()
 
-	_, ts2 := newTestServer(t, Config{Workers: 2, PersistDir: dir})
+	_, ts2 := newTestServer(t, Config{Workers: 2, WALDir: dir})
 	_, after := getJSON(t, ts2.URL+"/v1/query")
 	if after != before {
 		t.Fatalf("query history changed across restart:\nbefore: %s\nafter:  %s", before, after)
 	}
 
-	// The rehydrated single job carries its resolved identity from the
-	// snapshot, not a zero config.
+	// The rehydrated single job carries its resolved identity from its
+	// terminal record, not a zero config.
 	_, row := getJSON(t, ts2.URL+"/v1/query?q="+`{"where":[{"col":"spec","op":"eq","value":"`+jobID+`"}],"select":["spec","model","loader","epochs"]}`)
 	if !strings.Contains(row, `"model":"resnet18"`) || !strings.Contains(row, `"epochs":2`) {
 		t.Fatalf("rehydrated job identity wrong: %s", row)
 	}
 }
 
-// TestMaxRecordsEnforcedAtReload: a restart over a persist dir larger than
-// MaxRecords must apply the bound at load time, not only after the next
-// job finishes.
+// TestMaxRecordsEnforcedAtReload: a restart over a WAL holding more jobs
+// than MaxRecords must apply the bound at load time, not only after the
+// next job finishes.
 func TestMaxRecordsEnforcedAtReload(t *testing.T) {
 	dir := t.TempDir()
-	srv, ts := newTestServer(t, Config{Workers: 1, PersistDir: dir})
+	srv, ts := newTestServer(t, Config{Workers: 1, WALDir: dir})
 	for i := 0; i < 4; i++ {
 		id := submitID(t, ts, tinyJob)
 		if st := waitTerminal(t, srv, id, 60*time.Second); st != StatusCompleted {
 			t.Fatalf("job ended %s", st)
 		}
 	}
+	ts.Close()
+	srv.Close()
 
-	srv2, _ := newTestServer(t, Config{Workers: 1, MaxRecords: 2, PersistDir: dir})
+	srv2, _ := newTestServer(t, Config{Workers: 1, MaxRecords: 2, WALDir: dir})
 	if n := srv2.store.count(); n != 2 {
 		t.Fatalf("reloaded store holds %d records, want MaxRecords=2 applied at load", n)
 	}

@@ -287,7 +287,7 @@ func (s *Server) finishRun(j *Job, rep *experiments.Report, res *trainer.Result,
 	s.finalize(j)
 }
 
-// finalize logs and snapshots the job's terminal state, closes its event
+// finalize logs the job's terminal state to the WAL, closes its event
 // stream, accounts its drops, and signals Done. Exactly one caller reaches
 // it per job: the worker via finishRun, or the DELETE handler for a job
 // cancelled out of the queue. The terminal WAL record lands before the
@@ -299,11 +299,6 @@ func (s *Server) finalize(j *Job) {
 	j.walFinal = true
 	j.mu.Unlock()
 	s.walTerminal(j)
-	if s.cfg.PersistDir != "" {
-		if err := persistJob(s.cfg.PersistDir, j); err != nil {
-			j.logger().Warn("persist failed", "error", err)
-		}
-	}
 	if j.bc != nil {
 		j.bc.Close()
 		s.metrics.eventsDropped.Add(int64(j.bc.Dropped()))

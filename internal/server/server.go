@@ -43,7 +43,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -71,18 +70,13 @@ type Config struct {
 	// retains (<= 0: 4096); beyond it, oldest terminal records are
 	// evicted so a long-running service cannot grow without bound.
 	// Metrics counters are totals and are unaffected; queued/running jobs
-	// are never evicted; persisted snapshots stay on disk.
+	// are never evicted; the WAL keeps their records.
 	MaxRecords int
-	// PersistDir, when set, snapshots every terminal job to
-	// <dir>/<id>.json and reloads snapshots on startup.
-	PersistDir string
 	// WALDir, when set, write-ahead-logs the full job lifecycle
 	// (submitted, started, case_done, cancel_requested, terminal) to
 	// rotating segments under this directory. On startup the clean prefix
 	// is replayed: terminal jobs rehydrate with their history, interrupted
 	// jobs re-enqueue and resume their sweeps from the last logged case.
-	// Snapshots (PersistDir) still load, so both may be set during a
-	// migration; the first compaction folds snapshot history into the WAL.
 	WALDir string
 	// WALFsync is the log's durability policy (default: fsync per append).
 	WALFsync wal.FsyncPolicy
@@ -184,8 +178,8 @@ type Server struct {
 	tenantActive map[string]int
 }
 
-// New builds a Server and starts its worker pool. PersistDir (when set) is
-// created if missing and existing snapshots are loaded as completed jobs.
+// New builds a Server and starts its worker pool. WALDir (when set) is
+// replayed first: finished jobs reload and interrupted ones resume.
 func New(cfg Config) (*Server, error) {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 64
@@ -230,7 +224,6 @@ func New(cfg Config) (*Server, error) {
 		s.log.Info("memo cache open", "dir", cfg.MemoDir,
 			"disk_entries", st.DiskEntries, "disk_bytes", st.DiskBytes, "salt", mc.Salt())
 	}
-	loadErrs := 0
 	var pending []*Job
 	if cfg.WALDir != "" {
 		l, rec, err := wal.Open(wal.Options{
@@ -244,30 +237,17 @@ func New(cfg Config) (*Server, error) {
 		s.wal = l
 		var replayErrs int
 		pending, replayErrs = s.replayWAL(rec.Records)
-		loadErrs += rec.LoadErrors + replayErrs
+		loadErrs := rec.LoadErrors + replayErrs
 		s.walInfo.records = len(rec.Records)
 		s.walInfo.segments = rec.Segments
 		s.walInfo.truncated = rec.Truncated
 		s.walInfo.resumedJobs = len(pending)
-	}
-	if cfg.PersistDir != "" {
-		if err := os.MkdirAll(cfg.PersistDir, 0o755); err != nil {
-			return nil, fmt.Errorf("server: persist dir: %w", err)
-		}
-		// Loaded after WAL replay: on an ID collision the WAL's richer
-		// record wins (insertLoaded keeps the first insertion).
-		loadErrs += loadPersisted(cfg.PersistDir, s.store, s.log)
-	}
-	if cfg.WALDir != "" || cfg.PersistDir != "" {
 		s.metrics.persistLoadErrors.Add(int64(loadErrs))
 		s.store.evictTerminal(cfg.MaxRecords)
-		summary := fmt.Sprintf("persist: recovered %d job(s) (%d load error(s))", s.store.count(), loadErrs)
-		if s.wal != nil {
-			summary += fmt.Sprintf("; wal: %d record(s) in %d segment(s), %d interrupted job(s) to resume",
-				s.walInfo.records, s.walInfo.segments, len(pending))
-			if s.walInfo.truncated != "" {
-				summary += fmt.Sprintf(", truncated torn tail in %s", s.walInfo.truncated)
-			}
+		summary := fmt.Sprintf("persist: recovered %d job(s) (%d load error(s)); wal: %d record(s) in %d segment(s), %d interrupted job(s) to resume",
+			s.store.count(), loadErrs, s.walInfo.records, s.walInfo.segments, len(pending))
+		if s.walInfo.truncated != "" {
+			summary += fmt.Sprintf(", truncated torn tail in %s", s.walInfo.truncated)
 		}
 		// The summary stays one composed message: recovery tooling greps
 		// for its exact phrasing.
@@ -346,10 +326,13 @@ func decodeSubmit(body []byte) (*SubmitRequest, error) {
 		}
 		return &req, nil
 	}
-	if sp, sperr := experiments.LoadSpec(body); sperr == nil {
+	sp, sperr := experiments.LoadSpec(body)
+	if sperr == nil {
 		return &SubmitRequest{Spec: sp}, nil
 	}
-	return nil, fmt.Errorf("body is not a submit request (spec|spec_name|job + scale/epochs/seed) or a bare spec: %v", err)
+	// Report both readings: a bare spec's own error (say, an unknown job
+	// field in its base) is the useful one for a spec author.
+	return nil, fmt.Errorf("body is not a submit request (spec|spec_name|job + scale/epochs/seed): %v; nor a bare spec: %v", err, sperr)
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -550,23 +533,20 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			"load_errors":  st.LoadErrors,
 		}
 	}
-	if s.cfg.WALDir != "" || s.cfg.PersistDir != "" {
-		persist := map[string]interface{}{
+	if s.wal != nil {
+		walBlock := map[string]interface{}{
+			"records":      s.walInfo.records,
+			"segments":     s.walInfo.segments,
+			"resumed_jobs": s.walInfo.resumedJobs,
+			"appends":      s.metrics.walAppends.Load(),
+		}
+		if s.walInfo.truncated != "" {
+			walBlock["truncated"] = s.walInfo.truncated
+		}
+		v["persist"] = map[string]interface{}{
 			"load_errors": s.metrics.persistLoadErrors.Load(),
+			"wal":         walBlock,
 		}
-		if s.wal != nil {
-			walBlock := map[string]interface{}{
-				"records":      s.walInfo.records,
-				"segments":     s.walInfo.segments,
-				"resumed_jobs": s.walInfo.resumedJobs,
-				"appends":      s.metrics.walAppends.Load(),
-			}
-			if s.walInfo.truncated != "" {
-				walBlock["truncated"] = s.walInfo.truncated
-			}
-			persist["wal"] = walBlock
-		}
-		v["persist"] = persist
 	}
 	writeJSON(w, http.StatusOK, v)
 }

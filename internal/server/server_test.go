@@ -154,6 +154,40 @@ func TestSubmitRejectsBadBodies(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsBackendField: the job schema has no "backend" field
+// (there is one simulator), so every place a JobSpec can appear — a bare
+// job, a spec base, a grid-axis patch, wrapped or bare — refuses a
+// submission that sets it, with a 400 naming the field.
+func TestSubmitRejectsBackendField(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	const cols = `"row_header": ["model"], "columns": [{"label": "s", "metric": "epoch_s"}]`
+	for _, backend := range []string{"concurrent", "analytic"} {
+		set := fmt.Sprintf(`"backend": %q`, backend)
+		specBase := `{"name": "b", "base": {"model": "resnet18", "scale": 0.01, ` + set + `},
+			"rows": {"cases": [{"label": "r", "set": {}}]}, ` + cols + `}`
+		specAxis := `{"name": "b", "base": {"model": "resnet18", "scale": 0.01},
+			"rows": {"param": "backend", "values": [` + fmt.Sprintf("%q", backend) + `]}, ` + cols + `}`
+		specCase := `{"name": "b", "base": {"model": "resnet18", "scale": 0.01},
+			"rows": {"cases": [{"label": "r", "set": {` + set + `}}]}, ` + cols + `}`
+		for name, body := range map[string]string{
+			"job":            `{"job": {"model": "resnet18", "scale": 0.01, ` + set + `}}`,
+			"spec base":      `{"spec": ` + specBase + `}`,
+			"bare spec base": specBase,
+			"spec axis":      `{"spec": ` + specAxis + `}`,
+			"bare spec axis": specAxis,
+			"spec case":      `{"spec": ` + specCase + `}`,
+		} {
+			resp, out := postJSON(t, ts.URL+"/v1/jobs", body)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("%s/%s: status %d, want 400 (body %s)", backend, name, resp.StatusCode, out)
+			}
+			if !strings.Contains(out, "backend") {
+				t.Fatalf("%s/%s: 400 body %q does not name the backend field", backend, name, out)
+			}
+		}
+	}
+}
+
 // TestSubmitTypedFieldError pins the full trainer.FieldError surface: the
 // 400 body carries the field name and the sentinel's message, exactly as
 // errors.Is callers see them in-process.
@@ -316,17 +350,21 @@ func TestCancelRaces(t *testing.T) {
 	}
 }
 
+// TestPersistRoundTrip: a fresh server over the same WAL serves a finished
+// job's record and issues new IDs past the recovered ones.
 func TestPersistRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	srv, ts := newTestServer(t, Config{Workers: 1, PersistDir: dir})
+	srv, ts := newTestServer(t, Config{Workers: 1, WALDir: dir})
 	id := submitID(t, ts, tinyJob)
 	if st := waitTerminal(t, srv, id, 60*time.Second); st != StatusCompleted {
 		t.Fatalf("job ended %s", st)
 	}
 	_, before := getJSON(t, ts.URL+"/v1/jobs/"+id)
+	ts.Close()
+	srv.Close()
 
 	// A fresh server over the same directory serves the same record.
-	srv2, ts2 := newTestServer(t, Config{Workers: 1, PersistDir: dir})
+	srv2, ts2 := newTestServer(t, Config{Workers: 1, WALDir: dir})
 	_, after := getJSON(t, ts2.URL+"/v1/jobs/"+id)
 	var b, a jobJSON
 	if err := json.Unmarshal([]byte(before), &b); err != nil {

@@ -3,16 +3,13 @@
 // the queued -> cancelled shortcut for jobs killed before a worker picks
 // them up — and every transition happens under the job's own mutex, so the
 // cancel-vs-completion race resolves to exactly one terminal state.
-// Completed records optionally snapshot to JSON files (Config.PersistDir)
-// and are reloaded on startup.
+// Durability is the write-ahead log's (walstore.go); persistJSON below is
+// the terminal record it carries.
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"log/slog"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"time"
@@ -21,7 +18,6 @@ import (
 	"datastall/internal/obs"
 	"datastall/internal/stats"
 	"datastall/internal/trainer"
-	"datastall/internal/wal"
 )
 
 // Status is a job's lifecycle state.
@@ -75,12 +71,12 @@ type Job struct {
 	tenant  string
 
 	// bc fans the run's Observer events out to /events subscribers; nil
-	// only for terminal jobs reloaded from a persist snapshot.
+	// only for terminal jobs rehydrated from a WAL terminal record.
 	bc *Broadcaster
 
-	// cases is the rehydrated case capture of a job reloaded from a
-	// persist snapshot (live jobs serve cases straight from their
-	// report/result); nil for snapshots that predate case persistence.
+	// cases is the rehydrated case capture of a job reloaded from a WAL
+	// terminal record (live jobs serve cases straight from their
+	// report/result).
 	cases []*experiments.CaseResult
 
 	mu        sync.Mutex
@@ -186,10 +182,9 @@ type jobJSON struct {
 	Result *trainer.Result `json:"result,omitempty"`
 }
 
-// persistJSON is the snapshot form: the wire form plus the per-case
-// capture, so a restart keeps the job queryable through /v1/query. A
-// strict superset of jobJSON — HTTP responses are unchanged, and
-// pre-existing snapshots (no "cases") still load.
+// persistJSON is the WAL terminal record's payload: the wire form plus the
+// per-case capture, so a restart keeps the job queryable through
+// /v1/query. A strict superset of jobJSON, so HTTP responses are unchanged.
 type persistJSON struct {
 	jobJSON
 	Cases []*experiments.CaseResult `json:"cases,omitempty"`
@@ -294,8 +289,8 @@ func (j *Job) evictable() bool {
 // evictTerminal drops the oldest finished records beyond max, bounding a
 // long-running service's memory: counters on /metrics are totals and keep
 // counting, but the store retains at most max finished jobs (queued,
-// running, and still-unwinding cancelled jobs are never evicted; persisted
-// snapshots on disk are not touched).
+// running, and still-unwinding cancelled jobs are never evicted; the WAL
+// is not touched).
 func (st *store) evictTerminal(max int) {
 	if max <= 0 {
 		return
@@ -358,22 +353,9 @@ func (st *store) insertLoaded(j *Job) {
 	sort.Strings(st.order)
 }
 
-// persistJob snapshots a terminal job's wire form — plus its case capture,
-// so restarts don't erase query history — to dir/<id>.json. The write is
-// crash-atomic (temp file, fsync, rename, fsync the directory): a kill -9
-// at any point leaves the previous snapshot or the new one, never a torn
-// mix.
-func persistJob(dir string, j *Job) error {
-	b, err := json.MarshalIndent(persistJSON{jobJSON: *j.view(true), Cases: j.caseResults()}, "", "  ")
-	if err != nil {
-		return err
-	}
-	return wal.AtomicWriteFile(filepath.Join(dir, j.ID+".json"), append(b, '\n'), 0o644)
-}
-
-// jobFromPersist rehydrates a terminal job record from its snapshot form —
-// the shape both legacy snapshot files and WAL terminal records carry. The
-// returned job is fully finished: done is closed and bc is nil.
+// jobFromPersist rehydrates a terminal job record from a WAL terminal
+// record's persistJSON. The returned job is fully finished: done is closed
+// and bc is nil.
 func jobFromPersist(v persistJSON) *Job {
 	j := &Job{
 		ID: v.ID, Kind: v.Kind, Name: v.Name, tenant: v.Tenant,
@@ -407,41 +389,4 @@ func jobFromPersist(v persistJSON) *Job {
 	}
 	close(j.done)
 	return j
-}
-
-// loadPersisted reads every snapshot in dir into the store as terminal
-// jobs. Snapshots that fail to parse (or are non-terminal) are skipped —
-// a corrupt file must not keep the service from starting — and counted in
-// the returned load-error total (surfaced on /metrics and /healthz).
-func loadPersisted(dir string, st *store, log *slog.Logger) (loadErrs int) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		log.Warn("persist: snapshot dir unreadable", "dir", dir, "error", err)
-		return 1
-	}
-	for _, e := range entries {
-		if e.IsDir() || filepath.Ext(e.Name()) != ".json" {
-			continue
-		}
-		path := filepath.Join(dir, e.Name())
-		b, err := os.ReadFile(path)
-		if err != nil {
-			loadErrs++
-			log.Warn("persist: snapshot unreadable", "path", path, "error", err)
-			continue
-		}
-		var v persistJSON
-		if err := json.Unmarshal(b, &v); err != nil {
-			loadErrs++
-			log.Warn("persist: snapshot unparseable", "path", path, "error", err)
-			continue
-		}
-		if v.ID == "" || !v.Status.Terminal() {
-			loadErrs++
-			log.Warn("persist: not a terminal job snapshot, skipping", "path", path)
-			continue
-		}
-		st.insertLoaded(jobFromPersist(v))
-	}
-	return loadErrs
 }

@@ -1,6 +1,6 @@
 // WAL integration: the job lifecycle as an append-only record stream
-// (internal/wal), replacing terminal-only snapshots as the durability
-// story. Every client-visible transition appends a record — submitted
+// (internal/wal), the service's one durability path. Every client-visible
+// transition appends a record — submitted
 // before the 202, case_done as each grid cell's result is captured,
 // cancel_requested when a DELETE verdict is returned, terminal with the
 // full wire form — so a kill -9 at any point recovers to a state the
@@ -58,14 +58,12 @@ type walCase struct {
 	Result *trainer.Result `json:"result"`
 }
 
-// The TypeTerminal payload is persistJSON — the exact snapshot form — so
-// replaying a terminal record and loading a legacy snapshot are the same
-// rehydration.
+// The TypeTerminal payload is persistJSON; replay rehydrates it through
+// jobFromPersist.
 
 // walAppend appends one record, counting it and tracing it as a
 // wal_append span under the job's root; a write failure is logged, not
-// fatal — the service keeps running on its in-memory state, exactly as a
-// failed snapshot write behaved.
+// fatal — the service keeps running on its in-memory state.
 func (s *Server) walAppend(j *Job, rec wal.Record) {
 	if s.wal == nil {
 		return
@@ -157,8 +155,6 @@ func (s *Server) walTerminal(j *Job) {
 // walGather renders the store's current state as canonical records — the
 // checkpoint body. Runs with the log lock held (appends stalled); takes
 // store.mu and each job's mu, which is why no append site may hold those.
-// Jobs loaded from legacy snapshots serialize like any other terminal job,
-// so the first compaction migrates snapshot history into the WAL.
 func (s *Server) walGather() []wal.Record {
 	var out []wal.Record
 	add := func(typ wal.Type, id string, payload interface{}) {
@@ -175,7 +171,7 @@ func (s *Server) walGather() []wal.Record {
 		j.mu.Unlock()
 		if !final {
 			select {
-			case <-j.done: // loaded-from-snapshot jobs never set walFinal
+			case <-j.done: // jobs rehydrated at replay never set walFinal
 				final = true
 			default:
 			}
@@ -221,7 +217,7 @@ type walReplayState struct {
 }
 
 // replayWAL folds the recovered record stream into jobs: terminal records
-// rehydrate exactly like snapshots; submitted-but-unfinished jobs come
+// rehydrate as finished jobs; submitted-but-unfinished jobs come
 // back as pending, carrying their logged case results to resume from.
 // Malformed or orphaned records count as load errors and are skipped — a
 // corrupt record must not keep the service from starting. Returns the

@@ -66,17 +66,11 @@ type ConcurrentResult struct {
 	DetectedFailures []int
 }
 
-// RunConcurrent executes the workload and returns per-job and aggregate
-// statistics. It is the legacy blocking entry point; new code should call
-// RunConcurrentContext, which honors cancellation.
-func RunConcurrent(cc ConcurrentConfig) (*ConcurrentResult, error) {
-	return RunConcurrentContext(context.Background(), cc)
-}
-
-// RunConcurrentContext executes the workload like RunConcurrent but honors
-// ctx: the shared simulation engine polls for cancellation between events,
-// so a cancelled context returns ctx.Err() promptly (immediately when
-// already cancelled) instead of running the jobs to completion.
+// RunConcurrentContext executes the workload and returns per-job and
+// aggregate statistics. It honors ctx: the shared simulation engine polls
+// for cancellation between events, so a cancelled context returns
+// ctx.Err() promptly (immediately when already cancelled) instead of
+// running the jobs to completion.
 func RunConcurrentContext(ctx context.Context, cc ConcurrentConfig) (*ConcurrentResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -95,13 +89,6 @@ func RunConcurrentContext(ctx context.Context, cc ConcurrentConfig) (*Concurrent
 func (cc ConcurrentConfig) resolve() (ConcurrentConfig, error) {
 	if cc.NumJobs < 1 || cc.GPUsPerJob < 1 {
 		return cc, fmt.Errorf("trainer: need >= 1 job and GPU per job")
-	}
-	if cc.Base.Backend == BackendConcurrent {
-		// HP-search jobs share one simulation engine (cross-job cache and
-		// staging contention is the whole point); they have no concurrent
-		// execution path yet, and silently running analytic would
-		// misrepresent the requested backend.
-		return cc, fmt.Errorf("trainer: HP-search jobs are not supported by the concurrent backend")
 	}
 	base := cc.Base
 	base.NumServers = 1

@@ -1,6 +1,7 @@
 package trainer
 
 import (
+	"context"
 	"testing"
 
 	"datastall/internal/cluster"
@@ -17,7 +18,7 @@ func TestCoordinatedMultiGPUJobs(t *testing.T) {
 		Spec: cluster.ConfigSSDV100(), Epochs: 2,
 		CacheBytes: d.TotalBytes, Batch: 128,
 	}
-	r, err := RunConcurrent(ConcurrentConfig{
+	r, err := RunConcurrentContext(context.Background(), ConcurrentConfig{
 		Base: base, NumJobs: 4, GPUsPerJob: 2, Coordinated: true,
 	})
 	if err != nil {
@@ -47,14 +48,14 @@ func TestCoordUsePageCacheAblation(t *testing.T) {
 		Spec: cluster.ConfigSSDV100(), Epochs: 3,
 		CacheBytes: 0.5 * d.TotalBytes, Batch: 128,
 	}
-	pagecacheCoord, err := RunConcurrent(ConcurrentConfig{
+	pagecacheCoord, err := RunConcurrentContext(context.Background(), ConcurrentConfig{
 		Base: base, NumJobs: 8, GPUsPerJob: 1,
 		Coordinated: true, CoordUsePageCache: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	minioCoord, err := RunConcurrent(ConcurrentConfig{
+	minioCoord, err := RunConcurrentContext(context.Background(), ConcurrentConfig{
 		Base: base, NumJobs: 8, GPUsPerJob: 1, Coordinated: true,
 	})
 	if err != nil {
@@ -71,7 +72,7 @@ func TestDisableRemoteFetchAblation(t *testing.T) {
 	// storage on local misses — slower on HDD (§4.2's premise).
 	d := dataset.OpenImages.Scale(0.003)
 	run := func(disable bool) *Result {
-		r, err := Run(Config{
+		r, err := RunContext(context.Background(), Config{
 			Model: gpu.MustByName("resnet18"), Dataset: d,
 			Spec: cluster.ConfigHDD1080Ti(), NumServers: 2, Batch: 128,
 			Loader: loader.CoorDL, CacheBytes: 0.65 * d.TotalBytes,
@@ -102,7 +103,7 @@ func TestTFRecordConcurrentReadAmplification(t *testing.T) {
 		Spec: cluster.ConfigSSDV100(), Loader: loader.DALIShuffle,
 		Batch: 8, CacheBytes: 0.35 * records.TotalBytes, Epochs: 3,
 	}
-	r, err := RunConcurrent(ConcurrentConfig{Base: base, NumJobs: 8, GPUsPerJob: 1})
+	r, err := RunConcurrentContext(context.Background(), ConcurrentConfig{Base: base, NumJobs: 8, GPUsPerJob: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,13 +118,13 @@ func TestConcurrentValidation(t *testing.T) {
 		Model: gpu.MustByName("alexnet"), Dataset: d,
 		Spec: cluster.ConfigSSDV100(), Batch: 128,
 	}
-	if _, err := RunConcurrent(ConcurrentConfig{Base: base, NumJobs: 0, GPUsPerJob: 1}); err == nil {
+	if _, err := RunConcurrentContext(context.Background(), ConcurrentConfig{Base: base, NumJobs: 0, GPUsPerJob: 1}); err == nil {
 		t.Fatal("zero jobs should fail")
 	}
-	if _, err := RunConcurrent(ConcurrentConfig{Base: base, NumJobs: 9, GPUsPerJob: 1}); err == nil {
+	if _, err := RunConcurrentContext(context.Background(), ConcurrentConfig{Base: base, NumJobs: 9, GPUsPerJob: 1}); err == nil {
 		t.Fatal("9 jobs on 8 GPUs should fail")
 	}
-	if _, err := RunConcurrent(ConcurrentConfig{Base: base, NumJobs: 2, GPUsPerJob: 8}); err == nil {
+	if _, err := RunConcurrentContext(context.Background(), ConcurrentConfig{Base: base, NumJobs: 2, GPUsPerJob: 8}); err == nil {
 		t.Fatal("16 GPUs on an 8-GPU server should fail")
 	}
 }
@@ -138,11 +139,11 @@ func TestCoordinatedDeterminism(t *testing.T) {
 		},
 		NumJobs: 8, GPUsPerJob: 1, Coordinated: true,
 	}
-	a, err := RunConcurrent(cc)
+	a, err := RunConcurrentContext(context.Background(), cc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunConcurrent(cc)
+	b, err := RunConcurrentContext(context.Background(), cc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +163,7 @@ func TestStagingEvictionsComplete(t *testing.T) {
 		Spec: cluster.ConfigSSDV100(), Epochs: 2,
 		CacheBytes: d.TotalBytes, Batch: 64,
 	}
-	r, err := RunConcurrent(ConcurrentConfig{
+	r, err := RunConcurrentContext(context.Background(), ConcurrentConfig{
 		Base: base, NumJobs: 4, GPUsPerJob: 1, Coordinated: true,
 		TraceStagingMem: true,
 	})

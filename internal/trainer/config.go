@@ -16,8 +16,8 @@
 //
 // Jobs are built with functional options, validated explicitly (Validate
 // returns a *FieldError wrapping a sentinel like ErrBadGPUs, matchable with
-// errors.Is), executed under a context — cancellation propagates into both
-// backends, so Run returns ctx.Err() promptly even mid-epoch — and observed
+// errors.Is), executed under a context — the simulation polls it between
+// events, so Run returns ctx.Err() promptly even mid-epoch — and observed
 // while running: Observers receive typed events (JobStarted, EpochStarted,
 // EpochEnded with per-epoch stats and cache occupancy, JobEnded) streamed
 // as the simulation advances. The built-in DiskTraceObserver and
@@ -25,12 +25,9 @@
 // only way to request traces (the old Config.TraceDiskIO/TraceCPU flags
 // are gone).
 //
-// Run(cfg Config) and RunConcurrent(cc) remain as thin blocking shims over
-// the same execution path for existing callers — byte-identical output,
-// no cancellation, no events. They are the deprecation path: new code
-// should use New(...).Run(ctx, ...) or the ctx-aware RunContext /
-// RunConcurrentContext, and the shims will eventually be retired with the
-// remaining flag-style Config knobs they exist to serve.
+// Callers that already hold a Config use RunContext (one job) or
+// RunConcurrentContext (an HP-search workload); both share Job.Run's
+// execution path and produce byte-identical results.
 package trainer
 
 import (
@@ -58,32 +55,6 @@ const (
 	// FullyCached serves every item from DRAM (phase 2, isolates prep).
 	FullyCached
 )
-
-// Backend selects how a job is executed.
-type Backend int
-
-// Execution backends. Both drive the same samplers, cache policies, and
-// prep-cost model; they differ in what "time" means.
-const (
-	// BackendAnalytic runs the discrete-event simulation (the default):
-	// single-threaded, deterministic, and timed by the hardware model.
-	// All paper reproductions use this backend.
-	BackendAnalytic Backend = iota
-	// BackendConcurrent executes the data-loading path for real: a
-	// goroutine fetch->prep worker pipeline per server over sharded,
-	// goroutine-safe caches. Cache statistics match the analytic backend
-	// (exactly, for MinIO over equal-sized items); Duration is host
-	// wall-clock, and compute/stall times are not modeled.
-	BackendConcurrent
-)
-
-// String returns the backend name.
-func (b Backend) String() string {
-	if b == BackendConcurrent {
-		return "concurrent"
-	}
-	return "analytic"
-}
 
 // GPUPrepMode controls DALI's GPU-side pre-processing pipeline.
 type GPUPrepMode int
@@ -131,14 +102,6 @@ type Config struct {
 	PrefetchDepth int
 
 	Seed int64
-
-	// Backend selects analytic simulation (default) or real concurrent
-	// execution of the loading path.
-	Backend Backend
-	// CacheShards is the lock-stripe count for the concurrent backend's
-	// sharded caches (0 = cache.DefaultShards). Ignored by the analytic
-	// backend.
-	CacheShards int
 
 	// RecordBytes > 0 selects the TFRecord-style serialized format
 	// (§3.3.3): items are packed into record files of this size, read
@@ -191,9 +154,6 @@ func (c Config) Validate() error {
 	}
 	if c.NumServers < 1 || c.Epochs < 1 {
 		return fmt.Errorf("trainer: need >= 1 server and epoch")
-	}
-	if c.Backend == BackendConcurrent && c.RecordBytes > 0 {
-		return fmt.Errorf("trainer: TFRecord format is not supported by the concurrent backend")
 	}
 	return nil
 }
@@ -279,9 +239,8 @@ type Result struct {
 	TotalNetBytes  float64
 	TotalTime      float64
 
-	// PrepBusySeconds is the modeled prep time accumulated by the
-	// concurrent backend's prep pools (zero under the analytic backend,
-	// which accounts prep inside the simulation clock).
+	// PrepBusySeconds is always 0; kept so memo entries and
+	// golden-paths.json stay byte-identical.
 	PrepBusySeconds float64
 }
 

@@ -33,7 +33,7 @@ func goldenPaths(t *testing.T) map[string]any {
 	}
 	out := map[string]any{}
 
-	kill, err := RunConcurrent(ConcurrentConfig{
+	kill, err := RunConcurrentContext(context.Background(), ConcurrentConfig{
 		Base: coordBase, NumJobs: 4, GPUsPerJob: 1, Coordinated: true,
 		KillJob: 2, KillAfterBatches: 3,
 	})
@@ -43,7 +43,7 @@ func goldenPaths(t *testing.T) map[string]any {
 	out["coord-kill"] = kill
 
 	// A staging cap of a few prepared batches makes producers block on it.
-	staged, err := RunConcurrent(ConcurrentConfig{
+	staged, err := RunConcurrentContext(context.Background(), ConcurrentConfig{
 		Base: coordBase, NumJobs: 4, GPUsPerJob: 1, Coordinated: true,
 		StagingCapBytes: 6 * float64(coordBase.Batch) * coordBase.Model.PreparedBytes,
 		TraceStagingMem: true,
@@ -64,7 +64,7 @@ func goldenPaths(t *testing.T) map[string]any {
 	}
 	out["hdd-traces"] = traced
 
-	part, err := Run(Config{
+	part, err := RunContext(context.Background(), Config{
 		Model: gpu.MustByName("alexnet"), Dataset: hd,
 		Spec: cluster.ConfigSSDV100(), Loader: loader.CoorDL,
 		NumServers: 2, Epochs: 3, CacheBytes: 0.4 * hd.TotalBytes, Batch: 64, Seed: 9,

@@ -13,10 +13,10 @@ import (
 )
 
 // Job is a configured training job built with New and functional options.
-// Unlike the legacy Run(Config) shim — which silently fills every zero field
-// and reports problems as untyped strings — a Job separates construction
-// (New + options), explicit validation (Validate, returning typed errors),
-// and cancellable, observable execution (Run).
+// Unlike RunContext on a bare Config — which silently fills every zero
+// field and reports problems as untyped strings — a Job separates
+// construction (New + options), explicit validation (Validate, returning
+// typed errors), and cancellable, observable execution (Run).
 type Job struct {
 	cfg Config
 }
@@ -36,8 +36,8 @@ func New(model *gpu.Model, ds *dataset.Dataset, spec cluster.ServerSpec, opts ..
 	return &Job{cfg: cfg}
 }
 
-// FromConfig wraps a legacy Config as a Job, the bridge for callers
-// migrating off Run(cfg).
+// FromConfig wraps a Config as a Job, so a caller holding a Config gets
+// typed validation and observers.
 func FromConfig(cfg Config) *Job { return &Job{cfg: cfg} }
 
 // WithServers sets the server count (weak scaling, §3.1).
@@ -78,13 +78,6 @@ func WithPrefetchDepth(n int) Option { return func(c *Config) { c.PrefetchDepth 
 // WithSeed seeds all randomized components (default 1).
 func WithSeed(s int64) Option { return func(c *Config) { c.Seed = s } }
 
-// WithBackend selects the analytic simulation (default) or the concurrent
-// goroutine backend.
-func WithBackend(b Backend) Option { return func(c *Config) { c.Backend = b } }
-
-// WithCacheShards sets the concurrent backend's lock-stripe count.
-func WithCacheShards(n int) Option { return func(c *Config) { c.CacheShards = n } }
-
 // WithRecordBytes selects the TFRecord-style serialized format (§3.3.3)
 // with record files of the given size.
 func WithRecordBytes(b float64) Option { return func(c *Config) { c.RecordBytes = b } }
@@ -117,12 +110,6 @@ var (
 	ErrBadPrefetch = errors.New("prefetch depth must be >= 0")
 	// ErrBadRecordBytes: negative TFRecord file size.
 	ErrBadRecordBytes = errors.New("record bytes must be >= 0")
-	// ErrBadBackend: Backend is neither BackendAnalytic nor
-	// BackendConcurrent.
-	ErrBadBackend = errors.New("unknown backend")
-	// ErrUnsupported: the field combination is individually valid but has
-	// no implementation (e.g. TFRecord on the concurrent backend).
-	ErrUnsupported = errors.New("unsupported configuration")
 )
 
 // FieldError is a typed validation failure: Field names the offending
@@ -193,13 +180,6 @@ func validateJob(c Config) error {
 	if c.RecordBytes < 0 {
 		return fieldErr("RecordBytes", ErrBadRecordBytes, "got %g", c.RecordBytes)
 	}
-	if c.Backend != BackendAnalytic && c.Backend != BackendConcurrent {
-		return fieldErr("Backend", ErrBadBackend, "got %d", int(c.Backend))
-	}
-	if c.Backend == BackendConcurrent && c.RecordBytes > 0 {
-		return fieldErr("RecordBytes", ErrUnsupported,
-			"TFRecord format is not supported by the concurrent backend")
-	}
 	return nil
 }
 
@@ -207,10 +187,9 @@ func validateJob(c Config) error {
 // knob replaced by the default Run would apply.
 func (j *Job) Config() Config { return j.cfg.withDefaults() }
 
-// Run executes the job. It honors ctx on both backends — the analytic
-// simulation polls for cancellation between events and the concurrent
-// pipeline selects on ctx at its channel sends — returning ctx.Err() when
-// cancelled (promptly, even with an already-cancelled context). Observers
+// Run executes the job. It honors ctx — the simulation polls for
+// cancellation between events — returning ctx.Err() when cancelled
+// (promptly, even with an already-cancelled context). Observers
 // receive typed progress events (JobStarted, EpochStarted, EpochEnded,
 // JobEnded) streamed during execution; pass DiskTraceObserver() /
 // CPUTraceObserver() to enable the Result's time-series traces.

@@ -42,9 +42,6 @@ func TestJobValidateTypedErrors(t *testing.T) {
 		{"negative cache", New(m, d, spec, WithCacheBytes(-1)), ErrBadCache, "CacheBytes"},
 		{"negative prefetch", New(m, d, spec, WithPrefetchDepth(-1)), ErrBadPrefetch, "PrefetchDepth"},
 		{"negative record bytes", New(m, d, spec, WithRecordBytes(-1)), ErrBadRecordBytes, "RecordBytes"},
-		{"unknown backend", New(m, d, spec, WithBackend(Backend(7))), ErrBadBackend, "Backend"},
-		{"tfrecord on concurrent", New(m, d, spec,
-			WithBackend(BackendConcurrent), WithRecordBytes(1024)), ErrUnsupported, "RecordBytes"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -79,16 +76,16 @@ func TestJobValidateTypedErrors(t *testing.T) {
 	}
 }
 
-// TestJobRunMatchesLegacyShim proves the legacy Run(cfg) shim and the Job
-// API are one execution path: identical results, field for field.
-func TestJobRunMatchesLegacyShim(t *testing.T) {
+// TestJobRunMatchesRunContext proves RunContext on a bare Config and the
+// Job API are one execution path: identical results, field for field.
+func TestJobRunMatchesRunContext(t *testing.T) {
 	m, d, spec := jobModel(t), jobDataset(), cluster.ConfigSSDV100()
 	cfg := Config{
 		Model: m, Dataset: d, Spec: spec,
 		Loader: loader.CoorDL, CacheBytes: 0.35 * d.TotalBytes,
 		Epochs: 3, Seed: 9,
 	}
-	legacy, err := Run(cfg)
+	direct, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,8 +99,8 @@ func TestJobRunMatchesLegacyShim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(legacy, viaJob) {
-		t.Fatalf("shim and Job results diverge:\nlegacy: %+v\njob:    %+v", legacy, viaJob)
+	if !reflect.DeepEqual(direct, viaJob) {
+		t.Fatalf("RunContext and Job results diverge:\ndirect: %+v\njob:    %+v", direct, viaJob)
 	}
 }
 
@@ -118,47 +115,44 @@ func (r *recorder) Observe(ev Event) { r.events = append(r.events, ev) }
 func TestObserverEventSequence(t *testing.T) {
 	m, d, spec := jobModel(t), jobDataset(), cluster.ConfigSSDV100()
 	epochs := 3
-	for _, backend := range []Backend{BackendAnalytic, BackendConcurrent} {
-		rec := &recorder{}
-		job := New(m, d, spec,
-			WithLoader(loader.CoorDL),
-			WithCacheBytes(0.35*d.TotalBytes),
-			WithEpochs(epochs),
-			WithBackend(backend),
-		)
-		res, err := job.Run(context.Background(), rec)
-		if err != nil {
-			t.Fatalf("%v: %v", backend, err)
+	rec := &recorder{}
+	job := New(m, d, spec,
+		WithLoader(loader.CoorDL),
+		WithCacheBytes(0.35*d.TotalBytes),
+		WithEpochs(epochs),
+	)
+	res, err := job.Run(context.Background(), rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 2 + 2*epochs // JobStarted + per-epoch pair + JobEnded
+	if len(rec.events) != want {
+		t.Fatalf("%d events, want %d: %#v", len(rec.events), want, rec.events)
+	}
+	js, ok := rec.events[0].(JobStarted)
+	if !ok || js.Epochs != epochs {
+		t.Fatalf("first event %#v, want JobStarted", rec.events[0])
+	}
+	for e := 0; e < epochs; e++ {
+		es, ok := rec.events[1+2*e].(EpochStarted)
+		if !ok || es.Epoch != e {
+			t.Fatalf("event %d = %#v, want EpochStarted{%d}", 1+2*e, rec.events[1+2*e], e)
 		}
-		want := 2 + 2*epochs // JobStarted + per-epoch pair + JobEnded
-		if len(rec.events) != want {
-			t.Fatalf("%v: %d events, want %d: %#v", backend, len(rec.events), want, rec.events)
+		ee, ok := rec.events[2+2*e].(EpochEnded)
+		if !ok || ee.Epoch != e {
+			t.Fatalf("event %d = %#v, want EpochEnded{%d}", 2+2*e, rec.events[2+2*e], e)
 		}
-		js, ok := rec.events[0].(JobStarted)
-		if !ok || js.Epochs != epochs || js.Backend != backend {
-			t.Fatalf("%v: first event %#v, want JobStarted", backend, rec.events[0])
+		if ee.Stats != res.Epochs[e] {
+			t.Fatalf("epoch %d streamed stats %+v != result %+v", e, ee.Stats, res.Epochs[e])
 		}
-		for e := 0; e < epochs; e++ {
-			es, ok := rec.events[1+2*e].(EpochStarted)
-			if !ok || es.Epoch != e {
-				t.Fatalf("%v: event %d = %#v, want EpochStarted{%d}", backend, 1+2*e, rec.events[1+2*e], e)
-			}
-			ee, ok := rec.events[2+2*e].(EpochEnded)
-			if !ok || ee.Epoch != e {
-				t.Fatalf("%v: event %d = %#v, want EpochEnded{%d}", backend, 2+2*e, rec.events[2+2*e], e)
-			}
-			if backend == BackendAnalytic && ee.Stats != res.Epochs[e] {
-				t.Fatalf("%v: epoch %d streamed stats %+v != result %+v", backend, e, ee.Stats, res.Epochs[e])
-			}
-			// CoorDL populates its cache in epoch 0, so occupancy at every
-			// epoch boundary must be positive.
-			if ee.CacheUsedBytes <= 0 {
-				t.Fatalf("%v: epoch %d cache occupancy %g, want > 0", backend, e, ee.CacheUsedBytes)
-			}
+		// CoorDL populates its cache in epoch 0, so occupancy at every
+		// epoch boundary must be positive.
+		if ee.CacheUsedBytes <= 0 {
+			t.Fatalf("epoch %d cache occupancy %g, want > 0", e, ee.CacheUsedBytes)
 		}
-		if je, ok := rec.events[len(rec.events)-1].(JobEnded); !ok || je.Result != res {
-			t.Fatalf("%v: last event %#v, want JobEnded with the result", backend, rec.events[len(rec.events)-1])
-		}
+	}
+	if je, ok := rec.events[len(rec.events)-1].(JobEnded); !ok || je.Result != res {
+		t.Fatalf("last event %#v, want JobEnded with the result", rec.events[len(rec.events)-1])
 	}
 }
 
@@ -180,58 +174,53 @@ func TestObserverTraceMarkersEnableTraces(t *testing.T) {
 }
 
 // TestRunCancelledBeforeStart: a job launched with an already-cancelled
-// context returns context.Canceled promptly on both backends.
+// context returns context.Canceled promptly.
 func TestRunCancelledBeforeStart(t *testing.T) {
 	m, d, spec := jobModel(t), jobDataset(), cluster.ConfigSSDV100()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, backend := range []Backend{BackendAnalytic, BackendConcurrent} {
-		job := New(m, d, spec, WithLoader(loader.CoorDL),
-			WithCacheBytes(0.35*d.TotalBytes), WithBackend(backend))
-		start := time.Now()
-		res, err := job.Run(ctx)
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("%v: err = %v, want context.Canceled", backend, err)
-		}
-		if res != nil {
-			t.Fatalf("%v: got a result from a cancelled run", backend)
-		}
-		if elapsed := time.Since(start); elapsed > 2*time.Second {
-			t.Fatalf("%v: cancelled run took %v", backend, elapsed)
-		}
+	job := New(m, d, spec, WithLoader(loader.CoorDL), WithCacheBytes(0.35*d.TotalBytes))
+	start := time.Now()
+	res, err := job.Run(ctx)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if res != nil {
+		t.Fatal("got a result from a cancelled run")
+	}
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Fatalf("cancelled run took %v", elapsed)
 	}
 }
 
 // TestRunCancelMidEpoch cancels from inside the event stream (first
-// EpochEnded) and requires both backends to abort with ctx.Err() instead of
+// EpochEnded) and requires the run to abort with ctx.Err() instead of
 // finishing the remaining epochs. The small batch keeps each remaining
 // epoch well past the engine's cancellation-poll interval, so the abort
 // must land mid-run, not at the end.
 func TestRunCancelMidEpoch(t *testing.T) {
 	m, spec := jobModel(t), cluster.ConfigSSDV100()
 	d := dataset.ImageNet1K.Scale(0.02)
-	for _, backend := range []Backend{BackendAnalytic, BackendConcurrent} {
-		ctx, cancel := context.WithCancel(context.Background())
-		seen := 0
-		cancelOnFirstEpoch := ObserverFunc(func(ev Event) {
-			if _, ok := ev.(EpochEnded); ok {
-				seen++
-				cancel()
-			}
-		})
-		job := New(m, d, spec, WithLoader(loader.CoorDL), WithBatch(16),
-			WithCacheBytes(0.35*d.TotalBytes), WithEpochs(4), WithBackend(backend))
-		res, err := job.Run(ctx, cancelOnFirstEpoch)
-		cancel()
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("%v: err = %v, want context.Canceled", backend, err)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	seen := 0
+	cancelOnFirstEpoch := ObserverFunc(func(ev Event) {
+		if _, ok := ev.(EpochEnded); ok {
+			seen++
+			cancel()
 		}
-		if res != nil {
-			t.Fatalf("%v: got a result from a cancelled run", backend)
-		}
-		if seen == 0 || seen >= 4 {
-			t.Fatalf("%v: saw %d EpochEnded events, want an aborted run (1..3)", backend, seen)
-		}
+	})
+	job := New(m, d, spec, WithLoader(loader.CoorDL), WithBatch(16),
+		WithCacheBytes(0.35*d.TotalBytes), WithEpochs(4))
+	res, err := job.Run(ctx, cancelOnFirstEpoch)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if res != nil {
+		t.Fatal("got a result from a cancelled run")
+	}
+	if seen == 0 || seen >= 4 {
+		t.Fatalf("saw %d EpochEnded events, want an aborted run (1..3)", seen)
 	}
 }
 

@@ -7,8 +7,7 @@ import (
 
 // Event is a typed progress notification streamed to Observers while a Job
 // runs. Concrete events are JobStarted, EpochStarted, EpochEnded and
-// JobEnded. Times are simulated seconds under BackendAnalytic and host
-// wall-clock seconds since the job started under BackendConcurrent.
+// JobEnded. Times are simulated seconds.
 type Event interface{ isEvent() }
 
 // JobStarted is emitted once, before the first epoch begins.
@@ -19,7 +18,6 @@ type JobStarted struct {
 	Epochs        int
 	Servers       int
 	GPUsPerServer int
-	Backend       Backend
 }
 
 // EpochStarted is emitted when an epoch's first iteration may begin.
@@ -55,7 +53,7 @@ func (EpochEnded) isEvent()   {}
 func (JobEnded) isEvent()     {}
 
 // Observer receives Events during Job.Run. Observe is called synchronously
-// from the run (on the simulation goroutine under BackendAnalytic), in
+// from the run (on the simulation goroutine), in
 // event order; implementations must not block on the job itself.
 type Observer interface {
 	Observe(Event)
@@ -73,8 +71,8 @@ func NewConsoleObserver(w io.Writer) Observer {
 	return ObserverFunc(func(ev Event) {
 		switch e := ev.(type) {
 		case JobStarted:
-			fmt.Fprintf(w, "job: %d epoch(s), %d server(s) x %d GPU(s), %s backend\n",
-				e.Epochs, e.Servers, e.GPUsPerServer, e.Backend)
+			fmt.Fprintf(w, "job: %d epoch(s), %d server(s) x %d GPU(s)\n",
+				e.Epochs, e.Servers, e.GPUsPerServer)
 		case EpochStarted:
 			fmt.Fprintf(w, "epoch %d: started t=%.2fs\n", e.Epoch, e.Time)
 		case EpochEnded:

@@ -18,22 +18,11 @@ type prepped struct {
 	rawBytes float64
 }
 
-// Run executes one training job (single- or multi-server) and returns its
-// statistics.
-//
-// Deprecated-path note: Run is the legacy blocking entry point, kept as a
-// thin shim over the context-aware Job API so existing callers (and the
-// golden suite outputs) are unaffected. New code should build a trainer.Job
-// with New(...) and call Job.Run(ctx, observers...) — or use RunContext for
-// a Config it already has.
-func Run(cfg Config) (*Result, error) {
-	return RunContext(context.Background(), cfg)
-}
-
-// RunContext executes cfg like Run but honors ctx (cancellation propagates
-// into both backends) and streams typed progress events to obs. For an
-// uncancelled context and no observers it is behaviorally identical to Run:
-// same defaulting, same validation, bit-identical results.
+// RunContext executes one training job (single- or multi-server) described
+// by cfg and returns its statistics. It honors ctx (the simulation polls it
+// between events) and streams typed progress events to obs. It fills
+// cfg's zero fields with defaults; Job.Run is the typed-validation entry
+// point over the same execution path, with bit-identical results.
 func RunContext(ctx context.Context, cfg Config, obs ...Observer) (*Result, error) {
 	if cfg.Model == nil || cfg.Dataset == nil {
 		return nil, fmt.Errorf("trainer: model and dataset are required")
@@ -45,14 +34,11 @@ func RunContext(ctx context.Context, cfg Config, obs ...Observer) (*Result, erro
 	return runJob(ctx, cfg, obs)
 }
 
-// runJob executes a defaulted, validated config on its backend. It is the
-// single execution path behind Run, RunContext and Job.Run.
+// runJob simulates a defaulted, validated config. It is the single
+// execution path behind RunContext and Job.Run.
 func runJob(ctx context.Context, cfg Config, obs observers) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
-	}
-	if cfg.Backend == BackendConcurrent {
-		return runConcurrent(ctx, cfg, obs)
 	}
 	eng := sim.New()
 	cl := cluster.Build(eng, cfg.Spec, cfg.NumServers)
@@ -77,7 +63,7 @@ func runJob(ctx context.Context, cfg Config, obs observers) (*Result, error) {
 	rt.launch()
 	rt.obs.emit(JobStarted{
 		Epochs: cfg.Epochs, Servers: cfg.NumServers,
-		GPUsPerServer: cfg.GPUsPerServer, Backend: cfg.Backend,
+		GPUsPerServer: cfg.GPUsPerServer,
 	})
 	rt.obs.emit(EpochStarted{Epoch: 0})
 	if err := eng.RunContext(ctx, sim.DefaultCancelPoll); err != nil {
@@ -122,9 +108,8 @@ type jobRuntime struct {
 	plans map[int]*epochPlan
 
 	// Cumulative counters (single-threaded simulation: plain fields).
-	fetch    loader.FetchResult
-	prepBusy float64
-	waitGet  float64
+	fetch   loader.FetchResult
+	waitGet float64
 
 	// Per-epoch snapshots taken by the coordinator GPU.
 	snaps []snapshot
@@ -133,7 +118,7 @@ type jobRuntime struct {
 	cpuTrace  *stats.TimeSeries
 
 	// obs receives typed progress events; nil-safe (emit on an empty list
-	// is a no-op), so the legacy Run path pays nothing.
+	// is a no-op), so a run without observers pays nothing.
 	obs observers
 }
 
@@ -163,9 +148,7 @@ type epochPlan struct {
 // orderSource produces per-epoch visit orders for one job. It is built once
 // per job — its sampler is constructed a single time, not once per epoch per
 // process, and writes IDs straight into the epoch buffer with no
-// materialised shard — and is the sampling policy shared by both backends:
-// the analytic simulation and the concurrent pipeline drive identical
-// orders, which is what makes their cache statistics comparable.
+// materialised shard.
 type orderSource struct {
 	cfg         Config
 	ownerShards []dataset.Shard
@@ -467,10 +450,8 @@ func (ps *producerSM) step(p *sim.Proc) {
 				}
 			}
 		case psPrepped:
-			dur := ps.raw / rt.prepRatePerGPU
-			rt.prepBusy += dur
 			if rt.cpuTrace != nil {
-				rt.cpuTrace.Add(p.Now(), dur)
+				rt.cpuTrace.Add(p.Now(), ps.raw/rt.prepRatePerGPU)
 			}
 			ps.since = p.Now()
 			ps.state = psPut

@@ -19,7 +19,7 @@ func TestSyntheticMatchesIngestionRate(t *testing.T) {
 	// DS-Analyzer phase 1: synthetic data at the GPUs -> throughput must
 	// equal G x nGPUs within a small pipeline overhead.
 	m := gpu.MustByName("resnet18")
-	r, err := Run(Config{
+	r, err := RunContext(context.Background(), Config{
 		Model: m, Dataset: small(dataset.ImageNet1K, 0.02),
 		Spec: cluster.ConfigSSDV100(), FetchMode: Synthetic, Epochs: 3,
 	})
@@ -46,7 +46,7 @@ func TestFullyCachedPrepStall(t *testing.T) {
 	}
 	starved := base
 	starved.ThreadsPerGPU = 3
-	r, err := Run(starved)
+	r, err := RunContext(context.Background(), starved)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestFullyCachedPrepStall(t *testing.T) {
 	rich := base
 	rich.GPUsPerServer = 1
 	rich.ThreadsPerGPU = 14
-	r2, err := Run(rich)
+	r2, err := RunContext(context.Background(), rich)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestMinIOBeatsPageCacheEndToEnd(t *testing.T) {
 	// outperforms the DALI baselines by eliminating thrashing.
 	d := small(dataset.OpenImages, 0.004)
 	run := func(k loader.Kind) *Result {
-		r, err := Run(Config{
+		r, err := RunContext(context.Background(), Config{
 			Model: gpu.MustByName("shufflenetv2"), Dataset: d,
 			Spec: cluster.ConfigSSDV100(), Loader: k, Epochs: 3,
 			CacheBytes: 0.65 * d.TotalBytes,
@@ -116,7 +116,7 @@ func TestPartitionedCachingEliminatesDiskIO(t *testing.T) {
 	// §4.2: with aggregate memory >= dataset, the dataset is fetched from
 	// storage exactly once (the first epoch) for the whole job.
 	d := small(dataset.OpenImages, 0.004)
-	r, err := Run(Config{
+	r, err := RunContext(context.Background(), Config{
 		Model: gpu.MustByName("alexnet"), Dataset: d,
 		Spec: cluster.ConfigHDD1080Ti(), Loader: loader.CoorDL,
 		NumServers: 2, Epochs: 3, CacheBytes: 0.65 * d.TotalBytes,
@@ -142,7 +142,7 @@ func TestDistributedCoorDLBeatsDALIOnHDD(t *testing.T) {
 	// Fig 9(b): partitioned caching vs DALI on 2 HDD servers.
 	d := small(dataset.OpenImages, 0.003)
 	run := func(k loader.Kind) *Result {
-		r, err := Run(Config{
+		r, err := RunContext(context.Background(), Config{
 			Model: gpu.MustByName("alexnet"), Dataset: d,
 			Spec: cluster.ConfigHDD1080Ti(), Loader: k,
 			NumServers: 2, Epochs: 3, CacheBytes: 0.65 * d.TotalBytes,
@@ -176,11 +176,11 @@ func TestCoordinatedPrepSpeedsUpHPSearch(t *testing.T) {
 		Spec: cluster.ConfigSSDV100(), Epochs: 3,
 		CacheBytes: 0.65 * d.TotalBytes, Batch: 256,
 	}
-	indep, err := RunConcurrent(ConcurrentConfig{Base: base, NumJobs: 8, GPUsPerJob: 1})
+	indep, err := RunConcurrentContext(context.Background(), ConcurrentConfig{Base: base, NumJobs: 8, GPUsPerJob: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord, err := RunConcurrent(ConcurrentConfig{Base: base, NumJobs: 8, GPUsPerJob: 1, Coordinated: true})
+	coord, err := RunConcurrentContext(context.Background(), ConcurrentConfig{Base: base, NumJobs: 8, GPUsPerJob: 1, Coordinated: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestCoordinatedStagingMemoryBounded(t *testing.T) {
 		CacheBytes: d.TotalBytes, Batch: 128,
 	}
 	cap := 2 * stats.GiB
-	r, err := RunConcurrent(ConcurrentConfig{
+	r, err := RunConcurrentContext(context.Background(), ConcurrentConfig{
 		Base: base, NumJobs: 4, GPUsPerJob: 1, Coordinated: true,
 		StagingCapBytes: cap, TraceStagingMem: true,
 	})
@@ -237,7 +237,7 @@ func TestCoordinatedFailureRecovery(t *testing.T) {
 		Spec: cluster.ConfigSSDV100(), Epochs: 2,
 		CacheBytes: d.TotalBytes, Batch: 128,
 	}
-	r, err := RunConcurrent(ConcurrentConfig{
+	r, err := RunConcurrentContext(context.Background(), ConcurrentConfig{
 		Base: base, NumJobs: 4, GPUsPerJob: 1, Coordinated: true,
 		KillJob: 2, KillAfterBatches: 3,
 	})
@@ -260,7 +260,7 @@ func TestCoordinatedFailureRecovery(t *testing.T) {
 
 func TestMultiGPUBarrierKeepsGPUsInLockstep(t *testing.T) {
 	d := small(dataset.ImageNet1K, 0.01)
-	r, err := Run(Config{
+	r, err := RunContext(context.Background(), Config{
 		Model: gpu.MustByName("resnet50"), Dataset: d,
 		Spec: cluster.ConfigSSDV100(), FetchMode: FullyCached, Epochs: 2,
 	})
@@ -275,10 +275,10 @@ func TestMultiGPUBarrierKeepsGPUsInLockstep(t *testing.T) {
 }
 
 func TestValidateRejectsBadConfigs(t *testing.T) {
-	if _, err := Run(Config{}); err == nil {
+	if _, err := RunContext(context.Background(), Config{}); err == nil {
 		t.Fatal("empty config should fail")
 	}
-	if _, err := Run(Config{
+	if _, err := RunContext(context.Background(), Config{
 		Model: gpu.MustByName("alexnet"), Dataset: dataset.ImageNet1K.Scale(0.001),
 		Spec: cluster.ConfigSSDV100(), GPUsPerServer: 99,
 	}); err == nil {
@@ -286,7 +286,7 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	}
 	// Dataset smaller than one global batch.
 	tiny := &dataset.Dataset{Name: "tiny", NumItems: 64, TotalBytes: 64 * 1000}
-	if _, err := Run(Config{
+	if _, err := RunContext(context.Background(), Config{
 		Model: gpu.MustByName("alexnet"), Dataset: tiny,
 		Spec: cluster.ConfigSSDV100(),
 	}); err == nil {
@@ -356,11 +356,11 @@ func TestDeterministicResults(t *testing.T) {
 		Spec: cluster.ConfigSSDV100(), Loader: loader.DALIShuffle, Epochs: 2,
 		CacheBytes: 0.5 * d.TotalBytes,
 	}
-	a, err := Run(cfg)
+	a, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(cfg)
+	b, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
