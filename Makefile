@@ -85,7 +85,9 @@ suite:
 # against the direct registry run, and the committed example scenario
 # (testdata/specs/cache-sweep.json — a sweep that exists nowhere in compiled
 # code) must load and run clean. A spec that sets the deleted "backend"
-# job field must make runsuite exit non-zero with an error naming it.
+# job field, a negative threads_per_gpu, or a scale outside (0, 1] must
+# make runsuite exit non-zero with an error naming the field (the scale
+# one without a panic's goroutine trace).
 speccheck:
 	$(GO) test -count=1 -run 'TestSpec|TestLoadSpec' ./internal/experiments
 	$(GO) run ./cmd/runsuite -spec testdata/specs/cache-sweep.json > /dev/null
@@ -93,6 +95,13 @@ speccheck:
 	@echo '{"name":"b","base":{"model":"resnet18","scale":0.01,"backend":"concurrent"},"rows":{"cases":[{"label":"r","set":{}}]},"row_header":["model"],"columns":[{"label":"s","metric":"epoch_s"}]}' > $(BUILD_DIR)/backend-spec.json
 	! $(GO) run ./cmd/runsuite -spec $(BUILD_DIR)/backend-spec.json > /dev/null 2> $(BUILD_DIR)/backend-spec.err
 	grep -q '"backend"' $(BUILD_DIR)/backend-spec.err
+	@echo '{"name":"t","base":{"model":"resnet18","scale":0.01,"threads_per_gpu":-2},"rows":{"cases":[{"label":"r","set":{}}]},"row_header":["model"],"columns":[{"label":"s","metric":"epoch_s"}]}' > $(BUILD_DIR)/threads-spec.json
+	! $(GO) run ./cmd/runsuite -spec $(BUILD_DIR)/threads-spec.json > /dev/null 2> $(BUILD_DIR)/threads-spec.err
+	grep -q 'ThreadsPerGPU' $(BUILD_DIR)/threads-spec.err
+	@echo '{"name":"s","base":{"model":"resnet18","scale":1.5},"rows":{"cases":[{"label":"r","set":{}}]},"row_header":["model"],"columns":[{"label":"s","metric":"epoch_s"}]}' > $(BUILD_DIR)/scale-spec.json
+	! $(GO) run ./cmd/runsuite -spec $(BUILD_DIR)/scale-spec.json > /dev/null 2> $(BUILD_DIR)/scale-spec.err
+	grep -q 'scale' $(BUILD_DIR)/scale-spec.err
+	! grep -q 'goroutine' $(BUILD_DIR)/scale-spec.err
 
 # Query gate: the committed example queries run against the committed
 # fig18-style scenario (testdata/specs/fig18-query.json) and their NDJSON

@@ -25,9 +25,10 @@
 //
 // Every run honors its context: cancellation (SIGINT in the CLIs, a
 // deadline in a service) propagates into the simulation and returns
-// ctx.Err() promptly, even mid-epoch. For streamed per-epoch progress,
-// functional options and typed validation errors, embed the trainer
-// package's Job API directly (see README.md, "Embedding the library").
+// ctx.Err() promptly, even mid-epoch. For streamed per-epoch progress and
+// typed validation errors, embed the trainer package directly: build a
+// trainer.Config, check it with Validate and run it with RunContext (see
+// README.md, "Embedding the library").
 // Declarative scenario sweeps — a base job plus parameter axes, as JSON —
 // run via RunScenario or `runsuite -spec file.json`.
 //
@@ -65,14 +66,11 @@ package datastall
 
 import (
 	"context"
-	"fmt"
 
-	"datastall/internal/cluster"
 	"datastall/internal/dataset"
 	"datastall/internal/dsanalyzer"
+	"datastall/internal/experiments"
 	"datastall/internal/gpu"
-	"datastall/internal/loader"
-	"datastall/internal/prep"
 	"datastall/internal/trainer"
 )
 
@@ -92,18 +90,6 @@ const (
 	ServerHighCPUV100 Server = "highcpu-v100"
 )
 
-func (s Server) spec() (cluster.ServerSpec, error) {
-	switch s {
-	case ServerSSDV100, "":
-		return cluster.ConfigSSDV100(), nil
-	case ServerHDD1080Ti:
-		return cluster.ConfigHDD1080Ti(), nil
-	case ServerHighCPUV100:
-		return cluster.HighCPUV100(), nil
-	}
-	return cluster.ServerSpec{}, fmt.Errorf("datastall: unknown server %q", s)
-}
-
 // Loader names a data-loading configuration.
 type Loader string
 
@@ -120,20 +106,6 @@ const (
 	// partitioned caching when NumServers > 1).
 	LoaderCoorDL Loader = "coordl"
 )
-
-func (l Loader) kind() (loader.Kind, error) {
-	switch l {
-	case LoaderDALIShuffle, "":
-		return loader.DALIShuffle, nil
-	case LoaderDALISeq:
-		return loader.DALISeq, nil
-	case LoaderPyTorch:
-		return loader.PyTorchDL, nil
-	case LoaderCoorDL:
-		return loader.CoorDL, nil
-	}
-	return 0, fmt.Errorf("datastall: unknown loader %q", l)
-}
 
 // Models returns the nine supported model names (Table 1).
 func Models() []string {
@@ -193,51 +165,21 @@ type TrainConfig struct {
 	TraceCPU    bool
 }
 
+// internal resolves c through the same JobSpec resolver spec cells use.
 func (c TrainConfig) internal() (trainer.Config, error) {
-	m, err := gpu.ByName(c.Model)
-	if err != nil {
-		return trainer.Config{}, err
-	}
-	dsName := c.Dataset
-	if dsName == "" {
-		dsName = m.DefaultDataset
-	}
-	d, err := dataset.ByName(dsName)
-	if err != nil {
-		return trainer.Config{}, err
-	}
-	spec, err := c.Server.spec()
-	if err != nil {
-		return trainer.Config{}, err
-	}
-	k, err := c.Loader.kind()
-	if err != nil {
-		return trainer.Config{}, err
-	}
-	scale := c.Scale
-	if scale == 0 {
-		scale = 0.01
-	}
-	sd := d.Scale(scale)
-	cfg := trainer.Config{
-		Model: m, Dataset: sd, Spec: spec,
-		NumServers: c.NumServers, GPUsPerServer: c.GPUs,
+	js := experiments.JobSpec{
+		Model: c.Model, Dataset: c.Dataset,
+		Server: string(c.Server), Loader: string(c.Loader),
+		Servers: c.NumServers, GPUs: c.GPUs,
 		Batch: c.Batch, Epochs: c.Epochs,
 		ThreadsPerGPU: c.PrepThreadsPerGPU,
-		Loader:        k, Seed: c.Seed,
+		CacheFraction: c.CacheFraction,
+		Scale:         c.Scale, Seed: c.Seed,
 	}
 	if c.PyTorchPrep {
-		cfg.Framework = prep.PyTorchNative
+		js.Framework = "pytorch"
 	}
-	if c.CacheFraction > 0 {
-		cfg.CacheBytes = c.CacheFraction * sd.TotalBytes
-	} else {
-		cfg.CacheBytes = spec.CacheBytes / d.TotalBytes * sd.TotalBytes
-		if cfg.CacheBytes > sd.TotalBytes {
-			cfg.CacheBytes = sd.TotalBytes
-		}
-	}
-	return cfg, nil
+	return js.Build(experiments.Options{Scale: 0.01})
 }
 
 // TrainResult reports a finished training job. Times are simulated seconds
@@ -306,12 +248,6 @@ func toResult(r *trainer.Result) *TrainResult {
 	return out
 }
 
-// Train simulates one training job. It is the legacy blocking form of
-// TrainContext.
-func Train(c TrainConfig) (*TrainResult, error) {
-	return TrainContext(context.Background(), c)
-}
-
 // TrainContext simulates one training job under ctx: cancellation (SIGINT
 // in the CLIs, a deadline in a service) propagates into the simulation and
 // returns ctx.Err() promptly.
@@ -360,12 +296,6 @@ type HPSearchResult struct {
 	ReadAmplification float64
 	// StagingPeakGiB is the coordinated-prep staging high-water mark.
 	StagingPeakGiB float64
-}
-
-// HPSearch simulates NumJobs concurrent jobs sharing one server. It is the
-// legacy blocking form of HPSearchContext.
-func HPSearch(c HPSearchConfig) (*HPSearchResult, error) {
-	return HPSearchContext(context.Background(), c)
 }
 
 // HPSearchContext simulates NumJobs concurrent jobs sharing one server,
@@ -443,12 +373,6 @@ func (s *StallProfile) WhatIfMoreCores(cacheFraction, coreFactor float64) float6
 // configuration) needed for pre-processing to keep up with the GPUs (§3.4).
 func (s *StallProfile) CoresToMaskPrep() float64 {
 	return s.p.CoresToMaskPrep()
-}
-
-// AnalyzeStalls runs DS-Analyzer's three differential phases for the job.
-// It is the legacy blocking form of AnalyzeStallsContext.
-func AnalyzeStalls(c TrainConfig) (*StallProfile, error) {
-	return AnalyzeStallsContext(context.Background(), c)
 }
 
 // AnalyzeStallsContext runs DS-Analyzer's three differential phases under

@@ -2,12 +2,15 @@ package datastall
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
+
+	"datastall/internal/trainer"
 )
 
 func TestTrainQuickstart(t *testing.T) {
-	r, err := Train(TrainConfig{
+	r, err := TrainContext(context.Background(), TrainConfig{
 		Model: "resnet18", Loader: LoaderCoorDL,
 		CacheFraction: 0.35, Scale: 0.005,
 	})
@@ -27,7 +30,7 @@ func TestTrainQuickstart(t *testing.T) {
 
 func TestTrainDefaults(t *testing.T) {
 	// Empty loader/server/dataset resolve to documented defaults.
-	r, err := Train(TrainConfig{Model: "resnet50", Scale: 0.005})
+	r, err := TrainContext(context.Background(), TrainConfig{Model: "resnet50", Scale: 0.005})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,17 +40,41 @@ func TestTrainDefaults(t *testing.T) {
 }
 
 func TestTrainErrors(t *testing.T) {
-	if _, err := Train(TrainConfig{Model: "nope"}); err == nil {
+	if _, err := TrainContext(context.Background(), TrainConfig{Model: "nope"}); err == nil {
 		t.Fatal("unknown model should fail")
 	}
-	if _, err := Train(TrainConfig{Model: "resnet18", Dataset: "nope"}); err == nil {
+	if _, err := TrainContext(context.Background(), TrainConfig{Model: "resnet18", Dataset: "nope"}); err == nil {
 		t.Fatal("unknown dataset should fail")
 	}
-	if _, err := Train(TrainConfig{Model: "resnet18", Server: "nope"}); err == nil {
+	if _, err := TrainContext(context.Background(), TrainConfig{Model: "resnet18", Server: "nope"}); err == nil {
 		t.Fatal("unknown server should fail")
 	}
-	if _, err := Train(TrainConfig{Model: "resnet18", Loader: "nope"}); err == nil {
+	if _, err := TrainContext(context.Background(), TrainConfig{Model: "resnet18", Loader: "nope"}); err == nil {
 		t.Fatal("unknown loader should fail")
+	}
+}
+
+// TestTrainRejectsOutOfRange: the root API resolves through the same
+// JobSpec resolver and trainer validator as spec cells, so an out-of-range
+// scale is a returned error naming scale (not a panic) and a negative
+// knob is the trainer's typed *FieldError.
+func TestTrainRejectsOutOfRange(t *testing.T) {
+	ctx := context.Background()
+	for _, scale := range []float64{2, 1.5, -0.01} {
+		c := TrainConfig{Model: "resnet18", Scale: scale}
+		_, trainErr := TrainContext(ctx, c)
+		_, hpErr := HPSearchContext(ctx, HPSearchConfig{Job: c})
+		_, dsErr := AnalyzeStallsContext(ctx, c)
+		for _, err := range []error{trainErr, hpErr, dsErr} {
+			if err == nil || !strings.Contains(err.Error(), "scale") {
+				t.Fatalf("scale %v: error %v, want one naming scale", scale, err)
+			}
+		}
+	}
+	_, err := TrainContext(ctx, TrainConfig{Model: "resnet18", PrepThreadsPerGPU: -2})
+	var fe *trainer.FieldError
+	if !errors.As(err, &fe) || fe.Field != "ThreadsPerGPU" {
+		t.Fatalf("negative prep threads: error %v, want a *trainer.FieldError on ThreadsPerGPU", err)
 	}
 }
 
@@ -62,7 +89,7 @@ func TestCatalogs(t *testing.T) {
 
 func TestCoorDLBeatsBaselinePublicAPI(t *testing.T) {
 	run := func(l Loader) float64 {
-		r, err := Train(TrainConfig{
+		r, err := TrainContext(context.Background(), TrainConfig{
 			Model: "shufflenetv2", Dataset: "openimages", Loader: l,
 			CacheFraction: 0.65, Scale: 0.003,
 		})
@@ -77,7 +104,7 @@ func TestCoorDLBeatsBaselinePublicAPI(t *testing.T) {
 }
 
 func TestDistributedTrain(t *testing.T) {
-	r, err := Train(TrainConfig{
+	r, err := TrainContext(context.Background(), TrainConfig{
 		Model: "alexnet", Dataset: "openimages", Loader: LoaderCoorDL,
 		Server: ServerHDD1080Ti, NumServers: 2,
 		CacheFraction: 0.65, Scale: 0.003, Batch: 128,
@@ -100,11 +127,11 @@ func TestHPSearchPublicAPI(t *testing.T) {
 		Model: "alexnet", Dataset: "openimages",
 		CacheFraction: 0.65, Scale: 0.002, Batch: 128, Epochs: 2,
 	}
-	base, err := HPSearch(HPSearchConfig{Job: job, NumJobs: 8})
+	base, err := HPSearchContext(context.Background(), HPSearchConfig{Job: job, NumJobs: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord, err := HPSearch(HPSearchConfig{Job: job, NumJobs: 8, Coordinated: true})
+	coord, err := HPSearchContext(context.Background(), HPSearchConfig{Job: job, NumJobs: 8, Coordinated: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +150,7 @@ func TestHPSearchPublicAPI(t *testing.T) {
 }
 
 func TestAnalyzeStallsPublicAPI(t *testing.T) {
-	p, err := AnalyzeStalls(TrainConfig{
+	p, err := AnalyzeStallsContext(context.Background(), TrainConfig{
 		Model: "resnet18", Dataset: "imagenet-1k",
 		CacheFraction: 0.35, Scale: 0.01,
 	})
@@ -165,7 +192,7 @@ func TestRunExperimentPublicAPI(t *testing.T) {
 }
 
 func TestTraces(t *testing.T) {
-	r, err := Train(TrainConfig{
+	r, err := TrainContext(context.Background(), TrainConfig{
 		Model: "resnet18", Dataset: "openimages", Loader: LoaderCoorDL,
 		CacheFraction: 0.5, Scale: 0.002, TraceDiskIO: true, TraceCPU: true,
 	})

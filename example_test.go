@@ -33,9 +33,9 @@ func ExampleTrainContext() {
 	// Output: hit rate 0.35, stalled true
 }
 
-// ExampleAnalyzeStalls shows DS-Analyzer's differential attribution.
-func ExampleAnalyzeStalls() {
-	p, err := datastall.AnalyzeStalls(datastall.TrainConfig{
+// ExampleAnalyzeStallsContext shows DS-Analyzer's differential attribution.
+func ExampleAnalyzeStallsContext() {
+	p, err := datastall.AnalyzeStallsContext(context.Background(), datastall.TrainConfig{
 		Model:         "bert-large",
 		CacheFraction: 0.35,
 		Scale:         0.01,
@@ -48,22 +48,23 @@ func ExampleAnalyzeStalls() {
 	// Output: bert-large stalled: false
 }
 
-// ExampleJob embeds the trainer directly: functional options, explicit
+// ExampleRunContext embeds the trainer directly: one Config, explicit
 // typed validation, and per-epoch progress streamed through an Observer
 // while the simulation runs — the building blocks for putting this engine
 // behind a service.
-func ExampleJob() {
+func ExampleRunContext() {
 	d := dataset.ImageNet1K.Scale(0.01)
-	job := trainer.New(gpu.MustByName("resnet18"), d, cluster.ConfigSSDV100(),
-		trainer.WithEpochs(2),
-		trainer.WithLoader(loader.CoorDL),
-		trainer.WithCacheBytes(0.35*d.TotalBytes),
-	)
-	if err := job.Validate(); err != nil {
+	cfg := trainer.Config{
+		Model: gpu.MustByName("resnet18"), Dataset: d, Spec: cluster.ConfigSSDV100(),
+		Epochs:     2,
+		Loader:     loader.CoorDL,
+		CacheBytes: 0.35 * d.TotalBytes,
+	}
+	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	epochs := 0
-	res, err := job.Run(context.Background(), trainer.ObserverFunc(func(ev trainer.Event) {
+	res, err := trainer.RunContext(context.Background(), cfg, trainer.ObserverFunc(func(ev trainer.Event) {
 		if _, ok := ev.(trainer.EpochEnded); ok {
 			epochs++
 		}

@@ -1,9 +1,9 @@
-// Embedding example: drive the simulation engine directly through the
-// context-aware Job API — functional options, typed validation errors,
-// streamed progress events, and a declarative scenario spec — instead of
-// the high-level datastall wrappers. This is the shape a service embedding
-// this library takes: build a job from a request, validate it up front,
-// run it under the request's context, and stream progress to the client.
+// Embedding example: drive the simulation engine directly — a
+// trainer.Config, typed validation errors, streamed progress events, and a
+// declarative scenario spec — instead of the high-level datastall
+// wrappers. This is the shape a service embedding this library takes:
+// describe a job from a request, validate it up front, run it under the
+// request's context, and stream progress to the client.
 package main
 
 import (
@@ -35,16 +35,17 @@ func main() {
 func run(ctx context.Context) error {
 	d := dataset.ImageNet1K.Scale(0.01)
 
-	// 1. Build a job with functional options. Validation is explicit and
-	//    typed: errors.Is picks out the failure class, *FieldError the
-	//    offending field — no silent zero-value defaulting surprises.
-	job := trainer.New(gpu.MustByName("resnet18"), d, cluster.ConfigSSDV100(),
-		trainer.WithEpochs(3),
-		trainer.WithLoader(loader.CoorDL),
-		trainer.WithCacheBytes(0.35*d.TotalBytes),
-		trainer.WithSeed(1),
-	)
-	if err := job.Validate(); err != nil {
+	// 1. Describe the job as one Config; zero fields take the defaults.
+	//    Validation is explicit and typed: errors.Is picks out the failure
+	//    class, *FieldError the offending field.
+	cfg := trainer.Config{
+		Model: gpu.MustByName("resnet18"), Dataset: d, Spec: cluster.ConfigSSDV100(),
+		Epochs:     3,
+		Loader:     loader.CoorDL,
+		CacheBytes: 0.35 * d.TotalBytes,
+		Seed:       1,
+	}
+	if err := cfg.Validate(); err != nil {
 		var fe *trainer.FieldError
 		if errors.As(err, &fe) {
 			return fmt.Errorf("bad job config, field %s: %w", fe.Field, err)
@@ -55,7 +56,7 @@ func run(ctx context.Context) error {
 	// 2. Run under a context (SIGINT cancels mid-epoch) with observers
 	//    streaming typed progress events as the simulation advances.
 	fmt.Println("streaming a CoorDL training job:")
-	res, err := job.Run(ctx, trainer.ObserverFunc(func(ev trainer.Event) {
+	res, err := trainer.RunContext(ctx, cfg, trainer.ObserverFunc(func(ev trainer.Event) {
 		switch e := ev.(type) {
 		case trainer.EpochEnded:
 			fmt.Printf("  epoch %d: %6.2fs simulated, stall %4.1f%%, cache %4.0f MiB resident\n",

@@ -1,6 +1,7 @@
 package datastall_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -17,7 +18,7 @@ func TestTable6AtPaperScale(t *testing.T) {
 		t.Skip("paper-scale run")
 	}
 	run := func(l datastall.Loader) *datastall.TrainResult {
-		r, err := datastall.Train(datastall.TrainConfig{
+		r, err := datastall.TrainContext(context.Background(), datastall.TrainConfig{
 			Model: "shufflenetv2", Dataset: "openimages", Loader: l,
 			CacheFraction: 0.65, Scale: 1, Epochs: 2,
 		})
@@ -57,7 +58,7 @@ func TestFig1PipelineAtPaperScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale run")
 	}
-	r, err := datastall.Train(datastall.TrainConfig{
+	r, err := datastall.TrainContext(context.Background(), datastall.TrainConfig{
 		Model: "resnet18", Dataset: "imagenet-1k",
 		Loader: datastall.LoaderCoorDL, CacheFraction: 0.35,
 		Scale: 1, Epochs: 2, PrepThreadsPerGPU: 3,

@@ -1,6 +1,7 @@
 package datastall_test
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -12,7 +13,7 @@ import (
 // any run: stall fractions in [0,1], samples conserved across epochs, and
 // steady-state disk I/O bounded by the uncached share of the dataset.
 func TestConservationInvariants(t *testing.T) {
-	r, err := datastall.Train(datastall.TrainConfig{
+	r, err := datastall.TrainContext(context.Background(), datastall.TrainConfig{
 		Model: "resnet18", Dataset: "openimages",
 		Loader: datastall.LoaderCoorDL, CacheFraction: 0.5,
 		Scale: 0.004, Epochs: 4,
@@ -47,7 +48,7 @@ func TestConservationInvariants(t *testing.T) {
 // ingestion rate measured with synthetic data.
 func TestThroughputBoundedByIngestion(t *testing.T) {
 	for _, model := range []string{"alexnet", "resnet50", "audio-m5"} {
-		p, err := datastall.AnalyzeStalls(datastall.TrainConfig{
+		p, err := datastall.AnalyzeStallsContext(context.Background(), datastall.TrainConfig{
 			Model: model, CacheFraction: 0.5, Scale: 0.004,
 		})
 		if err != nil {
@@ -72,7 +73,7 @@ func TestCoorDLNeverReadsMoreDisk(t *testing.T) {
 			seed = 1
 		}
 		run := func(l datastall.Loader) *datastall.TrainResult {
-			r, err := datastall.Train(datastall.TrainConfig{
+			r, err := datastall.TrainContext(context.Background(), datastall.TrainConfig{
 				Model: model, Dataset: "openimages", Loader: l,
 				CacheFraction: cacheFrac, Scale: 0.002, Seed: seed,
 			})
@@ -96,7 +97,7 @@ func TestCoorDLNeverReadsMoreDisk(t *testing.T) {
 func TestMinIOHitRateEqualsCapacityProperty(t *testing.T) {
 	f := func(cacheRaw uint8) bool {
 		frac := 0.1 + 0.8*float64(cacheRaw)/255
-		r, err := datastall.Train(datastall.TrainConfig{
+		r, err := datastall.TrainContext(context.Background(), datastall.TrainConfig{
 			Model: "resnet18", Dataset: "imagenet-1k",
 			Loader: datastall.LoaderCoorDL, CacheFraction: frac,
 			Scale: 0.004,
@@ -115,7 +116,7 @@ func TestMinIOHitRateEqualsCapacityProperty(t *testing.T) {
 // rate, speedups) must be stable across dataset scales.
 func TestScaleInvariance(t *testing.T) {
 	measure := func(scale float64) (stall, hit float64) {
-		r, err := datastall.Train(datastall.TrainConfig{
+		r, err := datastall.TrainContext(context.Background(), datastall.TrainConfig{
 			Model: "shufflenetv2", Dataset: "openimages",
 			Loader: datastall.LoaderCoorDL, CacheFraction: 0.65,
 			Scale: scale,
@@ -143,11 +144,11 @@ func TestEndToEndDeterminism(t *testing.T) {
 		Server: datastall.ServerHDD1080Ti, Batch: 128,
 		CacheFraction: 0.65, Scale: 0.003, Seed: 42,
 	}
-	a, err := datastall.Train(cfg)
+	a, err := datastall.TrainContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := datastall.Train(cfg)
+	b, err := datastall.TrainContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestEndToEndDeterminism(t *testing.T) {
 // TestHPSearchJobsFinishTogether: coordinated HP jobs complete their epochs
 // in lockstep (§4.3: epochs complete synchronized across jobs).
 func TestHPSearchJobsFinishTogether(t *testing.T) {
-	r, err := datastall.HPSearch(datastall.HPSearchConfig{
+	r, err := datastall.HPSearchContext(context.Background(), datastall.HPSearchConfig{
 		Job: datastall.TrainConfig{
 			Model: "alexnet", Dataset: "openimages",
 			CacheFraction: 0.65, Batch: 128, Scale: 0.002,
@@ -182,7 +183,7 @@ func TestHPSearchJobsFinishTogether(t *testing.T) {
 // TestLanguageModelsViaPublicAPI: the §3.1 exclusion reproduces through the
 // public API too.
 func TestLanguageModelsViaPublicAPI(t *testing.T) {
-	r, err := datastall.Train(datastall.TrainConfig{
+	r, err := datastall.TrainContext(context.Background(), datastall.TrainConfig{
 		Model: "bert-large", CacheFraction: 0.35, Scale: 0.01,
 	})
 	if err != nil {

@@ -1,6 +1,6 @@
-// Package cache provides the software-cache framework for the data loader:
-// the common Cache interface, the paper's MinIO cache (§4.1), and the
-// cluster-wide partitioned cache used in distributed training (§4.2).
+// Package cache provides the data loader's software caches: the paper's
+// MinIO cache (§4.1) and the cluster-wide partitioned cache used in
+// distributed training (§4.2).
 package cache
 
 import (
@@ -18,25 +18,6 @@ func SumUsedBytes[C interface{ UsedBytes() float64 }](caches []C) float64 {
 		t += c.UsedBytes()
 	}
 	return t
-}
-
-// Cache is the item-granular cache interface shared by the OS page-cache
-// simulation and the MinIO cache.
-type Cache interface {
-	// Lookup reports whether id is resident, updating policy state and
-	// hit/miss counters.
-	Lookup(id dataset.ItemID) bool
-	// Insert offers id to the cache after a storage fetch.
-	Insert(id dataset.ItemID, bytes float64)
-	// Contains reports residency without side effects.
-	Contains(id dataset.ItemID) bool
-	// UsedBytes returns resident bytes; CapBytes the capacity.
-	UsedBytes() float64
-	CapBytes() float64
-	// Hits and Misses return lookup counters; ResetStats clears them.
-	Hits() int64
-	Misses() int64
-	ResetStats()
 }
 
 // MinIO is the paper's DNN-aware software cache (§4.1): items are inserted

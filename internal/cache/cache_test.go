@@ -9,12 +9,6 @@ import (
 	"datastall/internal/pagecache"
 )
 
-// Compile-time interface checks: MinIO and the page cache both satisfy Cache.
-var (
-	_ Cache = (*MinIO)(nil)
-	_ Cache = (*pagecache.Cache)(nil)
-)
-
 func TestMinIONeverEvicts(t *testing.T) {
 	m := NewMinIO(3)
 	m.Insert(1, 1)

@@ -46,7 +46,7 @@ type CaseResult struct {
 // cell ran with; the resolved form (defaults filled) supplies the numeric
 // identity columns.
 func newCaseResult(specName, row, caseLabel string, cfg trainer.Config, res *trainer.Result) *CaseResult {
-	rc := trainer.FromConfig(cfg).Config()
+	rc := cfg.Resolved()
 	return &CaseResult{
 		Spec: specName, Row: row, Case: caseLabel,
 		Model:   rc.Model.Name,
@@ -60,10 +60,10 @@ func newCaseResult(specName, row, caseLabel string, cfg trainer.Config, res *tra
 	}
 }
 
-// CaseFromConfig captures a standalone job (no grid coordinates) — the HTTP
+// JobCase captures a standalone job (no grid coordinates) — the HTTP
 // job service uses it so single-job submissions are queryable alongside
 // sweeps. name labels the run (the job ID serves well).
-func CaseFromConfig(name string, cfg trainer.Config, res *trainer.Result) *CaseResult {
+func JobCase(name string, cfg trainer.Config, res *trainer.Result) *CaseResult {
 	return newCaseResult(name, "", "", cfg, res)
 }
 

@@ -12,7 +12,6 @@ import (
 	"fmt"
 
 	"datastall/internal/memo"
-	"datastall/internal/trainer"
 )
 
 // caseKeyJSON is the canonical key preimage. Field order is fixed by this
@@ -60,7 +59,7 @@ func CaseKey(js JobSpec, o Options, salt string) (memo.Key, error) {
 	if err != nil {
 		return memo.Key{}, err
 	}
-	rc := trainer.FromConfig(cfg).Config()
+	rc := cfg.Resolved()
 	pre := caseKeyJSON{
 		V: 2, Salt: salt,
 		Model:   rc.Model.Name,

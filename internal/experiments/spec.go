@@ -190,6 +190,9 @@ func (s JobSpec) build(o Options) (trainer.Config, error) {
 		return trainer.Config{}, fmt.Errorf(
 			"spec: no dataset scale set; add \"scale\" to the spec's base (1 = paper size, expect long runtimes) or pass -scale")
 	}
+	if scale < 0 || scale > 1 {
+		return trainer.Config{}, fmt.Errorf("spec: scale %v outside (0, 1]", scale)
+	}
 	d := full.Scale(scale)
 
 	cfg := trainer.Config{
@@ -251,8 +254,9 @@ func (s JobSpec) build(o Options) (trainer.Config, error) {
 // RunSpec resolves each sweep cell. o supplies the scale/epochs/seed
 // defaults for fields the spec leaves zero (zero Epochs and Seed in o fall
 // back to the package defaults, 3 and 1). Exported for embedders that
-// accept single-job specs — notably the HTTP job service, which validates
-// the resolved config at submission time.
+// accept single-job descriptions: the HTTP job service, which validates
+// the resolved config at submission time, and the root package's
+// TrainConfig.
 func (s JobSpec) Build(o Options) (trainer.Config, error) {
 	return s.build(o.withDefaults(o.Scale))
 }

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"os"
 	"reflect"
 	"strings"
 	"testing"
+
+	"datastall/internal/trainer"
 )
 
 // TestSpecRoundTrip is the speccheck gate: every registry experiment that is
@@ -237,6 +240,49 @@ func TestSpecRequiresScale(t *testing.T) {
 	sp.Base.Scale = 0.005
 	if _, err := RunSpec(context.Background(), sp, Options{}); err != nil {
 		t.Fatalf("base scale rejected: %v", err)
+	}
+}
+
+// TestSpecRejectsNegativeBase: a negative knob in a spec's base fails the
+// run with the trainer's typed *FieldError on the field it resolves to,
+// instead of running with a silently wrong configuration.
+func TestSpecRejectsNegativeBase(t *testing.T) {
+	for set, field := range map[string]string{
+		`"threads_per_gpu": -2`:  "ThreadsPerGPU",
+		`"cache_budget_gib": -5`: "CacheBytes",
+	} {
+		sp, err := LoadSpec([]byte(`{"name": "neg", "base": {"model": "resnet18", "scale": 0.01, ` + set + `},
+			"rows": {"cases": [{"label": "r", "set": {}}]},
+			"row_header": ["model"], "columns": [{"label": "s", "metric": "epoch_s"}]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = RunSpec(context.Background(), sp, Options{})
+		var fe *trainer.FieldError
+		if !errors.As(err, &fe) || fe.Field != field {
+			t.Errorf("%s: RunSpec error %v, want a *trainer.FieldError on %s", set, err, field)
+		}
+	}
+}
+
+// TestSpecRejectsScaleOutOfRange: a scale outside (0, 1] is an error naming
+// scale, from the job's resolver, not a panic in the dataset catalog.
+func TestSpecRejectsScaleOutOfRange(t *testing.T) {
+	for _, scale := range []float64{1.5, -0.01} {
+		if _, err := (JobSpec{Model: "resnet18", Scale: scale}).Build(Options{}); err == nil ||
+			!strings.Contains(err.Error(), "scale") {
+			t.Errorf("Build at scale %v: error %v, want one naming scale", scale, err)
+		}
+		sp := &Spec{
+			Name: "bad-scale", Base: JobSpec{Model: "resnet18", Scale: scale},
+			RowHeader: []string{"model"},
+			Rows:      Axis{Cases: []Case{{Label: "x", Set: JobSpec{}}}},
+			Columns:   []Column{{Label: "s", Metric: "epoch_s"}},
+		}
+		if _, err := RunSpec(context.Background(), sp, Options{}); err == nil ||
+			!strings.Contains(err.Error(), "scale") {
+			t.Errorf("RunSpec at scale %v: error %v, want one naming scale", scale, err)
+		}
 	}
 }
 

@@ -106,22 +106,22 @@ func (f *flushWriter) Flush() error {
 // captured grid cells of a spec job, the single run of a job submission, or
 // — for jobs rehydrated from a WAL terminal record — the capture stored in
 // the record.
-func (j *Job) caseResults() []*experiments.CaseResult {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.status != StatusCompleted {
+func (job *Job) caseResults() []*experiments.CaseResult {
+	job.mu.Lock()
+	defer job.mu.Unlock()
+	if job.status != StatusCompleted {
 		return nil
 	}
 	switch {
-	case j.report != nil && len(j.report.Cases) > 0:
-		return j.report.Cases
-	case j.cases != nil:
-		return j.cases
-	case j.result != nil && j.bc != nil:
+	case job.report != nil && len(job.report.Cases) > 0:
+		return job.report.Cases
+	case job.cases != nil:
+		return job.cases
+	case job.result != nil && job.bc != nil:
 		// Deriving the capture needs the resolved config, which only live
 		// jobs carry (bc is nil exactly for loaded ones); a loaded record
 		// without a case capture stays invisible rather than wrong.
-		return []*experiments.CaseResult{experiments.CaseFromConfig(j.ID, j.cfg, j.result)}
+		return []*experiments.CaseResult{experiments.JobCase(job.ID, job.cfg, job.result)}
 	}
 	return nil
 }

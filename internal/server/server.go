@@ -397,7 +397,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// Surface the trainer's typed validation (*FieldError) now, with
 		// a 400 naming the offending field, instead of queueing a job
 		// that can only fail.
-		if err := trainer.FromConfig(cfg).Validate(); err != nil {
+		if err := cfg.Validate(); err != nil {
 			writeErrFrom(w, http.StatusBadRequest, codeBadRequest, err)
 			return
 		}

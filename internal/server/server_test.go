@@ -210,6 +210,18 @@ func TestSubmitTypedFieldError(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsScaleOutOfRange: a single job whose scale lies outside
+// (0, 1] gets a 400 naming scale, not a crashed handler.
+func TestSubmitRejectsScaleOutOfRange(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	for _, scale := range []string{"1.5", "-0.01"} {
+		resp, body := postJSON(t, ts.URL+"/v1/jobs", `{"job": {"model": "resnet18", "scale": `+scale+`}}`)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body, "scale") {
+			t.Fatalf("scale %s: status %d body %q, want a 400 naming scale", scale, resp.StatusCode, body)
+		}
+	}
+}
+
 func TestUnknownJobIs404(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	for _, probe := range []struct{ method, path string }{

@@ -129,9 +129,9 @@ type Job struct {
 var discardLog = slog.New(slog.DiscardHandler)
 
 // logger returns the job-scoped logger, never nil.
-func (j *Job) logger() *slog.Logger {
-	if j.log != nil {
-		return j.log
+func (job *Job) logger() *slog.Logger {
+	if job.log != nil {
+		return job.log
 	}
 	return discardLog
 }
@@ -141,27 +141,27 @@ func (j *Job) logger() *slog.Logger {
 type Broadcaster = trainer.Broadcaster
 
 // StatusNow returns the job's current state.
-func (j *Job) StatusNow() Status {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.status
+func (job *Job) StatusNow() Status {
+	job.mu.Lock()
+	defer job.mu.Unlock()
+	return job.status
 }
 
 // Done returns a channel closed when the job reaches a terminal state.
-func (j *Job) Done() <-chan struct{} { return j.done }
+func (job *Job) Done() <-chan struct{} { return job.done }
 
 // markRunning transitions queued -> running, recording the start time and
 // the run's cancel hook; it fails (false) when a DELETE already cancelled
 // the job out of the queue.
-func (j *Job) markRunning(cancel func()) bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.status != StatusQueued {
+func (job *Job) markRunning(cancel func()) bool {
+	job.mu.Lock()
+	defer job.mu.Unlock()
+	if job.status != StatusQueued {
 		return false
 	}
-	j.status = StatusRunning
-	j.started = time.Now()
-	j.cancel = cancel
+	job.status = StatusRunning
+	job.started = time.Now()
+	job.cancel = cancel
 	return true
 }
 
@@ -215,25 +215,25 @@ func toReportJSON(r *experiments.Report) *reportJSON {
 
 // view renders the job's wire form; withOutput false omits the (possibly
 // large) report/result payloads for listings.
-func (j *Job) view(withOutput bool) *jobJSON {
-	j.mu.Lock()
-	defer j.mu.Unlock()
+func (job *Job) view(withOutput bool) *jobJSON {
+	job.mu.Lock()
+	defer job.mu.Unlock()
 	v := &jobJSON{
-		ID: j.ID, Kind: j.Kind, Name: j.Name, Tenant: j.tenant,
-		Status: j.status, SubmittedAt: j.submitted,
-		WallSeconds: j.wall, Error: j.errMsg,
+		ID: job.ID, Kind: job.Kind, Name: job.Name, Tenant: job.tenant,
+		Status: job.status, SubmittedAt: job.submitted,
+		WallSeconds: job.wall, Error: job.errMsg,
 	}
-	if !j.started.IsZero() {
-		t := j.started
+	if !job.started.IsZero() {
+		t := job.started
 		v.StartedAt = &t
 	}
-	if !j.finished.IsZero() {
-		t := j.finished
+	if !job.finished.IsZero() {
+		t := job.finished
 		v.FinishedAt = &t
 	}
 	if withOutput {
-		v.Report = toReportJSON(j.report)
-		v.Result = j.result
+		v.Report = toReportJSON(job.report)
+		v.Result = job.result
 	}
 	return v
 }
@@ -274,12 +274,12 @@ func (st *store) count() int {
 // evictable reports whether the job is safe to drop from the store: fully
 // finished (Done closed), not merely marked terminal — a DELETE-cancelled
 // job whose worker is still unwinding stays visible until finalize.
-func (j *Job) evictable() bool {
-	if !j.StatusNow().Terminal() {
+func (job *Job) evictable() bool {
+	if !job.StatusNow().Terminal() {
 		return false
 	}
 	select {
-	case <-j.done:
+	case <-job.done:
 		return true
 	default:
 		return false

@@ -5,9 +5,6 @@ import (
 	"errors"
 	"testing"
 	"time"
-
-	"datastall/internal/cluster"
-	"datastall/internal/loader"
 )
 
 // drain reads every event until the subscription closes, returning them.
@@ -130,7 +127,6 @@ func TestBroadcasterCancelDetaches(t *testing.T) {
 // if the broadcaster could block, the engine goroutine would deadlock here
 // and the test would time out.
 func TestBroadcasterSlowSubscriberCannotStallJob(t *testing.T) {
-	m, d, spec := jobModel(t), jobDataset(), cluster.ConfigSSDV100()
 	bc := NewBroadcaster()
 	slow := bc.Subscribe(1) // never read until the job is done
 	fast := bc.Subscribe(0)
@@ -141,9 +137,7 @@ func TestBroadcasterSlowSubscriberCannotStallJob(t *testing.T) {
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		job := New(m, d, spec, WithLoader(loader.CoorDL),
-			WithCacheBytes(0.35*d.TotalBytes), WithEpochs(6))
-		res, err := job.Run(context.Background(), bc)
+		res, err := RunContext(context.Background(), coordlConfig(t, jobDataset(), 6), bc)
 		bc.Close()
 		done <- outcome{res, err}
 	}()

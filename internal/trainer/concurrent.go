@@ -93,6 +93,9 @@ func (cc ConcurrentConfig) resolve() (ConcurrentConfig, error) {
 	base := cc.Base
 	base.NumServers = 1
 	base.GPUsPerServer = cc.GPUsPerJob
+	if err := base.Validate(); err != nil {
+		return cc, err
+	}
 	if base.ThreadsPerGPU == 0 {
 		perJob := base.Spec.PhysicalCores / cc.NumJobs
 		if perJob < 1 {
@@ -103,10 +106,7 @@ func (cc ConcurrentConfig) resolve() (ConcurrentConfig, error) {
 			base.ThreadsPerGPU = 1
 		}
 	}
-	base = base.withDefaults()
-	if err := base.Validate(); err != nil {
-		return cc, err
-	}
+	base = base.Resolved()
 	if cc.NumJobs*cc.GPUsPerJob > base.Spec.NumGPUs {
 		return cc, fmt.Errorf("trainer: %d jobs x %d GPUs exceed the server's %d GPUs",
 			cc.NumJobs, cc.GPUsPerJob, base.Spec.NumGPUs)
@@ -157,17 +157,17 @@ func runIndependent(ctx context.Context, cc ConcurrentConfig) (*ConcurrentResult
 	for _, rt := range rts {
 		res.Jobs = append(res.Jobs, rt.result())
 	}
-	fillDiskAggregates(res, rts[0], cc.Base)
+	fillDiskAggregates(res, rts[0].snaps, cc.Base)
 	return res, nil
 }
 
 // fillDiskAggregates derives steady-state disk I/O per epoch from job 0's
-// epoch boundaries (jobs progress nearly in lockstep).
-func fillDiskAggregates(res *ConcurrentResult, rt0 *jobRuntime, base Config) {
-	if len(rt0.snaps) >= 2 {
-		first := rt0.snaps[0].disk
-		last := rt0.snaps[len(rt0.snaps)-1].disk
-		res.DiskPerEpoch = (last - first) / float64(len(rt0.snaps)-1)
+// epoch snapshots (jobs progress nearly in lockstep).
+func fillDiskAggregates(res *ConcurrentResult, snaps []snapshot, base Config) {
+	if len(snaps) >= 2 {
+		first := snaps[0].disk
+		last := snaps[len(snaps)-1].disk
+		res.DiskPerEpoch = (last - first) / float64(len(snaps)-1)
 	} else {
 		res.DiskPerEpoch = res.TotalDiskBytes
 	}
@@ -250,7 +250,6 @@ type coordJobStats struct {
 	snaps   []snapshot
 	samples int
 	fetch   loader.FetchResult
-	waitGet float64
 }
 
 func (rt *coordRuntime) setup() {
@@ -516,14 +515,12 @@ func (cs *coordConsumerSM) step(p *sim.Proc) {
 				cs.state = ccDone // the killed job's consumers exit too
 				return
 			}
-			cs.since = p.Now()
 			cs.state = ccGet
 		case ccGet:
 			lo := cs.epoch * cc.NumJobs * rt.batchesPerJob
 			if rt.staging.TryGetAny(p, cs.j, lo, lo+cc.NumJobs*rt.batchesPerJob) == nil {
 				return
 			}
-			js.waitGet += p.Now() - cs.since
 			// Copy the prepared batch out of shared memory.
 			cs.state = ccCopied
 			if p.WakeAt(rt.cl.Servers[0].Staging.RequestAsync(rt.prepBatch, base.Spec.StagingBW, 0)) {
@@ -561,7 +558,6 @@ func (rt *coordRuntime) result() *ConcurrentResult {
 	if rt.detector != nil {
 		res.DetectedFailures = rt.detector.Detected
 	}
-	var rt0snaps []snapshot
 	for j := range rt.jobs {
 		r := &Result{}
 		prev := snapshot{}
@@ -587,17 +583,7 @@ func (rt *coordRuntime) result() *ConcurrentResult {
 		r.TotalTime = rt.eng.Now()
 		r.steadyState()
 		res.Jobs = append(res.Jobs, r)
-		if j == 0 {
-			rt0snaps = rt.jobs[j].snaps
-		}
 	}
-	if len(rt0snaps) >= 2 {
-		first := rt0snaps[0].disk
-		last := rt0snaps[len(rt0snaps)-1].disk
-		res.DiskPerEpoch = (last - first) / float64(len(rt0snaps)-1)
-	} else {
-		res.DiskPerEpoch = res.TotalDiskBytes
-	}
-	res.ReadAmplification = res.DiskPerEpoch / cc.Base.Dataset.TotalBytes
+	fillDiskAggregates(res, rt.jobs[0].snaps, cc.Base)
 	return res
 }

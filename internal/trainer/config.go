@@ -5,34 +5,32 @@
 // concurrent hyper-parameter-search jobs (with or without CoorDL's
 // coordinated prep).
 //
-// The primary entry point is the Job API:
+// A job is described by one Config, checked by Config.Validate and run by
+// RunContext:
 //
-//	job := trainer.New(model, ds, spec,
-//		trainer.WithEpochs(3),
-//		trainer.WithLoader(loader.CoorDL),
-//		trainer.WithCacheBytes(0.35*ds.TotalBytes))
-//	if err := job.Validate(); err != nil { ... } // typed *FieldError
-//	res, err := job.Run(ctx, trainer.NewConsoleObserver(os.Stderr))
+//	cfg := trainer.Config{
+//		Model: model, Dataset: ds, Spec: spec,
+//		Epochs:     3,
+//		Loader:     loader.CoorDL,
+//		CacheBytes: 0.35 * ds.TotalBytes,
+//	}
+//	if err := cfg.Validate(); err != nil { ... } // typed *FieldError
+//	res, err := trainer.RunContext(ctx, cfg, trainer.NewConsoleObserver(os.Stderr))
 //
-// Jobs are built with functional options, validated explicitly (Validate
-// returns a *FieldError wrapping a sentinel like ErrBadGPUs, matchable with
-// errors.Is), executed under a context — the simulation polls it between
-// events, so Run returns ctx.Err() promptly even mid-epoch — and observed
-// while running: Observers receive typed events (JobStarted, EpochStarted,
-// EpochEnded with per-epoch stats and cache occupancy, JobEnded) streamed
-// as the simulation advances. The built-in DiskTraceObserver and
-// CPUTraceObserver enable the Result's time-series traces; they are the
-// only way to request traces (the old Config.TraceDiskIO/TraceCPU flags
-// are gone).
-//
-// Callers that already hold a Config use RunContext (one job) or
-// RunConcurrentContext (an HP-search workload); both share Job.Run's
-// execution path and produce byte-identical results.
+// Zero-valued fields mean "use the default" (Config.Resolved fills them
+// in); Validate rejects negatives and impossible combinations with a
+// *FieldError wrapping a sentinel like ErrBadGPUs, matchable with
+// errors.Is. RunContext validates before it runs, executes under a
+// context — the simulation polls it between events, so it returns
+// ctx.Err() promptly even mid-epoch — and streams typed events to
+// Observers (JobStarted, EpochStarted, EpochEnded with per-epoch stats and
+// cache occupancy, JobEnded) as the simulation advances. The built-in
+// DiskTraceObserver and CPUTraceObserver enable the Result's time-series
+// traces. RunConcurrentContext runs an HP-search workload over the same
+// Config and validator.
 package trainer
 
 import (
-	"fmt"
-
 	"datastall/internal/cluster"
 	"datastall/internal/dataset"
 	"datastall/internal/gpu"
@@ -112,7 +110,9 @@ type Config struct {
 	DisableRemoteFetch bool
 }
 
-func (c Config) withDefaults() Config {
+// Resolved returns c with every zero-valued field replaced by the default
+// RunContext applies. It does not validate; call Validate first.
+func (c Config) Resolved() Config {
 	if c.NumServers == 0 {
 		c.NumServers = 1
 	}
@@ -141,21 +141,6 @@ func (c Config) withDefaults() Config {
 		c.Seed = 1
 	}
 	return c
-}
-
-// Validate rejects impossible configurations.
-func (c Config) Validate() error {
-	if c.Model == nil || c.Dataset == nil {
-		return fmt.Errorf("trainer: model and dataset are required")
-	}
-	if c.GPUsPerServer > c.Spec.NumGPUs {
-		return fmt.Errorf("trainer: %d GPUs requested on a %d-GPU server",
-			c.GPUsPerServer, c.Spec.NumGPUs)
-	}
-	if c.NumServers < 1 || c.Epochs < 1 {
-		return fmt.Errorf("trainer: need >= 1 server and epoch")
-	}
-	return nil
 }
 
 // prepConfig resolves the pre-processing configuration for one GPU's share

@@ -3,7 +3,6 @@ package trainer
 import (
 	"context"
 	"errors"
-	"reflect"
 	"testing"
 	"time"
 
@@ -20,87 +19,59 @@ func jobModel(t testing.TB) *gpu.Model {
 
 func jobDataset() *dataset.Dataset { return dataset.ImageNet1K.Scale(0.01) }
 
-// TestJobValidateTypedErrors drives the option combinatorics: every invalid
-// field yields its sentinel (matchable with errors.Is) and a *FieldError
-// naming the field.
+// coordlConfig is a small CoorDL job on d with a 35% cache.
+func coordlConfig(t testing.TB, d *dataset.Dataset, epochs int) Config {
+	return Config{
+		Model: jobModel(t), Dataset: d, Spec: cluster.ConfigSSDV100(),
+		Loader: loader.CoorDL, CacheBytes: 0.35 * d.TotalBytes, Epochs: epochs,
+	}
+}
+
+// TestJobValidateTypedErrors: every invalid field of a job's Config yields
+// its sentinel (matchable with errors.Is) and a *FieldError naming the
+// field, from Validate and from RunContext alike.
 func TestJobValidateTypedErrors(t *testing.T) {
 	m, d, spec := jobModel(t), jobDataset(), cluster.ConfigSSDV100()
 	cases := []struct {
 		name  string
-		job   *Job
+		cfg   Config
 		want  error
 		field string
 	}{
-		{"missing model", New(nil, d, spec), ErrMissingModel, "Model"},
-		{"missing dataset", New(m, nil, spec), ErrMissingDataset, "Dataset"},
-		{"negative servers", New(m, d, spec, WithServers(-1)), ErrBadServers, "NumServers"},
-		{"negative gpus", New(m, d, spec, WithGPUs(-2)), ErrBadGPUs, "GPUsPerServer"},
-		{"too many gpus", New(m, d, spec, WithGPUs(spec.NumGPUs+1)), ErrBadGPUs, "GPUsPerServer"},
-		{"negative batch", New(m, d, spec, WithBatch(-8)), ErrBadBatch, "Batch"},
-		{"negative epochs", New(m, d, spec, WithEpochs(-1)), ErrBadEpochs, "Epochs"},
-		{"negative threads", New(m, d, spec, WithThreadsPerGPU(-3)), ErrBadThreads, "ThreadsPerGPU"},
-		{"negative cache", New(m, d, spec, WithCacheBytes(-1)), ErrBadCache, "CacheBytes"},
-		{"negative prefetch", New(m, d, spec, WithPrefetchDepth(-1)), ErrBadPrefetch, "PrefetchDepth"},
-		{"negative record bytes", New(m, d, spec, WithRecordBytes(-1)), ErrBadRecordBytes, "RecordBytes"},
+		{"missing model", Config{Dataset: d, Spec: spec}, ErrMissingModel, "Model"},
+		{"missing dataset", Config{Model: m, Spec: spec}, ErrMissingDataset, "Dataset"},
+		{"negative servers", Config{Model: m, Dataset: d, Spec: spec, NumServers: -1}, ErrBadServers, "NumServers"},
+		{"negative gpus", Config{Model: m, Dataset: d, Spec: spec, GPUsPerServer: -2}, ErrBadGPUs, "GPUsPerServer"},
+		{"too many gpus", Config{Model: m, Dataset: d, Spec: spec, GPUsPerServer: spec.NumGPUs + 1}, ErrBadGPUs, "GPUsPerServer"},
+		{"negative batch", Config{Model: m, Dataset: d, Spec: spec, Batch: -8}, ErrBadBatch, "Batch"},
+		{"negative epochs", Config{Model: m, Dataset: d, Spec: spec, Epochs: -1}, ErrBadEpochs, "Epochs"},
+		{"negative threads", Config{Model: m, Dataset: d, Spec: spec, ThreadsPerGPU: -3}, ErrBadThreads, "ThreadsPerGPU"},
+		{"negative cache", Config{Model: m, Dataset: d, Spec: spec, CacheBytes: -1}, ErrBadCache, "CacheBytes"},
+		{"negative prefetch", Config{Model: m, Dataset: d, Spec: spec, PrefetchDepth: -1}, ErrBadPrefetch, "PrefetchDepth"},
+		{"negative record bytes", Config{Model: m, Dataset: d, Spec: spec, RecordBytes: -1}, ErrBadRecordBytes, "RecordBytes"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := tc.job.Validate()
-			if err == nil {
-				t.Fatal("want a validation error, got nil")
-			}
-			if !errors.Is(err, tc.want) {
-				t.Fatalf("errors.Is(%v, %v) = false", err, tc.want)
-			}
-			var fe *FieldError
-			if !errors.As(err, &fe) {
-				t.Fatalf("error %v is not a *FieldError", err)
-			}
-			if fe.Field != tc.field {
-				t.Fatalf("field %q, want %q", fe.Field, tc.field)
-			}
-			// Run must refuse the same way, without executing anything.
-			if _, rerr := tc.job.Run(context.Background()); !errors.Is(rerr, tc.want) {
-				t.Fatalf("Run error %v, want %v", rerr, tc.want)
+			_, runErr := RunContext(context.Background(), tc.cfg)
+			for src, err := range map[string]error{"Validate": tc.cfg.Validate(), "RunContext": runErr} {
+				if !errors.Is(err, tc.want) {
+					t.Fatalf("%s: errors.Is(%v, %v) = false", src, err, tc.want)
+				}
+				var fe *FieldError
+				if !errors.As(err, &fe) || fe.Field != tc.field {
+					t.Fatalf("%s: error %v is not a *FieldError on %q", src, err, tc.field)
+				}
 			}
 		})
 	}
 
 	// The zero-valued knobs are all valid: they resolve to defaults.
-	ok := New(m, d, spec)
+	ok := Config{Model: m, Dataset: d, Spec: spec}
 	if err := ok.Validate(); err != nil {
 		t.Fatalf("default job invalid: %v", err)
 	}
-	if cfg := ok.Config(); cfg.Epochs != 3 || cfg.GPUsPerServer != spec.NumGPUs {
+	if cfg := ok.Resolved(); cfg.Epochs != 3 || cfg.GPUsPerServer != spec.NumGPUs {
 		t.Fatalf("defaults not resolved: %+v", cfg)
-	}
-}
-
-// TestJobRunMatchesRunContext proves RunContext on a bare Config and the
-// Job API are one execution path: identical results, field for field.
-func TestJobRunMatchesRunContext(t *testing.T) {
-	m, d, spec := jobModel(t), jobDataset(), cluster.ConfigSSDV100()
-	cfg := Config{
-		Model: m, Dataset: d, Spec: spec,
-		Loader: loader.CoorDL, CacheBytes: 0.35 * d.TotalBytes,
-		Epochs: 3, Seed: 9,
-	}
-	direct, err := RunContext(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	job := New(m, d, spec,
-		WithLoader(loader.CoorDL),
-		WithCacheBytes(0.35*d.TotalBytes),
-		WithEpochs(3),
-		WithSeed(9),
-	)
-	viaJob, err := job.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(direct, viaJob) {
-		t.Fatalf("RunContext and Job results diverge:\ndirect: %+v\njob:    %+v", direct, viaJob)
 	}
 }
 
@@ -113,15 +84,9 @@ func (r *recorder) Observe(ev Event) { r.events = append(r.events, ev) }
 // (EpochStarted, EpochEnded) per epoch, JobEnded — and that each
 // EpochEnded's stats equal the matching Result.Epochs entry.
 func TestObserverEventSequence(t *testing.T) {
-	m, d, spec := jobModel(t), jobDataset(), cluster.ConfigSSDV100()
 	epochs := 3
 	rec := &recorder{}
-	job := New(m, d, spec,
-		WithLoader(loader.CoorDL),
-		WithCacheBytes(0.35*d.TotalBytes),
-		WithEpochs(epochs),
-	)
-	res, err := job.Run(context.Background(), rec)
+	res, err := RunContext(context.Background(), coordlConfig(t, jobDataset(), epochs), rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,9 +124,8 @@ func TestObserverEventSequence(t *testing.T) {
 // TestObserverTraceMarkersEnableTraces: the built-in observers subsume the
 // legacy TraceDiskIO/TraceCPU flags.
 func TestObserverTraceMarkersEnableTraces(t *testing.T) {
-	m, d, spec := jobModel(t), jobDataset(), cluster.ConfigSSDV100()
-	job := New(m, d, spec, WithLoader(loader.CoorDL), WithCacheBytes(0.35*d.TotalBytes), WithEpochs(2))
-	res, err := job.Run(context.Background(), DiskTraceObserver(), CPUTraceObserver())
+	res, err := RunContext(context.Background(), coordlConfig(t, jobDataset(), 2),
+		DiskTraceObserver(), CPUTraceObserver())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,12 +140,10 @@ func TestObserverTraceMarkersEnableTraces(t *testing.T) {
 // TestRunCancelledBeforeStart: a job launched with an already-cancelled
 // context returns context.Canceled promptly.
 func TestRunCancelledBeforeStart(t *testing.T) {
-	m, d, spec := jobModel(t), jobDataset(), cluster.ConfigSSDV100()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	job := New(m, d, spec, WithLoader(loader.CoorDL), WithCacheBytes(0.35*d.TotalBytes))
 	start := time.Now()
-	res, err := job.Run(ctx)
+	res, err := RunContext(ctx, coordlConfig(t, jobDataset(), 0))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -199,8 +161,6 @@ func TestRunCancelledBeforeStart(t *testing.T) {
 // epoch well past the engine's cancellation-poll interval, so the abort
 // must land mid-run, not at the end.
 func TestRunCancelMidEpoch(t *testing.T) {
-	m, spec := jobModel(t), cluster.ConfigSSDV100()
-	d := dataset.ImageNet1K.Scale(0.02)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	seen := 0
@@ -210,9 +170,9 @@ func TestRunCancelMidEpoch(t *testing.T) {
 			cancel()
 		}
 	})
-	job := New(m, d, spec, WithLoader(loader.CoorDL), WithBatch(16),
-		WithCacheBytes(0.35*d.TotalBytes), WithEpochs(4))
-	res, err := job.Run(ctx, cancelOnFirstEpoch)
+	cfg := coordlConfig(t, dataset.ImageNet1K.Scale(0.02), 4)
+	cfg.Batch = 16
+	res, err := RunContext(ctx, cfg, cancelOnFirstEpoch)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

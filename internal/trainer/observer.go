@@ -52,9 +52,8 @@ func (EpochStarted) isEvent() {}
 func (EpochEnded) isEvent()   {}
 func (JobEnded) isEvent()     {}
 
-// Observer receives Events during Job.Run. Observe is called synchronously
-// from the run (on the simulation goroutine), in
-// event order; implementations must not block on the job itself.
+// Observer receives Events during RunContext. Observe is called
+// synchronously from the run (on the simulation goroutine), in event order; implementations must not block on the job itself.
 type Observer interface {
 	Observe(Event)
 }

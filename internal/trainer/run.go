@@ -19,27 +19,18 @@ type prepped struct {
 }
 
 // RunContext executes one training job (single- or multi-server) described
-// by cfg and returns its statistics. It honors ctx (the simulation polls it
-// between events) and streams typed progress events to obs. It fills
-// cfg's zero fields with defaults; Job.Run is the typed-validation entry
-// point over the same execution path, with bit-identical results.
+// by cfg and returns its statistics. It validates cfg (a typed *FieldError
+// on failure), fills its zero fields with defaults, honors ctx (the
+// simulation polls it between events) and streams typed progress events
+// to obs.
 func RunContext(ctx context.Context, cfg Config, obs ...Observer) (*Result, error) {
-	if cfg.Model == nil || cfg.Dataset == nil {
-		return nil, fmt.Errorf("trainer: model and dataset are required")
-	}
-	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return runJob(ctx, cfg, obs)
-}
-
-// runJob simulates a defaulted, validated config. It is the single
-// execution path behind RunContext and Job.Run.
-func runJob(ctx context.Context, cfg Config, obs observers) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	cfg = cfg.Resolved()
 	eng := sim.New()
 	cl := cluster.Build(eng, cfg.Spec, cfg.NumServers)
 	rt, err := newJobRuntime(cfg, eng, cl)
@@ -108,8 +99,7 @@ type jobRuntime struct {
 	plans map[int]*epochPlan
 
 	// Cumulative counters (single-threaded simulation: plain fields).
-	fetch   loader.FetchResult
-	waitGet float64
+	fetch loader.FetchResult
 
 	// Per-epoch snapshots taken by the coordinator GPU.
 	snaps []snapshot
@@ -300,7 +290,7 @@ func newJobRuntimeWith(cfg Config, eng *sim.Engine, cl *cluster.Cluster, f loade
 	return rt, nil
 }
 
-// enableTraces turns on time-series collection; runJob calls it between
+// enableTraces turns on time-series collection; RunContext calls it between
 // runtime construction and launch once the observer list is known.
 func (rt *jobRuntime) enableTraces(disk, cpu bool) {
 	if disk {
@@ -541,7 +531,6 @@ func (sm *consumerSM) step(p *sim.Proc) {
 				sm.state = csDone
 				return
 			}
-			rt.waitGet += p.Now() - sm.since
 			sm.state = csCompute
 			p.WakeAfter(rt.iterTime)
 			return

@@ -2,6 +2,7 @@ package trainer
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -275,14 +276,16 @@ func TestMultiGPUBarrierKeepsGPUsInLockstep(t *testing.T) {
 }
 
 func TestValidateRejectsBadConfigs(t *testing.T) {
-	if _, err := RunContext(context.Background(), Config{}); err == nil {
-		t.Fatal("empty config should fail")
+	var fe *FieldError
+	if _, err := RunContext(context.Background(), Config{}); !errors.Is(err, ErrMissingModel) ||
+		!errors.As(err, &fe) || fe.Field != "Model" {
+		t.Fatalf("empty config: err = %v, want a *FieldError on Model", err)
 	}
 	if _, err := RunContext(context.Background(), Config{
 		Model: gpu.MustByName("alexnet"), Dataset: dataset.ImageNet1K.Scale(0.001),
 		Spec: cluster.ConfigSSDV100(), GPUsPerServer: 99,
-	}); err == nil {
-		t.Fatal("too many GPUs should fail")
+	}); !errors.Is(err, ErrBadGPUs) || !errors.As(err, &fe) || fe.Field != "GPUsPerServer" {
+		t.Fatalf("too many GPUs: err = %v, want a *FieldError on GPUsPerServer", err)
 	}
 	// Dataset smaller than one global batch.
 	tiny := &dataset.Dataset{Name: "tiny", NumItems: 64, TotalBytes: 64 * 1000}
