@@ -58,12 +58,13 @@ benchcheck:
 	cd bench && $(GO) vet ./... && $(GO) test -count=1 ./...
 
 # Allocation guards on the hot paths: zero on steady-state cache Lookup,
-# page-cache churn, sim event dispatch and every fetcher's Plan, plus
-# ceilings on the object count and heap bytes of one whole simulated case. Run WITHOUT -race: the detector
+# page-cache churn, sim event dispatch, every fetcher's Plan and a kept
+# sampler's epoch orders, plus ceilings on the object count and heap bytes
+# of one whole simulated case and of its later epochs. Run WITHOUT -race: the detector
 # allocates shadow state on paths that are allocation-free in normal
 # builds, so the guards skip themselves under instrumentation.
 allocguard:
-	$(GO) test -count=1 -run 'TestAllocs' ./internal/sim ./internal/cache ./internal/pagecache ./internal/obs ./internal/core ./internal/trainer
+	$(GO) test -count=1 -run 'TestAllocs' ./internal/sim ./internal/cache ./internal/pagecache ./internal/obs ./internal/core ./internal/dataset ./internal/trainer
 
 # CPU + allocation profiles of one serial full-suite run -> cpu.pprof,
 # mem.pprof. Inspect with `go tool pprof -top cpu.pprof` (or mem.pprof

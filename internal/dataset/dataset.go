@@ -263,10 +263,15 @@ func shuffle(rng *rand.Rand, buf []ItemID) {
 // RandomSampler visits a shard in a fresh uniform-random permutation each
 // epoch — the DNN-training access pattern (random within an epoch, each item
 // exactly once per epoch).
+//
+// A RandomSampler keeps one *rand.Rand and re-seeds it for every epoch, so
+// asking for epochs in any order gives the same permutations as a fresh
+// sampler would. It is not safe for concurrent use.
 type RandomSampler struct {
 	items []ItemID // nil: the whole dataset, IDs 0..n-1
 	n     int
 	seed  int64
+	rng   *rand.Rand // created on first use
 }
 
 // NewRandomSampler returns a sampler over shard with the given seed.
@@ -280,6 +285,17 @@ func NewWholeRandomSampler(d *Dataset, seed int64) *RandomSampler {
 	return &RandomSampler{n: d.NumItems, seed: seed}
 }
 
+// reseed returns the sampler's rng in the state rand.New(rand.NewSource(seed))
+// starts in: Rand.Seed resets the source and the Read position.
+func (s *RandomSampler) reseed(seed int64) *rand.Rand {
+	if s.rng == nil {
+		s.rng = rand.New(rand.NewSource(seed))
+	} else {
+		s.rng.Seed(seed)
+	}
+	return s.rng
+}
+
 // Len implements Sampler.
 func (s *RandomSampler) Len() int { return s.n }
 
@@ -290,10 +306,35 @@ func (s *RandomSampler) EpochOrder(epoch int) []ItemID {
 
 // EpochOrderInto implements Sampler: same permutation, caller's buffer.
 func (s *RandomSampler) EpochOrderInto(epoch int, buf []ItemID) []ItemID {
-	rng := rand.New(rand.NewSource(s.seed + int64(epoch)*7919))
+	rng := s.reseed(s.seed + int64(epoch)*7919)
 	buf = fillOrder(s.items, s.n, buf)
 	shuffle(rng, buf)
 	return buf
+}
+
+// EpochShardsInto splits the sampler's items into n random disjoint shards
+// that change every epoch, as EpochShards does with the sampler's seed. The
+// epoch permutation is written by index into buf (grown if its capacity is
+// short), the shards are written into shards (likewise) as disjoint
+// subslices of it, and both are returned for reuse next epoch.
+func (s *RandomSampler) EpochShardsInto(n, epoch int, shards []Shard, buf []ItemID) ([]Shard, []ItemID) {
+	buf = permInto(s.reseed(s.seed^(int64(epoch)+1)*104729), s.n, buf)
+	if s.items != nil {
+		for i, p := range buf {
+			buf[i] = s.items[p]
+		}
+	}
+	if cap(shards) < n {
+		shards = make([]Shard, n)
+	} else {
+		shards = shards[:n]
+	}
+	per := (s.n + n - 1) / n
+	for i := range shards {
+		lo := min(i*per, s.n)
+		shards[i] = Shard{Items: buf[lo:min(lo+per, s.n)]}
+	}
+	return shards, buf
 }
 
 // SequentialSampler visits the shard in file order every epoch with a small
@@ -332,31 +373,8 @@ func (s *SequentialSampler) EpochOrderInto(epoch int, buf []ItemID) []ItemID {
 // every epoch — the distributed-training partitioning where each server
 // processes a random half/third/quarter of the data per epoch (§3.3.1).
 func EpochShards(d *Dataset, n int, epoch int, seed int64) []Shard {
-	shards, _ := EpochShardsInto(d, n, epoch, seed, nil)
+	shards, _ := NewWholeRandomSampler(d, seed).EpochShardsInto(n, epoch, nil, nil)
 	return shards
-}
-
-// EpochShardsInto is EpochShards writing through a reusable permutation
-// buffer: the epoch permutation is written directly by index into buf
-// (grown if its capacity is short) and the returned shards are disjoint
-// subslices of it — one buffer for the whole epoch instead of a scratch
-// []int plus one append-built slice per shard. The second result is the
-// backing buffer to pass back next epoch. Shard contents are identical to
-// EpochShards'.
-func EpochShardsInto(d *Dataset, n, epoch int, seed int64, buf []ItemID) ([]Shard, []ItemID) {
-	rng := rand.New(rand.NewSource(seed ^ (int64(epoch)+1)*104729))
-	buf = permInto(rng, d.NumItems, buf)
-	shards := make([]Shard, n)
-	per := (d.NumItems + n - 1) / n
-	for i := range shards {
-		lo := i * per
-		hi := lo + per
-		if hi > d.NumItems {
-			hi = d.NumItems
-		}
-		shards[i] = Shard{Items: buf[lo:hi]}
-	}
-	return shards, buf
 }
 
 // Batches groups an epoch order into minibatches of size b (last batch may

@@ -1,9 +1,12 @@
 package dataset
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
+
+	"datastall/internal/race"
 )
 
 // TestPermIntoMatchesRandPerm: permInto must replicate rand.Perm's draw
@@ -51,31 +54,56 @@ func TestEpochOrderIntoMatchesEpochOrder(t *testing.T) {
 	}
 }
 
+// epochShardsFrozen is the historical EpochShards construction, kept as the
+// oracle: a fresh rand.Perm per epoch, cut into consecutive per-shard
+// chunks, each built by append.
+func epochShardsFrozen(d *Dataset, n, epoch int, seed int64) []Shard {
+	perm := rand.New(rand.NewSource(seed ^ (int64(epoch)+1)*104729)).Perm(d.NumItems)
+	per := (d.NumItems + n - 1) / n
+	shards := make([]Shard, n)
+	for i, p := range perm {
+		shards[i/per].Items = append(shards[i/per].Items, ItemID(p))
+	}
+	return shards
+}
+
+// equalShards reports the first difference between two shard lists.
+func equalShards(got, want []Shard) (string, bool) {
+	if len(got) != len(want) {
+		return fmt.Sprintf("%d shards, want %d", len(got), len(want)), false
+	}
+	for s := range want {
+		if len(got[s].Items) != len(want[s].Items) {
+			return fmt.Sprintf("shard %d: len %d, want %d", s, len(got[s].Items), len(want[s].Items)), false
+		}
+		for i := range want[s].Items {
+			if got[s].Items[i] != want[s].Items[i] {
+				return fmt.Sprintf("shard %d item %d: %d, want %d", s, i, got[s].Items[i], want[s].Items[i]), false
+			}
+		}
+	}
+	return "", true
+}
+
 // TestEpochShardsIntoMatchesEpochShards: subslice-backed shards carry the
 // same items as the historical per-shard-append construction, including
-// when the permutation buffer is recycled across epochs.
+// when the permutation and shard buffers are recycled across epochs.
 func TestEpochShardsIntoMatchesEpochShards(t *testing.T) {
 	d := &Dataset{Name: "t", NumItems: 1003, TotalBytes: 1003}
-	var buf []ItemID
+	s := NewWholeRandomSampler(d, 99)
+	var (
+		shards []Shard
+		buf    []ItemID
+	)
 	for epoch := 0; epoch < 3; epoch++ {
 		for _, n := range []int{1, 2, 3, 4, 8} {
-			want := EpochShards(d, n, epoch, 99)
-			var got []Shard
-			got, buf = EpochShardsInto(d, n, epoch, 99, buf)
-			if len(got) != len(want) {
-				t.Fatalf("epoch %d n=%d: %d shards, want %d", epoch, n, len(got), len(want))
+			want := epochShardsFrozen(d, n, epoch, 99)
+			if diff, ok := equalShards(EpochShards(d, n, epoch, 99), want); !ok {
+				t.Fatalf("EpochShards epoch %d n=%d: %s", epoch, n, diff)
 			}
-			for s := range want {
-				if len(got[s].Items) != len(want[s].Items) {
-					t.Fatalf("epoch %d n=%d shard %d: len %d, want %d",
-						epoch, n, s, len(got[s].Items), len(want[s].Items))
-				}
-				for i := range want[s].Items {
-					if got[s].Items[i] != want[s].Items[i] {
-						t.Fatalf("epoch %d n=%d shard %d item %d: %d, want %d",
-							epoch, n, s, i, got[s].Items[i], want[s].Items[i])
-					}
-				}
+			shards, buf = s.EpochShardsInto(n, epoch, shards, buf)
+			if diff, ok := equalShards(shards, want); !ok {
+				t.Fatalf("EpochShardsInto epoch %d n=%d: %s", epoch, n, diff)
 			}
 		}
 	}
@@ -85,7 +113,7 @@ func TestEpochShardsIntoMatchesEpochShards(t *testing.T) {
 // no per-shard copies — and together cover it exactly.
 func TestEpochShardsIntoSharedBuffer(t *testing.T) {
 	d := &Dataset{Name: "t", NumItems: 100, TotalBytes: 100}
-	shards, buf := EpochShardsInto(d, 4, 1, 7, nil)
+	shards, buf := NewWholeRandomSampler(d, 7).EpochShardsInto(4, 1, nil, nil)
 	total := 0
 	for s, sh := range shards {
 		total += len(sh.Items)
@@ -98,6 +126,77 @@ func TestEpochShardsIntoSharedBuffer(t *testing.T) {
 	}
 	if total != d.NumItems {
 		t.Fatalf("shards cover %d items, want %d", total, d.NumItems)
+	}
+}
+
+// TestEpochShardsIntoOverShard: over a materialised shard, the epoch shards
+// hold the shard's items at the positions the whole-dataset sampler puts
+// their indices.
+func TestEpochShardsIntoOverShard(t *testing.T) {
+	d := &Dataset{Name: "t", NumItems: 50, TotalBytes: 50}
+	items := make([]ItemID, 50)
+	for i := range items {
+		items[i] = ItemID(1000 + 3*i)
+	}
+	got, _ := NewRandomSampler(Shard{Items: items}, 5).EpochShardsInto(3, 2, nil, nil)
+	idx := EpochShards(d, 3, 2, 5)
+	for s := range idx {
+		for i, p := range idx[s].Items {
+			if got[s].Items[i] != items[p] {
+				t.Fatalf("shard %d item %d: %d, want %d", s, i, got[s].Items[i], items[p])
+			}
+		}
+	}
+}
+
+// TestRandomSamplerReuseMatchesFresh: one kept sampler, asked for epochs
+// out of order and repeated, gives what a fresh sampler gives for each —
+// re-seeding its one rng leaves no state from the previous epoch.
+func TestRandomSamplerReuseMatchesFresh(t *testing.T) {
+	d := &Dataset{Name: "t", NumItems: 1003, TotalBytes: 1003}
+	kept := NewWholeRandomSampler(d, 42)
+	var (
+		buf    []ItemID
+		shards []Shard
+		sbuf   []ItemID
+	)
+	for _, epoch := range []int{3, 0, 3, 1} {
+		want := NewWholeRandomSampler(d, 42).EpochOrder(epoch)
+		buf = kept.EpochOrderInto(epoch, buf)
+		if diff, ok := equalShards([]Shard{{Items: buf}}, []Shard{{Items: want}}); !ok {
+			t.Fatalf("EpochOrderInto epoch %d: %s", epoch, diff)
+		}
+		wantShards, _ := NewWholeRandomSampler(d, 42).EpochShardsInto(3, epoch, nil, nil)
+		shards, sbuf = kept.EpochShardsInto(3, epoch, shards, sbuf)
+		if diff, ok := equalShards(shards, wantShards); !ok {
+			t.Fatalf("EpochShardsInto epoch %d: %s", epoch, diff)
+		}
+	}
+}
+
+// TestAllocsEpochOrderInto: once a kept sampler has its rng and the caller
+// keeps the order buffer, every later epoch order and epoch shard split
+// allocates nothing. Enforced in CI without race instrumentation.
+func TestAllocsEpochOrderInto(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race instrumentation allocates on otherwise allocation-free paths")
+	}
+	d := &Dataset{Name: "t", NumItems: 1003, TotalBytes: 1003}
+	s := NewWholeRandomSampler(d, 42)
+	buf := s.EpochOrderInto(0, nil)
+	shards, sbuf := s.EpochShardsInto(4, 0, nil, nil)
+	epoch := 0
+	if avg := testing.AllocsPerRun(20, func() {
+		epoch++
+		buf = s.EpochOrderInto(epoch, buf)
+	}); avg != 0 {
+		t.Fatalf("EpochOrderInto allocates %v objects per epoch, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(20, func() {
+		epoch++
+		shards, sbuf = s.EpochShardsInto(4, epoch, shards, sbuf)
+	}); avg != 0 {
+		t.Fatalf("EpochShardsInto allocates %v objects per epoch, want 0", avg)
 	}
 }
 

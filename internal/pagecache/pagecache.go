@@ -14,15 +14,19 @@
 //   - Random: random replacement, included for ablations.
 //
 // Storage layout: one []entry indexed by ItemID (IDs are dense small
-// integers) holds each item's size, its residency state and the int32 links
-// that thread it into an intrusive doubly-linked recency list, so a lookup
-// is one bounds-checked load and there is no separate index or free list.
-// The slot array grows on demand; NewSized pre-sizes it for a known ID
-// range. Steady-state Lookup and Insert-with-eviction therefore allocate
-// nothing — no map operations, no container/list element boxes, no
-// per-entry heap objects. Eviction order, rng consumption, and every
-// statistic are identical to the original map+container/list
-// implementation (pinned by TestSlabMatchesReference).
+// integers) holds each item's size and the two 32-bit links that thread it
+// into an intrusive doubly-linked recency list, with its residency state in
+// the top two bits of the next link: 16 bytes per item, so a lookup is one
+// bounds-checked load and there is no separate index or free list. Links
+// store an ID plus one, so an all-zero slot is absent and unlinked, and IDs
+// at or above 2^30-1 (which would reach the state bits) are never cached;
+// the largest catalog dataset has 14.2M items. The slot array grows on
+// demand; NewSized pre-sizes it for a known ID range. Steady-state Lookup
+// and Insert-with-eviction therefore allocate nothing — no map operations,
+// no container/list element boxes, no per-entry heap objects. Eviction
+// order, rng consumption, and every statistic are identical to the
+// original map+container/list implementation (pinned by
+// TestSlabMatchesReference).
 //
 // A Cache is NOT safe for concurrent use; each simulated job owns its
 // caches and drives them from the one simulation goroutine.
@@ -57,9 +61,6 @@ func (p Policy) String() string {
 	return "unknown"
 }
 
-// nilIdx marks an empty link.
-const nilIdx = int32(-1)
-
 // Residency states of a slot. The zero value is absent, so slots added by
 // growth start empty.
 const (
@@ -68,19 +69,41 @@ const (
 	active
 )
 
-// entry is the slot of the item whose ItemID is its index. While the item
-// is resident, prev/next (item IDs) thread it into the inactive or active
-// list; Random-policy entries are resident but unlinked.
+// link names a slot in a recency list: its item ID plus one, so the zero
+// link is nil. It fits the low 30 bits of entry.next, whose top two bits
+// hold the slot's residency state.
+type link uint32
+
+const (
+	stateShift = 30
+	linkMask   = link(1)<<stateShift - 1
+	// maxItems bounds the IDs a cache accepts: the largest, maxItems-1,
+	// is stored as the link maxItems == linkMask.
+	maxItems = int(linkMask)
+)
+
+// linkOf returns the link naming the slot of id.
+func linkOf(id dataset.ItemID) link { return link(id) + 1 }
+
+// entry is the 16-byte slot of the item whose ItemID is its index. While
+// the item is resident, prev and next thread it into the inactive or active
+// list; Random-policy entries are resident but unlinked. An all-zero slot is
+// absent and unlinked.
 type entry struct {
-	bytes      float64
-	prev, next int32
-	state      uint8
+	bytes float64
+	prev  link
+	next  link // state<<stateShift | next link
 }
 
-// clist is an intrusive doubly-linked list over slot indices.
+func (en *entry) state() uint8      { return uint8(en.next >> stateShift) }
+func (en *entry) setState(st uint8) { en.next = en.next&linkMask | link(st)<<stateShift }
+func (en *entry) nextLink() link    { return en.next & linkMask }
+func (en *entry) setNext(l link)    { en.next = en.next&^linkMask | l }
+
+// clist is an intrusive doubly-linked list over slots.
 // front = most recent.
 type clist struct {
-	head, tail int32
+	head, tail link
 	n          int
 }
 
@@ -123,8 +146,6 @@ func New(policy Policy, capBytes float64, seed int64) *Cache {
 	return &Cache{
 		policy:      policy,
 		capBytes:    capBytes,
-		inactive:    clist{head: nilIdx, tail: nilIdx},
-		active:      clist{head: nilIdx, tail: nilIdx},
 		activeRatio: 0.62,
 		refaultProb: 0.30,
 		rng:         rand.New(rand.NewSource(seed)),
@@ -172,15 +193,19 @@ func (c *Cache) Len() int { return c.count }
 // Contains reports whether id is resident without updating recency.
 func (c *Cache) Contains(id dataset.ItemID) bool {
 	i := int(id)
-	return uint(i) < uint(len(c.slots)) && c.slots[i].state != absent
+	return uint(i) < uint(len(c.slots)) && c.slots[i].state() != absent
 }
 
+// slot returns the slot l names.
+func (c *Cache) slot(l link) *entry { return &c.slots[l-1] }
+
 // pushFront links slot e at the front of l.
-func (c *Cache) pushFront(l *clist, e int32) {
-	en := &c.slots[e]
-	en.prev, en.next = nilIdx, l.head
-	if l.head != nilIdx {
-		c.slots[l.head].prev = e
+func (c *Cache) pushFront(l *clist, e link) {
+	en := c.slot(e)
+	en.prev = 0
+	en.setNext(l.head)
+	if l.head != 0 {
+		c.slot(l.head).prev = e
 	} else {
 		l.tail = e
 	}
@@ -189,24 +214,26 @@ func (c *Cache) pushFront(l *clist, e int32) {
 }
 
 // unlink removes slot e from l.
-func (c *Cache) unlink(l *clist, e int32) {
-	en := &c.slots[e]
-	if en.prev != nilIdx {
-		c.slots[en.prev].next = en.next
+func (c *Cache) unlink(l *clist, e link) {
+	en := c.slot(e)
+	next := en.nextLink()
+	if en.prev != 0 {
+		c.slot(en.prev).setNext(next)
 	} else {
-		l.head = en.next
+		l.head = next
 	}
-	if en.next != nilIdx {
-		c.slots[en.next].prev = en.prev
+	if next != 0 {
+		c.slot(next).prev = en.prev
 	} else {
 		l.tail = en.prev
 	}
-	en.prev, en.next = nilIdx, nilIdx
+	en.prev = 0
+	en.setNext(0)
 	l.n--
 }
 
 // moveToFront makes e the most recent entry of l.
-func (c *Cache) moveToFront(l *clist, e int32) {
+func (c *Cache) moveToFront(l *clist, e link) {
 	if l.head == e {
 		return
 	}
@@ -222,20 +249,20 @@ func (c *Cache) Get(id dataset.ItemID) (bytes float64, ok bool) {
 		return 0, false
 	}
 	c.hits++
-	e := int32(id)
-	en := &c.slots[e]
+	e := linkOf(id)
+	en := c.slot(e)
 	switch c.policy {
 	case LRU:
 		c.moveToFront(&c.inactive, e)
 	case TwoList:
-		if en.state == active {
+		if en.state() == active {
 			c.moveToFront(&c.active, e)
 		} else {
 			// Second touch while resident on the inactive list:
 			// promote to the active list (Linux mark_page_accessed).
 			c.unlink(&c.inactive, e)
 			c.pushFront(&c.active, e)
-			en.state = active
+			en.setState(active)
 			c.activeBytes += en.bytes
 			c.rebalance()
 		}
@@ -253,9 +280,10 @@ func (c *Cache) Lookup(id dataset.ItemID) bool {
 }
 
 // Insert caches id (typically after a miss fetched it from storage), evicting
-// as needed to respect capacity. Items larger than the cache are not cached.
+// as needed to respect capacity. Items larger than the cache are not cached,
+// nor are IDs outside [0, 2^30-1), which a slot cannot link.
 func (c *Cache) Insert(id dataset.ItemID, bytes float64) {
-	if id < 0 || c.Contains(id) || bytes > c.capBytes {
+	if id < 0 || int(id) >= maxItems || c.Contains(id) || bytes > c.capBytes {
 		return
 	}
 	for c.usedBytes+bytes > c.capBytes {
@@ -266,16 +294,17 @@ func (c *Cache) Insert(id dataset.ItemID, bytes float64) {
 	if n := int(id) + 1; n > len(c.slots) {
 		c.slots = append(c.slots, make([]entry, n-len(c.slots))...)
 	}
-	e := int32(id)
-	en := &c.slots[e]
-	en.bytes, en.state = bytes, inactive
+	e := linkOf(id)
+	en := c.slot(e)
+	en.bytes = bytes
+	en.setState(inactive)
 	switch c.policy {
 	case Random:
 		c.randKeys = append(c.randKeys, id)
 	case TwoList:
 		if c.refaultProb > 0 && c.rng.Float64() < c.refaultProb {
 			c.pushFront(&c.active, e)
-			en.state = active
+			en.setState(active)
 			c.activeBytes += bytes
 			c.count++
 			c.usedBytes += bytes
@@ -294,18 +323,24 @@ func (c *Cache) Insert(id dataset.ItemID, bytes float64) {
 // share of capacity (TwoList).
 func (c *Cache) rebalance() {
 	for c.activeBytes > c.activeRatio*c.capBytes && c.active.n > 0 {
-		e := c.active.tail
-		c.unlink(&c.active, e)
-		c.pushFront(&c.inactive, e)
-		c.slots[e].state = inactive
-		c.activeBytes -= c.slots[e].bytes
+		c.demote()
 	}
 }
 
+// demote moves the active tail to the front of the inactive list.
+func (c *Cache) demote() {
+	e := c.active.tail
+	c.unlink(&c.active, e)
+	c.pushFront(&c.inactive, e)
+	en := c.slot(e)
+	en.setState(inactive)
+	c.activeBytes -= en.bytes
+}
+
 // release evicts resident slot e and books the eviction.
-func (c *Cache) release(e int32) {
-	en := &c.slots[e]
-	en.state = absent
+func (c *Cache) release(e link) {
+	en := c.slot(e)
+	en.setState(absent)
 	c.usedBytes -= en.bytes
 	c.count--
 	c.evictions++
@@ -323,24 +358,24 @@ func (c *Cache) evictOne() bool {
 		last := len(c.randKeys) - 1
 		c.randKeys[i] = c.randKeys[last]
 		c.randKeys = c.randKeys[:last]
-		c.release(int32(id))
+		c.release(linkOf(id))
 		return true
 	case TwoList:
 		// Evict from the inactive tail; refill inactive from active if
 		// it drained (Linux shrinks the active list under pressure).
-		if c.inactive.n == 0 {
-			c.rebalanceForce()
+		if c.inactive.n == 0 && c.active.tail != 0 {
+			c.demote()
 		}
 		fallthrough
 	default:
 		e := c.inactive.tail
-		if e == nilIdx {
+		if e == 0 {
 			e = c.active.tail
-			if e == nilIdx {
+			if e == 0 {
 				return false
 			}
 			c.unlink(&c.active, e)
-			c.activeBytes -= c.slots[e].bytes
+			c.activeBytes -= c.slot(e).bytes
 			c.release(e)
 			return true
 		}
@@ -348,18 +383,6 @@ func (c *Cache) evictOne() bool {
 		c.release(e)
 		return true
 	}
-}
-
-// rebalanceForce demotes one active tail into inactive (pressure path).
-func (c *Cache) rebalanceForce() {
-	e := c.active.tail
-	if e == nilIdx {
-		return
-	}
-	c.unlink(&c.active, e)
-	c.pushFront(&c.inactive, e)
-	c.slots[e].state = inactive
-	c.activeBytes -= c.slots[e].bytes
 }
 
 // HitRate returns hits/(hits+misses), or 0 with no lookups.

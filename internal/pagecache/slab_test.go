@@ -3,6 +3,7 @@ package pagecache
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"datastall/internal/dataset"
 	"datastall/internal/race"
@@ -102,6 +103,49 @@ func TestInsertGrowsSlotsOnDemand(t *testing.T) {
 	}
 	if b, ok := c.Get(1000); !ok || b != 1 {
 		t.Fatalf("Get(1000) = %v, %v; want 1, true", b, ok)
+	}
+}
+
+// TestSlotIs16Bytes pins the slot size: the residency state rides in the
+// top two bits of the next link instead of padding a third field to 24
+// bytes, which is the page cache's whole per-item footprint.
+func TestSlotIs16Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(entry{}); n != 16 {
+		t.Fatalf("slot is %d bytes, want 16", n)
+	}
+}
+
+// TestInsertIgnoresUnlinkableIDs: an ID at or above 2^30-1 has no link
+// below the state bits, so Insert ignores it as it ignores a negative ID —
+// nothing is cached, evicted or grown — while the link of the largest
+// accepted ID, 2^30-2, fits beside every state.
+func TestInsertIgnoresUnlinkableIDs(t *testing.T) {
+	for _, pol := range []Policy{LRU, TwoList, Random} {
+		c := New(pol, 2, 1)
+		c.Insert(5, 1)
+		c.Insert(6, 1)
+		for _, id := range []dataset.ItemID{-1, 1<<30 - 1, 1 << 30, 1<<31 - 1} {
+			c.Insert(id, 1)
+			if c.Contains(id) || c.Len() != 2 || c.Evictions() != 0 || len(c.slots) != 7 {
+				t.Fatalf("%v: Insert(%d) changed the cache: resident %v, len %d, evictions %d, %d slots",
+					pol, id, c.Contains(id), c.Len(), c.Evictions(), len(c.slots))
+			}
+		}
+	}
+	// A cache holding the largest accepted ID would need a 16 GiB slot
+	// array, so its packing is checked on a bare slot.
+	top := linkOf(1<<30 - 2)
+	for _, st := range []uint8{absent, inactive, active} {
+		var en entry
+		en.setNext(top)
+		en.setState(st)
+		if en.state() != st || en.nextLink() != top {
+			t.Fatalf("state %d beside link %#x: read back state %d, link %#x", st, top, en.state(), en.nextLink())
+		}
+		en.setNext(0)
+		if en.state() != st || en.nextLink() != 0 {
+			t.Fatalf("clearing the link beside state %d: read back state %d, link %#x", st, en.state(), en.nextLink())
+		}
 	}
 }
 

@@ -206,8 +206,11 @@ func newCoordRuntime(cc ConcurrentConfig) *coordRuntime {
 
 	rt := &coordRuntime{
 		cc: cc, eng: eng, cl: cl, fetcher: fetcher, staging: staging,
-		shards:     dataset.SplitRandom(base.Dataset, cc.NumJobs, base.Seed),
-		orderCache: map[orderKey][]dataset.ItemID{},
+		shards: dataset.SplitRandom(base.Dataset, cc.NumJobs, base.Seed),
+		orders: make([]jobOrders, cc.NumJobs),
+	}
+	for j := range rt.orders {
+		rt.orders[j].sampler = dataset.NewRandomSampler(rt.shards[j], base.Seed+int64(j)*977)
 	}
 	rt.setup()
 	rt.launch()
@@ -235,11 +238,11 @@ type coordRuntime struct {
 	jobDead  bool
 	detector *core.FailureDetector
 
-	// orderCache memoizes shard orders per (job, epoch): a job's P
-	// producers (plus any recovery producer) share one shuffle instead of
-	// each re-deriving an identical permutation. Entries two epochs old
-	// are dropped to bound memory. Single-threaded simulation: no lock.
-	orderCache map[orderKey][]dataset.ItemID
+	// orders holds each job's shard orders: a job's P producers (plus any
+	// recovery producer) share one shuffle per epoch instead of each
+	// re-deriving an identical permutation. Single-threaded simulation:
+	// no lock.
+	orders []jobOrders
 
 	// Per-job accounting.
 	jobs []*coordJobStats
@@ -328,21 +331,32 @@ func (rt *coordRuntime) launch() {
 	}
 }
 
-// orderKey addresses one job's memoized epoch order.
-type orderKey struct{ job, epoch int }
+// jobOrders holds one job's shard sampler and its last two epoch orders:
+// the order for epoch e is written over epoch e-2's buffer. Two, not one,
+// because a recovery producer can lag its job by an epoch.
+type jobOrders struct {
+	sampler *dataset.RandomSampler
+	epochs  [2]int
+	bufs    [2][]dataset.ItemID // by epoch parity; nil until first use
+}
 
-// shardOrder returns job j's shard order for an epoch, memoized so the
-// job's producers shuffle once per epoch between them.
+// shardOrder returns job j's shard order for an epoch, computed once per
+// epoch so the job's producers shuffle once between them. No process
+// still reads the epoch-2 order it overwrites: every live job has finished
+// epoch e-1 before a producer may start epoch e. Asking for an epoch two
+// or more behind the job's newest would overwrite an order in use, so it
+// panics.
 func (rt *coordRuntime) shardOrder(j, epoch int) []dataset.ItemID {
-	k := orderKey{j, epoch}
-	if order, ok := rt.orderCache[k]; ok {
-		return order
+	o := &rt.orders[j]
+	k := epoch & 1
+	switch {
+	case o.bufs[k] == nil || o.epochs[k] < epoch:
+		o.bufs[k] = o.sampler.EpochOrderInto(epoch, o.bufs[k])
+		o.epochs[k] = epoch
+	case o.epochs[k] > epoch:
+		panic(fmt.Sprintf("trainer: job %d's order for epoch %d requested after epoch %d's", j, epoch, o.epochs[k]))
 	}
-	s := dataset.NewRandomSampler(rt.shards[j], rt.cc.Base.Seed+int64(j)*977)
-	order := s.EpochOrder(epoch)
-	rt.orderCache[k] = order
-	delete(rt.orderCache, orderKey{j, epoch - 2})
-	return order
+	return o.bufs[k]
 }
 
 // coordProdState enumerates the points where a coordinated producer waits.

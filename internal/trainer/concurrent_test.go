@@ -2,6 +2,8 @@ package trainer
 
 import (
 	"context"
+	"slices"
+	"strings"
 	"testing"
 
 	"datastall/internal/cluster"
@@ -177,4 +179,42 @@ func TestStagingEvictionsComplete(t *testing.T) {
 	if last != 0 {
 		t.Fatalf("staging not drained at end: %v bytes", last)
 	}
+}
+
+// TestShardOrderKeepsTwoEpochs: a coordinated job keeps its last two epoch
+// orders, each equal to a fresh sampler's, and writes epoch e over epoch
+// e-2's buffer; asking for an epoch two behind the newest panics instead of
+// overwriting an order a producer may still read.
+func TestShardOrderKeepsTwoEpochs(t *testing.T) {
+	d := dataset.OpenImages.Scale(0.001)
+	cc, err := ConcurrentConfig{
+		Base: Config{
+			Model: gpu.MustByName("alexnet"), Dataset: d, Spec: cluster.ConfigSSDV100(),
+			Epochs: 4, CacheBytes: d.TotalBytes, Batch: 128,
+		},
+		NumJobs: 2, GPUsPerJob: 1, Coordinated: true,
+	}.resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := newCoordRuntime(cc)
+	orders := map[int][]dataset.ItemID{}
+	for _, epoch := range []int{0, 1, 2, 1, 3} {
+		got := rt.shardOrder(1, epoch)
+		want := dataset.NewRandomSampler(rt.shards[1], cc.Base.Seed+977).EpochOrder(epoch)
+		if !slices.Equal(got, want) {
+			t.Fatalf("epoch %d: order differs from a fresh sampler's", epoch)
+		}
+		orders[epoch] = got
+	}
+	if &orders[2][0] != &orders[0][0] || &orders[3][0] != &orders[1][0] {
+		t.Fatal("epochs 2 and 3 did not reuse the buffers of epochs 0 and 1")
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "epoch 1 ") || !strings.Contains(msg, "epoch 3's") {
+			t.Fatalf("shardOrder(1, 1) after epoch 3: panic %q, want one naming epochs 1 and 3", msg)
+		}
+	}()
+	rt.shardOrder(1, 1)
 }

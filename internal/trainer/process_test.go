@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 
 	"datastall/internal/cluster"
@@ -83,15 +84,42 @@ func TestSimulationStartsNoGoroutines(t *testing.T) {
 }
 
 // wholeCaseAllocs and wholeCaseBytes are the allocation ceilings of one
-// small single-server case run end to end (TestAllocsWholeCase): the
-// object count and heap bytes measured once the page cache was indexed by
-// item ID and whole-dataset samplers stopped materialising an identity
-// shard (before: 247 objects, 197,600 bytes; goroutine producers took 278
-// objects).
+// small single-server case run end to end (TestAllocsWholeCase), measured
+// at 220 objects and 79,720 bytes once a job kept one epoch plan and one
+// rng per sampler and page-cache slots shrank to 16 bytes. Earlier
+// ceilings: 226 objects, 111,200 bytes; before the page cache was indexed
+// by item ID and whole-dataset samplers stopped materialising an identity
+// shard, 247 objects, 197,600 bytes; goroutine producers took 278 objects.
 const (
-	wholeCaseAllocs = 226
-	wholeCaseBytes  = 111_200
+	wholeCaseAllocs = 220
+	wholeCaseBytes  = 80_000
 )
+
+// twoEpochsBytes is the ceiling on the heap bytes two more epochs of the
+// TestAllocsWholeCase case allocate (TestAllocsPerEpoch). A job rewrites
+// its one epoch plan in place, so what is left is the per-epoch snapshot
+// and event bookkeeping: 800 bytes measured (before the single plan:
+// 11,728 bytes).
+const twoEpochsBytes = 1024
+
+// wholeCaseConfig is the small single-server case the allocation guards
+// run.
+func wholeCaseConfig(epochs int) Config {
+	d := dataset.OpenImages.Scale(0.001)
+	return Config{
+		Model: gpu.MustByName("resnet18"), Dataset: d, Spec: cluster.ConfigSSDV100(),
+		Epochs: epochs, CacheBytes: 0.5 * d.TotalBytes, Batch: 64,
+	}
+}
+
+// runCase returns a func that runs cfg end to end, failing t on error.
+func runCase(t *testing.T, cfg Config) func() {
+	return func() {
+		if _, err := RunContext(context.Background(), cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
 
 // TestAllocsWholeCase guards the allocation count and heap bytes of a whole
 // case. Neither depends on host speed, so a per-batch or per-event
@@ -101,22 +129,52 @@ func TestAllocsWholeCase(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race instrumentation allocates on otherwise allocation-free paths")
 	}
-	d := dataset.OpenImages.Scale(0.001)
-	cfg := Config{
-		Model: gpu.MustByName("resnet18"), Dataset: d, Spec: cluster.ConfigSSDV100(),
-		Epochs: 2, CacheBytes: 0.5 * d.TotalBytes, Batch: 64,
-	}
-	run := func() {
-		if _, err := RunContext(context.Background(), cfg); err != nil {
-			t.Fatal(err)
-		}
-	}
+	run := runCase(t, wholeCaseConfig(2))
 	if avg := testing.AllocsPerRun(3, run); avg > wholeCaseAllocs {
 		t.Fatalf("one case allocates %v objects, ceiling %d", avg, wholeCaseAllocs)
 	}
 	if b := allocBytesPerRun(3, run); b > wholeCaseBytes {
 		t.Fatalf("one case allocates %d heap bytes, ceiling %d", b, wholeCaseBytes)
 	}
+}
+
+// TestAllocsPerEpoch guards what an epoch costs beyond the case's set-up:
+// the heap bytes of the TestAllocsWholeCase case at 4 epochs minus those
+// at 2. A per-epoch order buffer, rng or plan allocated anew each epoch
+// fails here exactly.
+func TestAllocsPerEpoch(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race instrumentation allocates on otherwise allocation-free paths")
+	}
+	two := allocBytesPerRun(3, runCase(t, wholeCaseConfig(2)))
+	four := allocBytesPerRun(3, runCase(t, wholeCaseConfig(4)))
+	if four < two || four-two > twoEpochsBytes {
+		t.Fatalf("two more epochs allocate %d heap bytes (%d at 2 epochs, %d at 4), ceiling %d",
+			int64(four)-int64(two), two, four, twoEpochsBytes)
+	}
+}
+
+// TestPlanRejectsOlderEpoch: a job keeps one epoch plan and rewrites it in
+// place, so asking for an epoch older than the current plan's breaks the
+// invariant that makes the rewrite safe, and panics naming both epochs.
+func TestPlanRejectsOlderEpoch(t *testing.T) {
+	cfg := wholeCaseConfig(4).Resolved()
+	eng := sim.New()
+	rt, err := newJobRuntime(cfg, eng, cluster.Build(eng, cfg.Spec, cfg.NumServers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl := rt.plan(2)
+	if again := rt.plan(2); again != pl || again.epoch != 2 {
+		t.Fatalf("second plan(2) = %p for epoch %d, want %p for epoch 2", again, again.epoch, pl)
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "epoch 1 ") || !strings.Contains(msg, "epoch 2's") {
+			t.Fatalf("plan(1) after plan(2): panic %q, want one naming epochs 1 and 2", msg)
+		}
+	}()
+	rt.plan(1)
 }
 
 // allocBytesPerRun is testing.AllocsPerRun for bytes: the heap bytes

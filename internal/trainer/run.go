@@ -96,7 +96,7 @@ type jobRuntime struct {
 	epochBarrier *sim.Barrier
 	stores       [][]*sim.Store[prepped] // [server][gpu]
 
-	plans map[int]*epochPlan
+	pl epochPlan // the current epoch's; see plan
 
 	// Cumulative counters (single-threaded simulation: plain fields).
 	fetch loader.FetchResult
@@ -124,85 +124,78 @@ type snapshot struct {
 }
 
 // epochPlan is one epoch's per-server item orders plus the iteration count.
-// When owned, buf is the backing permutation buffer the orders are views
-// over, and a dropped plan's buffer is recycled into the next epoch's
-// (epoch-order reuse: N GPUs and P producers share one shuffle per epoch,
-// and successive epochs share one buffer).
+// A job keeps a single plan: the job's N GPUs and P producers share one
+// shuffle per epoch, and the next epoch's orders are written over this
+// one's buffers when the plan owns them.
 type epochPlan struct {
-	orders [][]dataset.ItemID // per server
+	epoch  int
+	shards []dataset.Shard // per server
 	iters  int
 	buf    []dataset.ItemID
-	owned  bool
+	// owned reports that shards and buf are the plan's own, so the next
+	// epoch may rewrite them; the first CoorDL epoch's shards alias the
+	// static owner shards instead.
+	owned bool
 }
 
 // orderSource produces per-epoch visit orders for one job. It is built once
-// per job — its sampler is constructed a single time, not once per epoch per
-// process, and writes IDs straight into the epoch buffer with no
-// materialised shard.
+// per job — its sampler, and the sampler's one rng, are constructed a single
+// time, not once per epoch per process, and write IDs straight into the
+// epoch buffer with no materialised shard.
 type orderSource struct {
 	cfg         Config
 	ownerShards []dataset.Shard
-	sampler     dataset.Sampler // single-server jobs only
+	sampler     dataset.Sampler        // single-server jobs
+	sharder     *dataset.RandomSampler // multi-server jobs: random per-epoch shards
 }
 
 func newOrderSource(cfg Config, ownerShards []dataset.Shard) *orderSource {
 	src := &orderSource{cfg: cfg, ownerShards: ownerShards}
-	if cfg.NumServers == 1 {
-		if cfg.Loader == loader.DALISeq && cfg.FetchMode == Normal {
-			src.sampler = dataset.NewWholeSequentialSampler(cfg.Dataset)
-		} else {
-			src.sampler = dataset.NewWholeRandomSampler(cfg.Dataset, cfg.Seed)
-		}
+	switch {
+	case cfg.NumServers > 1:
+		src.sharder = dataset.NewWholeRandomSampler(cfg.Dataset, cfg.Seed)
+	case cfg.Loader == loader.DALISeq && cfg.FetchMode == Normal:
+		src.sampler = dataset.NewWholeSequentialSampler(cfg.Dataset)
+	default:
+		src.sampler = dataset.NewWholeRandomSampler(cfg.Dataset, cfg.Seed)
 	}
 	return src
 }
 
-// orders builds the epoch's plan, recycling the permutation buffer of a
-// dropped plan when one is offered (recycle may be nil). Orders are
-// identical whether or not a buffer is recycled.
-func (src *orderSource) orders(epoch int, recycle *epochPlan) *epochPlan {
-	var buf []dataset.ItemID
-	if recycle != nil && recycle.owned {
-		buf = recycle.buf
+// fill rewrites pl as the epoch's plan, reusing its buffers when it owns
+// them. Orders are identical whether or not buffers are reused.
+func (src *orderSource) fill(pl *epochPlan, epoch int) {
+	var (
+		shards []dataset.Shard
+		buf    []dataset.ItemID
+	)
+	if pl.owned {
+		shards, buf = pl.shards, pl.buf
 	}
-	pl := &epochPlan{}
+	owned := true
 	switch {
 	case src.sampler != nil:
-		order := src.sampler.EpochOrderInto(epoch, buf)
-		pl.orders = [][]dataset.ItemID{order}
-		pl.buf = order
-		pl.owned = true
+		buf = src.sampler.EpochOrderInto(epoch, buf)
+		shards = append(shards[:0], dataset.Shard{Items: buf})
 	case epoch == 0 && src.ownerShards != nil:
 		// CoorDL's first epoch processes the static owner shards so each
-		// server populates its partition of the cache (§4.2). The orders
-		// alias the shard slices; they must never be recycled into.
-		orders := make([][]dataset.ItemID, 0, len(src.ownerShards))
-		for _, sh := range src.ownerShards {
-			orders = append(orders, sh.Items)
-		}
-		pl.orders = orders
+		// server populates its partition of the cache (§4.2). The plan
+		// aliases them, so it must never be rewritten in place.
+		shards, owned = src.ownerShards, false
 	default:
-		shards, backing := dataset.EpochShardsInto(
-			src.cfg.Dataset, src.cfg.NumServers, epoch, src.cfg.Seed, buf)
-		orders := make([][]dataset.ItemID, 0, len(shards))
-		for _, sh := range shards {
-			orders = append(orders, sh.Items)
-		}
-		pl.orders = orders
-		pl.buf = backing
-		pl.owned = true
+		shards, buf = src.sharder.EpochShardsInto(src.cfg.NumServers, epoch, shards, buf)
 	}
-	pl.iters = epochIters(src.cfg, pl.orders)
-	return pl
+	*pl = epochPlan{epoch: epoch, shards: shards, buf: buf, owned: owned,
+		iters: epochIters(src.cfg, shards)}
 }
 
-// epochIters returns the per-server iteration count for the given orders
-// (drop-last semantics, bounded by the shortest server order).
-func epochIters(cfg Config, orders [][]dataset.ItemID) int {
+// epochIters returns the per-server iteration count for the given shards
+// (drop-last semantics, bounded by the shortest server shard).
+func epochIters(cfg Config, shards []dataset.Shard) int {
 	perIter := cfg.Batch * cfg.GPUsPerServer
-	iters := len(orders[0]) / perIter
-	for _, o := range orders {
-		if it := len(o) / perIter; it < iters {
+	iters := len(shards[0].Items) / perIter
+	for _, sh := range shards {
+		if it := len(sh.Items) / perIter; it < iters {
 			iters = it
 		}
 	}
@@ -240,10 +233,11 @@ func newJobRuntime(cfg Config, eng *sim.Engine, cl *cluster.Cluster) (*jobRuntim
 // newJobRuntimeWith builds a job over a shared (possibly cross-job) fetcher;
 // used by RunConcurrent where several jobs contend on one server's caches.
 func newJobRuntimeWith(cfg Config, eng *sim.Engine, cl *cluster.Cluster, f loader.Fetcher, owner []dataset.Shard) (*jobRuntime, error) {
-	rt := &jobRuntime{cfg: cfg, eng: eng, cl: cl, plans: map[int]*epochPlan{}}
+	rt := &jobRuntime{cfg: cfg, eng: eng, cl: cl}
 	rt.fetcher = f
 	rt.ownerShards = owner
 	rt.src = newOrderSource(cfg, owner)
+	rt.src.fill(&rt.pl, 0)
 
 	rt.prepCfg = cfg.prepConfig()
 	rt.gpuPrepOn = rt.prepCfg.GPUPrep
@@ -269,7 +263,7 @@ func newJobRuntimeWith(cfg Config, eng *sim.Engine, cl *cluster.Cluster, f loade
 		}
 	}
 
-	if pl := rt.plan(0); pl.iters < 1 {
+	if rt.pl.iters < 1 {
 		return nil, fmt.Errorf("trainer: dataset %s too small for %d servers x %d GPUs x batch %d",
 			cfg.Dataset.Name, cfg.NumServers, cfg.GPUsPerServer, cfg.Batch)
 	}
@@ -304,22 +298,21 @@ func (rt *jobRuntime) enableTraces(disk, cpu bool) {
 	}
 }
 
-// plan returns (and memoizes) the epoch's per-server item orders and the
-// iteration count, so the job's N GPUs and P producers share one shuffle
-// per epoch. Old plans are dropped to bound memory, and a dropped plan's
-// permutation buffer is recycled into the new epoch's orders.
+// plan returns the epoch's per-server item orders and iteration count,
+// computed once per epoch so the job's N GPUs and P producers share one
+// shuffle. The job keeps only the current plan: the first process to ask
+// for epoch e+1 rewrites it in place, which is safe because every producer
+// and consumer has arrived at the epoch barrier, done with epoch e, before
+// any of them asks. Asking for an epoch older than the current plan breaks
+// that invariant and panics.
 func (rt *jobRuntime) plan(epoch int) *epochPlan {
-	if pl, ok := rt.plans[epoch]; ok {
-		return pl
+	switch {
+	case epoch < rt.pl.epoch:
+		panic(fmt.Sprintf("trainer: plan for epoch %d requested after epoch %d's", epoch, rt.pl.epoch))
+	case epoch > rt.pl.epoch:
+		rt.src.fill(&rt.pl, epoch)
 	}
-	var recycle *epochPlan
-	if old, ok := rt.plans[epoch-2]; ok {
-		recycle = old
-	}
-	pl := rt.src.orders(epoch, recycle)
-	rt.plans[epoch] = pl
-	delete(rt.plans, epoch-2)
-	return pl
+	return &rt.pl
 }
 
 // launch spawns all producer and consumer processes, each a state machine
@@ -392,7 +385,7 @@ func (ps *producerSM) step(p *sim.Proc) {
 				ps.state = psTail
 			}
 		case psTail:
-			tail := ps.pl.orders[ps.server][ps.pl.iters*cfg.Batch*cfg.GPUsPerServer:]
+			tail := ps.pl.shards[ps.server].Items[ps.pl.iters*cfg.Batch*cfg.GPUsPerServer:]
 			i := ps.n * cfg.Batch
 			if i >= len(tail) {
 				ps.n = ps.k
@@ -420,7 +413,7 @@ func (ps *producerSM) step(p *sim.Proc) {
 				continue
 			}
 			bi := ps.n*cfg.GPUsPerServer + ps.g
-			ps.fetch.Start(rt.fetcher, ps.server, ps.pl.orders[ps.server][bi*cfg.Batch:(bi+1)*cfg.Batch])
+			ps.fetch.Start(rt.fetcher, ps.server, ps.pl.shards[ps.server].Items[bi*cfg.Batch:(bi+1)*cfg.Batch])
 			ps.state = psFetch
 		case psFetch:
 			if !ps.fetch.Advance(p, rt.cl) {
