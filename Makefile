@@ -60,11 +60,13 @@ benchcheck:
 # Allocation guards on the hot paths: zero on steady-state cache Lookup,
 # page-cache churn, sim event dispatch, every fetcher's Plan and a kept
 # sampler's epoch orders, plus ceilings on the object count and heap bytes
-# of one whole simulated case and of its later epochs. Run WITHOUT -race: the detector
-# allocates shadow state on paths that are allocation-free in normal
-# builds, so the guards skip themselves under instrumentation.
+# of one whole simulated case and of its later epochs, and no per-case
+# objects in a query's scan or in the job service's query-store gather.
+# Run WITHOUT -race: the detector allocates shadow state on paths that are
+# allocation-free in normal builds, so the guards skip themselves under
+# instrumentation.
 allocguard:
-	$(GO) test -count=1 -run 'TestAllocs' ./internal/sim ./internal/cache ./internal/pagecache ./internal/obs ./internal/core ./internal/dataset ./internal/trainer
+	$(GO) test -count=1 -run 'TestAllocs' ./internal/sim ./internal/cache ./internal/pagecache ./internal/obs ./internal/core ./internal/dataset ./internal/trainer ./internal/query ./internal/server
 
 # CPU + allocation profiles of one serial full-suite run -> cpu.pprof,
 # mem.pprof. Inspect with `go tool pprof -top cpu.pprof` (or mem.pprof
@@ -109,12 +111,16 @@ speccheck:
 # must be byte-identical to the goldens — same no-reblessing discipline as
 # the suite goldens. Catches drift anywhere in the chain: simulation,
 # case capture, report round-trip, query operators, NDJSON rendering.
+# all-cases (every "cases" column) and epochs-join (every "epochs" column
+# plus the join) pin the bytes of each column getter.
+QUERIES = best-cache epoch-stalls all-cases epochs-join
 querycheck:
 	@mkdir -p $(BUILD_DIR)
-	$(GO) run ./cmd/runsuite -spec testdata/specs/fig18-query.json -query testdata/queries/best-cache.json > $(BUILD_DIR)/best-cache.ndjson
-	cmp testdata/queries/best-cache.golden $(BUILD_DIR)/best-cache.ndjson
-	$(GO) run ./cmd/runsuite -spec testdata/specs/fig18-query.json -query testdata/queries/epoch-stalls.json > $(BUILD_DIR)/epoch-stalls.ndjson
-	cmp testdata/queries/epoch-stalls.golden $(BUILD_DIR)/epoch-stalls.ndjson
+	@set -e; for q in $(QUERIES); do \
+		echo "querycheck: $$q"; \
+		$(GO) run ./cmd/runsuite -spec testdata/specs/fig18-query.json -query testdata/queries/$$q.json > $(BUILD_DIR)/$$q.ndjson; \
+		cmp testdata/queries/$$q.golden $(BUILD_DIR)/$$q.ndjson; \
+	done
 	@echo "querycheck: example query output matches goldens"
 
 # End-to-end smoke of the HTTP job service: boot stallserved, submit the

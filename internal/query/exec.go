@@ -2,6 +2,9 @@ package query
 
 import (
 	"context"
+	"encoding/binary"
+	"math"
+	"slices"
 	"sort"
 )
 
@@ -15,8 +18,10 @@ type Engine struct {
 func New(st *Store) *Engine { return &Engine{st: st} }
 
 // iterator is the Volcano-model pull interface: next returns the next row,
-// or (nil, nil) when exhausted. Rows handed up the pipeline are owned by
-// the caller (operators never reuse a returned slice).
+// or (nil, nil) when exhausted. A returned row is valid until the next call
+// to next: scans and projection refill one buffer per pipeline, so an
+// operator that keeps a row past that (order-by, a new group's key,
+// Rows.All) copies it.
 type iterator interface {
 	next() ([]Value, error)
 }
@@ -61,11 +66,11 @@ func (r *Rows) Row() []Value { return r.row }
 // Err reports the error that terminated iteration, if any.
 func (r *Rows) Err() error { return r.err }
 
-// All drains the iterator and returns every remaining row.
+// All drains the iterator and returns a copy of every remaining row.
 func (r *Rows) All() ([][]Value, error) {
 	var out [][]Value
 	for r.Next() {
-		out = append(out, r.Row())
+		out = append(out, slices.Clone(r.Row()))
 	}
 	return out, r.Err()
 }
@@ -85,14 +90,10 @@ func (e *Engine) Run(ctx context.Context, q *Query) (*Rows, error) {
 	cols := tableCols(from, q.Join)
 	idx := colIndex(cols)
 
-	var it iterator
-	switch {
-	case from == "cases":
-		it = &caseScan{ctx: ctx, st: e.st}
-	case q.Join:
-		it = &joinScan{ctx: ctx, st: e.st}
-	default:
-		it = &epochScan{ctx: ctx, st: e.st}
+	row := make([]Value, 0, len(cols)) // the scan's one row buffer
+	var it iterator = &epochScan{ctx: ctx, st: e.st, join: q.Join, row: row}
+	if from == "cases" {
+		it = &caseScan{ctx: ctx, st: e.st, row: row}
 	}
 
 	if len(q.Where) > 0 {
@@ -124,7 +125,7 @@ func (e *Engine) Run(ctx context.Context, q *Query) (*Rows, error) {
 		for i, s := range q.Select {
 			sel[i] = idx[s]
 		}
-		it = &projectIter{in: it, sel: sel}
+		it = &projectIter{in: it, sel: sel, out: make([]Value, len(sel))}
 	}
 
 	out := q.outputCols(cols, idx)
@@ -144,10 +145,12 @@ func (e *Engine) Run(ctx context.Context, q *Query) (*Rows, error) {
 
 // --- scans ---
 
+// caseScan streams the cases in ingestion order through one reused row.
 type caseScan struct {
 	ctx context.Context
 	st  *Store
 	i   int
+	row []Value
 }
 
 func (s *caseScan) next() ([]Value, error) {
@@ -157,49 +160,39 @@ func (s *caseScan) next() ([]Value, error) {
 	if s.i >= len(s.st.cases) {
 		return nil, nil
 	}
-	row := s.st.caseRow(s.i)
+	s.row = s.st.appendCaseRow(s.row[:0], s.i)
 	s.i++
-	return row, nil
+	return s.row, nil
 }
 
+// epochScan walks each case's Result.Epochs in place, case by case, through
+// one reused row. With join set it extends each epoch row with its case's
+// identity columns; the join key (case_id) is the cases slice index by
+// construction, so the "hash side" is the case the scan is already on.
 type epochScan struct {
-	ctx context.Context
-	st  *Store
-	i   int
+	ctx      context.Context
+	st       *Store
+	join     bool
+	i, epoch int
+	row      []Value
 }
 
 func (s *epochScan) next() ([]Value, error) {
 	if err := s.ctx.Err(); err != nil {
 		return nil, err
 	}
-	if s.i >= len(s.st.epochs) {
+	for s.i < len(s.st.cases) && s.epoch >= len(s.st.cases[s.i].Result.Epochs) {
+		s.i, s.epoch = s.i+1, 0
+	}
+	if s.i >= len(s.st.cases) {
 		return nil, nil
 	}
-	row := s.st.epochRowValues(s.i)
-	s.i++
-	return row, nil
-}
-
-// joinScan streams epochs extended with their case's identity columns. The
-// join key (case_id) is the cases slice index by construction, so the
-// "hash side" is a direct array lookup.
-type joinScan struct {
-	ctx context.Context
-	st  *Store
-	i   int
-}
-
-func (s *joinScan) next() ([]Value, error) {
-	if err := s.ctx.Err(); err != nil {
-		return nil, err
+	s.row = s.st.appendEpochRow(s.row[:0], s.i, s.epoch)
+	if s.join {
+		s.row = s.st.appendIdentity(s.row, s.i)
 	}
-	if s.i >= len(s.st.epochs) {
-		return nil, nil
-	}
-	e := s.st.epochRowValues(s.i)
-	row := append(e, s.st.identityValues(s.st.epochs[s.i].caseID)...)
-	s.i++
-	return row, nil
+	s.epoch++
+	return s.row, nil
 }
 
 // --- filter ---
@@ -275,9 +268,11 @@ func (f *filterIter) next() ([]Value, error) {
 
 // --- project ---
 
+// projectIter refills its own output row on every next.
 type projectIter struct {
 	in  iterator
 	sel []int
+	out []Value
 }
 
 func (p *projectIter) next() ([]Value, error) {
@@ -285,11 +280,10 @@ func (p *projectIter) next() ([]Value, error) {
 	if err != nil || row == nil {
 		return nil, err
 	}
-	out := make([]Value, len(p.sel))
 	for i, idx := range p.sel {
-		out[i] = row[idx]
+		p.out[i] = row[idx]
 	}
-	return out, nil
+	return p.out, nil
 }
 
 // --- aggregate ---
@@ -404,7 +398,8 @@ func (g *aggIter) next() ([]Value, error) {
 
 func (g *aggIter) build() error {
 	groups := map[string]*groupState{}
-	var order []string // insertion order; re-sorted below
+	var order []*groupState // insertion order; re-sorted below
+	var kb []byte           // the current row's encoded key, reused
 	for {
 		row, err := g.in.next()
 		if err != nil {
@@ -413,16 +408,19 @@ func (g *aggIter) build() error {
 		if row == nil {
 			break
 		}
-		key := make([]Value, len(g.keyIdx))
-		for i, idx := range g.keyIdx {
-			key[i] = row[idx]
+		kb = kb[:0]
+		for _, idx := range g.keyIdx {
+			kb = appendKey(kb, row[idx])
 		}
-		ks := keyString(key)
-		gs := groups[ks]
+		gs := groups[string(kb)] // no allocation: the conversion is lookup-only
 		if gs == nil {
+			key := make([]Value, len(g.keyIdx))
+			for i, idx := range g.keyIdx {
+				key[i] = row[idx]
+			}
 			gs = &groupState{key: key, accs: make([]aggAcc, len(g.aggs))}
-			groups[ks] = gs
-			order = append(order, ks)
+			groups[string(kb)] = gs
+			order = append(order, gs)
 		}
 		for i, a := range g.aggs {
 			if a.rowCount {
@@ -435,15 +433,13 @@ func (g *aggIter) build() error {
 	// Aggs with no group_by always emit exactly one row, even over empty
 	// input (count 0), matching SQL's scalar-aggregate shape.
 	if len(g.keyIdx) == 0 && len(groups) == 0 {
-		groups[""] = &groupState{key: []Value{}, accs: make([]aggAcc, len(g.aggs))}
-		order = append(order, "")
+		order = append(order, &groupState{key: []Value{}, accs: make([]aggAcc, len(g.aggs))})
 	}
 	sort.Slice(order, func(i, j int) bool {
-		return compareKeys(groups[order[i]].key, groups[order[j]].key) < 0
+		return compareKeys(order[i].key, order[j].key) < 0
 	})
-	for _, ks := range order {
-		gs := groups[ks]
-		row := append([]Value{}, gs.key...)
+	for _, gs := range order {
+		row := append(make([]Value, 0, len(gs.key)+len(g.aggs)), gs.key...)
 		for i, a := range g.aggs {
 			row = append(row, gs.accs[i].final(a.op, a.typ))
 		}
@@ -452,14 +448,20 @@ func (g *aggIter) build() error {
 	return nil
 }
 
-// keyString renders a group key for map lookup; \x00 separates cells and
-// type tags disambiguate 1 from "1".
-func keyString(key []Value) string {
-	s := ""
-	for _, v := range key {
-		s += string(rune('0'+int(v.Type))) + v.String() + "\x00"
+// appendKey encodes one group-key cell for map lookup: a type tag (so 1
+// and "1" differ), then the int or the float's bits in 8 bytes, or a
+// length-prefixed string. The length prefix keeps the encoding injective
+// whatever bytes a string holds, so no two distinct keys share one.
+func appendKey(b []byte, v Value) []byte {
+	b = append(b, byte(v.Type))
+	switch v.Type {
+	case TypeInt:
+		return binary.LittleEndian.AppendUint64(b, uint64(v.I))
+	case TypeFloat:
+		return binary.LittleEndian.AppendUint64(b, math.Float64bits(v.F))
 	}
-	return s
+	b = binary.AppendUvarint(b, uint64(len(v.S)))
+	return append(b, v.S...)
 }
 
 // compareKeys orders two group keys cell-wise.
@@ -500,7 +502,7 @@ func (o *orderIter) next() ([]Value, error) {
 			if row == nil {
 				break
 			}
-			o.rows = append(o.rows, row)
+			o.rows = append(o.rows, slices.Clone(row))
 		}
 		sort.SliceStable(o.rows, func(i, j int) bool {
 			for _, k := range o.keys {

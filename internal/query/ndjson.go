@@ -3,6 +3,7 @@ package query
 import (
 	"encoding/json"
 	"io"
+	"math"
 	"strconv"
 )
 
@@ -55,22 +56,36 @@ func WriteNDJSON(w io.Writer, rows *Rows) (int, error) {
 	return n, rows.Err()
 }
 
-// appendValue renders one cell as JSON. Floats go through encoding/json
-// (shortest roundtrip, matching every other JSON the repo emits) so golden
-// files never churn on formatting.
+// appendValue renders one cell as JSON, with floats in encoding/json's
+// exact bytes (see appendFloat) so golden files never churn on formatting.
 func appendValue(buf []byte, v Value) []byte {
 	switch v.Type {
 	case TypeInt:
 		return strconv.AppendInt(buf, v.I, 10)
 	case TypeFloat:
-		b, err := json.Marshal(v.F)
-		if err != nil {
-			// NaN/Inf cannot reach here: every stored metric is finite
-			// (durations, byte counts, ratios of positive quantities).
-			return append(buf, "null"...)
-		}
-		return append(buf, b...)
+		return appendFloat(buf, v.F)
 	}
 	b, _ := json.Marshal(v.S)
 	return append(buf, b...)
+}
+
+// appendFloat renders f as encoding/json does (shortest roundtrip; 'e'
+// notation below 1e-6 and from 1e21 up, with a two-digit negative exponent
+// trimmed to one, e-07 to e-7), without json.Marshal's allocation.
+func appendFloat(buf []byte, f float64) []byte {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		// Unreachable: every stored metric is finite (durations, byte
+		// counts, ratios of positive quantities); json.Marshal would fail.
+		return append(buf, "null"...)
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	buf = strconv.AppendFloat(buf, f, format, -1, 64)
+	if n := len(buf); format == 'e' && buf[n-4] == 'e' && buf[n-3] == '-' && buf[n-2] == '0' {
+		buf[n-2] = buf[n-1]
+		buf = buf[:n-1]
+	}
+	return buf
 }

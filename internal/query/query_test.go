@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -58,6 +59,20 @@ func synthCase(r *rand.Rand, spec, row, label string, servers, gpus int, cacheGi
 	}
 }
 
+// label draws a short name for a string column. Names are free JSON
+// strings, so the alphabet holds a NUL and a digit — the bytes a
+// separator-joined group key and its type tags are made of — and labels
+// this short often make two keys whose cells, run together, spell the same
+// bytes.
+func label(r *rand.Rand) string {
+	const alphabet = "a2\x00"
+	b := make([]byte, r.Intn(4))
+	for i := range b {
+		b[i] = alphabet[r.Intn(len(alphabet))]
+	}
+	return string(b)
+}
+
 // testStore builds a randomized store of n cases across a small grid.
 func testStore(seed int64, n int) *Store {
 	r := rand.New(rand.NewSource(seed))
@@ -65,14 +80,13 @@ func testStore(seed int64, n int) *Store {
 	grid := [][2]int{{1, 4}, {2, 8}, {4, 8}}
 	for i := 0; i < n; i++ {
 		g := grid[r.Intn(len(grid))]
-		st.Add(synthCase(r,
-			fmt.Sprintf("spec%d", r.Intn(2)),
-			fmt.Sprintf("row%d", r.Intn(3)),
-			fmt.Sprintf("c%d", i),
+		c := synthCase(r, label(r), label(r), label(r),
 			g[0], g[1],
 			float64(16*(1+r.Intn(6))), // 16..96 GiB
 			r.Float64()*0.4,
-		))
+		)
+		c.Model, c.Dataset, c.Server = label(r), label(r), label(r)
+		st.Add(c)
 	}
 	return st
 }
@@ -94,16 +108,17 @@ func refEval(st *Store, q *Query) [][]Value {
 	switch {
 	case from == "cases":
 		for i := range st.cases {
-			rows = append(rows, st.caseRow(i))
-		}
-	case q.Join:
-		for i := range st.epochs {
-			r := st.epochRowValues(i)
-			rows = append(rows, append(r, st.identityValues(st.epochs[i].caseID)...))
+			rows = append(rows, st.appendCaseRow(nil, i))
 		}
 	default:
-		for i := range st.epochs {
-			rows = append(rows, st.epochRowValues(i))
+		for i, c := range st.cases {
+			for e := range c.Result.Epochs {
+				r := st.appendEpochRow(nil, i, e)
+				if q.Join {
+					r = st.appendIdentity(r, i)
+				}
+				rows = append(rows, r)
+			}
 		}
 	}
 
@@ -337,6 +352,12 @@ func randQuery(r *rand.Rand, st *Store) *Query {
 		q.Where = append(q.Where, Cond{Col: c.Name, Op: ops[r.Intn(len(ops))], Value: sample(c)})
 	}
 
+	var strs []Col
+	for _, c := range cols {
+		if c.Type == TypeString {
+			strs = append(strs, c)
+		}
+	}
 	numeric := func() Col {
 		for {
 			c := cols[r.Intn(len(cols))]
@@ -349,6 +370,10 @@ func randQuery(r *rand.Rand, st *Store) *Query {
 	case 0: // aggregate
 		for i := 0; i < r.Intn(3); i++ {
 			c := cols[r.Intn(len(cols))]
+			if len(strs) > 0 && r.Intn(2) == 0 {
+				// String keys are where a key encoding can collide.
+				c = strs[r.Intn(len(strs))]
+			}
 			dup := false
 			for _, g := range q.GroupBy {
 				if g == c.Name {
@@ -683,10 +708,10 @@ func TestSchemaMatchesStore(t *testing.T) {
 	if len(tables) != 2 || tables[0].Name != "cases" || tables[1].Name != "epochs" {
 		t.Fatalf("Schema() tables = %+v", tables)
 	}
-	if got, want := len(st.caseRow(0)), len(tables[0].Cols); got != want {
+	if got, want := len(st.appendCaseRow(nil, 0)), len(tables[0].Cols); got != want {
 		t.Fatalf("case row width %d != schema %d", got, want)
 	}
-	if got, want := len(st.epochRowValues(0)), len(tables[1].Cols); got != want {
+	if got, want := len(st.appendEpochRow(nil, 0, 0)), len(tables[1].Cols); got != want {
 		t.Fatalf("epoch row width %d != schema %d", got, want)
 	}
 	if got, want := len(joinCols()), len(tables[1].Cols)+caseIdentityEnd-1; got != want {
@@ -705,17 +730,17 @@ func TestSchemaMatchesStore(t *testing.T) {
 		t.Fatalf("identity must end at seed, got %q", tables[0].Cols[caseIdentityEnd-1].Name)
 	}
 	// Every cell's type matches its column's declared type.
-	for i := range st.cases {
-		for j, v := range st.caseRow(i) {
+	for i, c := range st.cases {
+		for j, v := range st.appendCaseRow(nil, i) {
 			if v.Type != tables[0].Cols[j].Type {
 				t.Fatalf("cases[%d].%s: type %v != %v", i, tables[0].Cols[j].Name, v.Type, tables[0].Cols[j].Type)
 			}
 		}
-	}
-	for i := range st.epochs {
-		for j, v := range st.epochRowValues(i) {
-			if v.Type != tables[1].Cols[j].Type {
-				t.Fatalf("epochs[%d].%s: type %v != %v", i, tables[1].Cols[j].Name, v.Type, tables[1].Cols[j].Type)
+		for e := range c.Result.Epochs {
+			for j, v := range st.appendEpochRow(nil, i, e) {
+				if v.Type != tables[1].Cols[j].Type {
+					t.Fatalf("cases[%d].epochs[%d].%s: type %v != %v", i, e, tables[1].Cols[j].Name, v.Type, tables[1].Cols[j].Type)
+				}
 			}
 		}
 	}
@@ -776,7 +801,81 @@ func TestWriteNDJSON(t *testing.T) {
 	}
 }
 
-// TestValueString pins the group-key renderings the engine sorts by.
+// TestAppendFloatMatchesJSON: NDJSON float cells are byte-identical to
+// json.Marshal over 100k+ seeded floats — random bit patterns, integers,
+// subnormals, -0, and both edges of the 'e'-notation window (1e-6, 1e21).
+func TestAppendFloatMatchesJSON(t *testing.T) {
+	r := rand.New(rand.NewSource(19))
+	fs := []float64{0, math.Copysign(0, -1), 1, -1, 1e-7, 1e20, 1e21, 1e22, 123456789,
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1022, math.MaxFloat64, -math.MaxFloat64}
+	for _, edge := range []float64{1e-6, 1e21} {
+		for _, f := range []float64{edge, math.Nextafter(edge, 0), math.Nextafter(edge, math.Inf(1))} {
+			fs = append(fs, f, -f)
+		}
+	}
+	for len(fs) < 120000 {
+		var f float64
+		switch r.Intn(5) {
+		case 0: // any finite bit pattern
+			f = math.Float64frombits(r.Uint64())
+		case 1: // an integer
+			f = float64(r.Int63n(1<<53) - 1<<52)
+		case 2: // a subnormal
+			f = math.Float64frombits(r.Uint64() & (1<<52 - 1))
+		case 3: // near the lower 'e' edge
+			f = 1e-6 * (0.5 + r.Float64())
+		default: // near the upper 'e' edge
+			f = 1e21 * (0.5 + r.Float64())
+		}
+		if r.Intn(2) == 0 {
+			f = -f
+		}
+		if !math.IsNaN(f) && !math.IsInf(f, 0) {
+			fs = append(fs, f)
+		}
+	}
+	for _, f := range fs {
+		want, err := json.Marshal(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendFloat(nil, f); !bytes.Equal(got, want) {
+			t.Fatalf("appendFloat(%b) = %s, json.Marshal = %s", f, got, want)
+		}
+	}
+}
+
+// TestGroupKeysDoNotCollide: spec and row names are free strings, so a key
+// that joins cells with a separator byte merges ("x\x002y", "z") with
+// ("x", "y\x002z") into one group of two. They are two groups of one.
+func TestGroupKeysDoNotCollide(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	st := NewStore()
+	st.Add(synthCase(r, "x\x002y", "z", "c0", 1, 4, 16, 0.1))
+	st.Add(synthCase(r, "x", "y\x002z", "c1", 1, 4, 16, 0.1))
+	q, err := ParseQuery([]byte(`{"group_by":["spec","row"],"aggs":[{"op":"count"}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := New(st).Run(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := rows.All()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]Value{
+		{strVal("x"), strVal("y\x002z"), intVal(1)},
+		{strVal("x\x002y"), strVal("z"), intVal(1)},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("got %#v, want %#v", got, want)
+	}
+}
+
+// TestValueString pins the cell renderings, and the group-key encoding keeps
+// cells of different types apart.
 func TestValueString(t *testing.T) {
 	for _, tc := range []struct {
 		v    Value
@@ -792,7 +891,7 @@ func TestValueString(t *testing.T) {
 		}
 	}
 	// Type tags keep int 1 and string "1" in different groups.
-	if keyString([]Value{intVal(1)}) == keyString([]Value{strVal("1")}) {
-		t.Fatal("keyString collides across types")
+	if string(appendKey(nil, intVal(1))) == string(appendKey(nil, strVal("1"))) {
+		t.Fatal("group keys collide across types")
 	}
 }

@@ -1,12 +1,14 @@
 // Package query is a read-only analytical surface over finished simulation
-// results: a columnar store of training cases and their per-epoch stats,
-// plus streaming Volcano-style relational operators (scan, filter, project,
-// aggregate, order-by, limit, and a case-epoch join) composed from a small
-// JSON query AST.
+// results: a by-reference store of training cases, plus streaming
+// Volcano-style relational operators (scan, filter, project, aggregate,
+// order-by, limit, and a case-epoch join) composed from a small JSON query
+// AST.
 //
-// The store ingests experiments.CaseResult rows — captured by spec sweeps,
-// suite runs, the HTTP job service, or rehydrated from a saved suite report
-// — into two typed column tables:
+// The store holds pointers to experiments.CaseResult values — captured by
+// spec sweeps, suite runs, the HTTP job service, or rehydrated from a saved
+// suite report — and copies nothing from them: it is not a columnar copy.
+// Two tables are views over those cases, each column a getter that reads
+// the case, its trainer.Result or one of its trainer.EpochStats in place:
 //
 //   - "cases": one row per training run, with the resolved axis values
 //     (model, loader, servers, cache size, ...) and steady-state metrics
@@ -16,9 +18,11 @@
 //
 // Queries are JSON (see ParseQuery) and execute lazily: Run returns a Rows
 // iterator that pulls one row at a time through the operator pipeline,
-// honoring ctx cancellation mid-stream, so arbitrarily large results stream
-// in constant memory (pipeline-blocking operators — aggregate and order-by
-// — buffer only their own state). Example, the paper's fig18 question
+// honoring ctx cancellation mid-stream. A scan fills one reused row and
+// allocates nothing per case, so a row is valid only until the next call to
+// Next; arbitrarily large results stream in constant memory
+// (pipeline-blocking operators — aggregate and order-by — buffer only their
+// own state). Example, the paper's fig18 question
 // "best (smallest sufficient) cache per cluster size where stalls are
 // under 5%":
 //
@@ -37,7 +41,11 @@
 // order, grouped output is sorted by group key, and order-by sorts stably.
 package query
 
-import "datastall/internal/stats"
+import (
+	"datastall/internal/experiments"
+	"datastall/internal/stats"
+	"datastall/internal/trainer"
+)
 
 // ColType is a column's value type.
 type ColType int
@@ -73,7 +81,7 @@ type Table struct {
 }
 
 // Schema returns the store's row schema — the single source of truth shared
-// by the columnar store, the AST validator, and the docs. Joined queries
+// by the column getters, the AST validator, and the docs. Joined queries
 // ("join": true on "epochs") see the epoch columns followed by the case
 // identity columns (everything in "cases" up to and including "seed",
 // case_id deduplicated).
@@ -89,109 +97,92 @@ func Schema() []Table {
 // join appends the identity columns (minus case_id) to each epoch row.
 const caseIdentityEnd = 15
 
-// caseDef couples one "cases" column with its extractor; the slice below is
+// caseDef couples one "cases" column with its getter; the slice below is
 // the one place the cases schema is defined.
 type caseDef struct {
 	col Col
-	// get reads the column from an ingested case; id is the assigned
-	// case_id.
-	get func(id int64, c *ingested) Value
-}
-
-// ingested is the store's view of one case: the identity fields plus the
-// precomputed steady-state metrics.
-type ingested struct {
-	spec, row, kase                string
-	model, dataset, server, loader string
-	servers, gpus, batch, epochs   int64
-	cacheBytes                     float64
-	seed                           int64
-
-	epochS, samplesPerS, stallPct, hitPct, missPct  float64
-	diskGiBPerEpoch, diskGiBPerNode, netGiBPerEpoch float64
-	totalDiskGiB, totalTimeS                        float64
+	// get reads the column straight from the case; id is its case_id.
+	get func(id int64, c *experiments.CaseResult) Value
 }
 
 func caseDefs() []caseDef {
+	type cr = experiments.CaseResult
 	return []caseDef{
-		{Col{"case_id", TypeInt}, func(id int64, c *ingested) Value { return intVal(id) }},
-		{Col{"spec", TypeString}, func(_ int64, c *ingested) Value { return strVal(c.spec) }},
-		{Col{"row", TypeString}, func(_ int64, c *ingested) Value { return strVal(c.row) }},
-		{Col{"case", TypeString}, func(_ int64, c *ingested) Value { return strVal(c.kase) }},
-		{Col{"model", TypeString}, func(_ int64, c *ingested) Value { return strVal(c.model) }},
-		{Col{"dataset", TypeString}, func(_ int64, c *ingested) Value { return strVal(c.dataset) }},
-		{Col{"server", TypeString}, func(_ int64, c *ingested) Value { return strVal(c.server) }},
-		{Col{"loader", TypeString}, func(_ int64, c *ingested) Value { return strVal(c.loader) }},
-		{Col{"servers", TypeInt}, func(_ int64, c *ingested) Value { return intVal(c.servers) }},
-		{Col{"gpus", TypeInt}, func(_ int64, c *ingested) Value { return intVal(c.gpus) }},
-		{Col{"batch", TypeInt}, func(_ int64, c *ingested) Value { return intVal(c.batch) }},
-		{Col{"epochs", TypeInt}, func(_ int64, c *ingested) Value { return intVal(c.epochs) }},
-		{Col{"cache_bytes", TypeFloat}, func(_ int64, c *ingested) Value { return floatVal(c.cacheBytes) }},
-		{Col{"cache_gib", TypeFloat}, func(_ int64, c *ingested) Value { return floatVal(c.cacheBytes / stats.GiB) }},
-		{Col{"seed", TypeInt}, func(_ int64, c *ingested) Value { return intVal(c.seed) }},
+		{Col{"case_id", TypeInt}, func(id int64, _ *cr) Value { return intVal(id) }},
+		{Col{"spec", TypeString}, func(_ int64, c *cr) Value { return strVal(c.Spec) }},
+		{Col{"row", TypeString}, func(_ int64, c *cr) Value { return strVal(c.Row) }},
+		{Col{"case", TypeString}, func(_ int64, c *cr) Value { return strVal(c.Case) }},
+		{Col{"model", TypeString}, func(_ int64, c *cr) Value { return strVal(c.Model) }},
+		{Col{"dataset", TypeString}, func(_ int64, c *cr) Value { return strVal(c.Dataset) }},
+		{Col{"server", TypeString}, func(_ int64, c *cr) Value { return strVal(c.Server) }},
+		{Col{"loader", TypeString}, func(_ int64, c *cr) Value { return strVal(c.Loader) }},
+		{Col{"servers", TypeInt}, func(_ int64, c *cr) Value { return intVal(int64(c.Servers)) }},
+		{Col{"gpus", TypeInt}, func(_ int64, c *cr) Value { return intVal(int64(c.GPUs)) }},
+		{Col{"batch", TypeInt}, func(_ int64, c *cr) Value { return intVal(int64(c.Batch)) }},
+		{Col{"epochs", TypeInt}, func(_ int64, c *cr) Value { return intVal(int64(c.Epochs)) }},
+		{Col{"cache_bytes", TypeFloat}, func(_ int64, c *cr) Value { return floatVal(c.CacheBytes) }},
+		{Col{"cache_gib", TypeFloat}, func(_ int64, c *cr) Value { return floatVal(c.CacheBytes / stats.GiB) }},
+		{Col{"seed", TypeInt}, func(_ int64, c *cr) Value { return intVal(c.Seed) }},
 		// Steady-state metrics, named exactly like spec column metrics.
-		{Col{"epoch_s", TypeFloat}, func(_ int64, c *ingested) Value { return floatVal(c.epochS) }},
-		{Col{"samples_per_s", TypeFloat}, func(_ int64, c *ingested) Value { return floatVal(c.samplesPerS) }},
-		{Col{"stall_pct", TypeFloat}, func(_ int64, c *ingested) Value { return floatVal(c.stallPct) }},
-		{Col{"hit_pct", TypeFloat}, func(_ int64, c *ingested) Value { return floatVal(c.hitPct) }},
-		{Col{"miss_pct", TypeFloat}, func(_ int64, c *ingested) Value { return floatVal(c.missPct) }},
-		{Col{"disk_gib_per_epoch", TypeFloat}, func(_ int64, c *ingested) Value { return floatVal(c.diskGiBPerEpoch) }},
-		{Col{"disk_gib_per_node", TypeFloat}, func(_ int64, c *ingested) Value { return floatVal(c.diskGiBPerNode) }},
-		{Col{"net_gib_per_epoch", TypeFloat}, func(_ int64, c *ingested) Value { return floatVal(c.netGiBPerEpoch) }},
-		{Col{"total_disk_gib", TypeFloat}, func(_ int64, c *ingested) Value { return floatVal(c.totalDiskGiB) }},
-		{Col{"total_time_s", TypeFloat}, func(_ int64, c *ingested) Value { return floatVal(c.totalTimeS) }},
+		{Col{"epoch_s", TypeFloat}, func(_ int64, c *cr) Value { return floatVal(c.Result.EpochTime) }},
+		{Col{"samples_per_s", TypeFloat}, func(_ int64, c *cr) Value { return floatVal(c.Result.Throughput) }},
+		{Col{"stall_pct", TypeFloat}, func(_ int64, c *cr) Value { return floatVal(100 * c.Result.StallFraction) }},
+		{Col{"hit_pct", TypeFloat}, func(_ int64, c *cr) Value { return floatVal(100 * c.Result.HitRate) }},
+		{Col{"miss_pct", TypeFloat}, func(_ int64, c *cr) Value { return floatVal(100 * (1 - c.Result.HitRate)) }},
+		{Col{"disk_gib_per_epoch", TypeFloat}, func(_ int64, c *cr) Value { return floatVal(c.Result.DiskPerEpoch / stats.GiB) }},
+		{Col{"disk_gib_per_node", TypeFloat}, func(_ int64, c *cr) Value {
+			return floatVal(c.Result.DiskPerEpoch / float64(max(c.Servers, 1)) / stats.GiB)
+		}},
+		{Col{"net_gib_per_epoch", TypeFloat}, func(_ int64, c *cr) Value { return floatVal(c.Result.NetPerEpoch / stats.GiB) }},
+		{Col{"total_disk_gib", TypeFloat}, func(_ int64, c *cr) Value { return floatVal(c.Result.TotalDiskBytes / stats.GiB) }},
+		{Col{"total_time_s", TypeFloat}, func(_ int64, c *cr) Value { return floatVal(c.Result.TotalTime) }},
 	}
 }
 
 func caseCols() []Col {
-	defs := caseDefs()
-	out := make([]Col, len(defs))
-	for i, d := range defs {
+	out := make([]Col, len(allCaseDefs))
+	for i, d := range allCaseDefs {
 		out[i] = d.col
 	}
 	return out
 }
 
-// epochRow is the store's view of one epoch of one case.
-type epochRow struct {
-	caseID int64
-	epoch  int64
-
-	durationS, computeS, stallS, stallPct        float64
-	diskGiB, netGiB, memGiB                      float64
-	diskReads, hits, misses, remoteHits, samples int64
-	cacheUsedGiB                                 float64
-}
-
+// epochDef couples one "epochs" column with its getter, which reads epoch
+// number epoch of case id straight from its stats.
 type epochDef struct {
 	col Col
-	get func(e *epochRow) Value
+	get func(id, epoch int64, e *trainer.EpochStats) Value
 }
 
 func epochDefs() []epochDef {
+	type es = trainer.EpochStats
 	return []epochDef{
-		{Col{"case_id", TypeInt}, func(e *epochRow) Value { return intVal(e.caseID) }},
-		{Col{"epoch", TypeInt}, func(e *epochRow) Value { return intVal(e.epoch) }},
-		{Col{"duration_s", TypeFloat}, func(e *epochRow) Value { return floatVal(e.durationS) }},
-		{Col{"compute_s", TypeFloat}, func(e *epochRow) Value { return floatVal(e.computeS) }},
-		{Col{"stall_s", TypeFloat}, func(e *epochRow) Value { return floatVal(e.stallS) }},
-		{Col{"epoch_stall_pct", TypeFloat}, func(e *epochRow) Value { return floatVal(e.stallPct) }},
-		{Col{"disk_gib", TypeFloat}, func(e *epochRow) Value { return floatVal(e.diskGiB) }},
-		{Col{"net_gib", TypeFloat}, func(e *epochRow) Value { return floatVal(e.netGiB) }},
-		{Col{"mem_gib", TypeFloat}, func(e *epochRow) Value { return floatVal(e.memGiB) }},
-		{Col{"disk_reads", TypeInt}, func(e *epochRow) Value { return intVal(e.diskReads) }},
-		{Col{"hits", TypeInt}, func(e *epochRow) Value { return intVal(e.hits) }},
-		{Col{"misses", TypeInt}, func(e *epochRow) Value { return intVal(e.misses) }},
-		{Col{"remote_hits", TypeInt}, func(e *epochRow) Value { return intVal(e.remoteHits) }},
-		{Col{"samples", TypeInt}, func(e *epochRow) Value { return intVal(e.samples) }},
-		{Col{"cache_used_gib", TypeFloat}, func(e *epochRow) Value { return floatVal(e.cacheUsedGiB) }},
+		{Col{"case_id", TypeInt}, func(id, _ int64, _ *es) Value { return intVal(id) }},
+		{Col{"epoch", TypeInt}, func(_, epoch int64, _ *es) Value { return intVal(epoch) }},
+		{Col{"duration_s", TypeFloat}, func(_, _ int64, e *es) Value { return floatVal(e.Duration) }},
+		{Col{"compute_s", TypeFloat}, func(_, _ int64, e *es) Value { return floatVal(e.ComputeTime) }},
+		{Col{"stall_s", TypeFloat}, func(_, _ int64, e *es) Value { return floatVal(e.StallTime) }},
+		{Col{"epoch_stall_pct", TypeFloat}, func(_, _ int64, e *es) Value {
+			if e.Duration > 0 {
+				return floatVal(100 * e.StallTime / e.Duration)
+			}
+			return floatVal(0)
+		}},
+		{Col{"disk_gib", TypeFloat}, func(_, _ int64, e *es) Value { return floatVal(e.DiskBytes / stats.GiB) }},
+		{Col{"net_gib", TypeFloat}, func(_, _ int64, e *es) Value { return floatVal(e.NetBytes / stats.GiB) }},
+		{Col{"mem_gib", TypeFloat}, func(_, _ int64, e *es) Value { return floatVal(e.MemBytes / stats.GiB) }},
+		{Col{"disk_reads", TypeInt}, func(_, _ int64, e *es) Value { return intVal(int64(e.DiskReads)) }},
+		{Col{"hits", TypeInt}, func(_, _ int64, e *es) Value { return intVal(int64(e.Hits)) }},
+		{Col{"misses", TypeInt}, func(_, _ int64, e *es) Value { return intVal(int64(e.Misses)) }},
+		{Col{"remote_hits", TypeInt}, func(_, _ int64, e *es) Value { return intVal(int64(e.RemoteHits)) }},
+		{Col{"samples", TypeInt}, func(_, _ int64, e *es) Value { return intVal(int64(e.Samples)) }},
+		{Col{"cache_used_gib", TypeFloat}, func(_, _ int64, e *es) Value { return floatVal(e.CacheUsedBytes / stats.GiB) }},
 	}
 }
 
 func epochCols() []Col {
-	defs := epochDefs()
-	out := make([]Col, len(defs))
-	for i, d := range defs {
+	out := make([]Col, len(allEpochDefs))
+	for i, d := range allEpochDefs {
 		out[i] = d.col
 	}
 	return out

@@ -1,10 +1,10 @@
 package query
 
 import (
+	"slices"
 	"strconv"
 
 	"datastall/internal/experiments"
-	"datastall/internal/stats"
 )
 
 // Value is one cell of a result row: a tagged union over the three column
@@ -29,7 +29,7 @@ func (v Value) num() float64 {
 	return v.F
 }
 
-// String renders the cell for group keys and debugging.
+// String renders the cell for debugging and test output.
 func (v Value) String() string {
 	switch v.Type {
 	case TypeInt:
@@ -62,12 +62,15 @@ func compare(a, b Value) int {
 	return 0
 }
 
-// Store is an append-only columnar result store. Ingestion is not
-// goroutine-safe; a built store may be queried concurrently. The zero value
-// is not usable — call NewStore.
+// Store is an append-only store of finished cases, held by reference: Add
+// keeps the pointer and copies nothing, and a scan reads each column from
+// the case (and its Result.Epochs) when it reaches it. A case must not be
+// mutated after Add; every producer (spec sweeps, suite runs, the job
+// service, report loading) treats a capture as immutable once made.
+// Ingestion is not goroutine-safe; a built store may be queried
+// concurrently. The zero value is not usable — call NewStore.
 type Store struct {
-	cases  []ingested
-	epochs []epochRow
+	cases []*experiments.CaseResult
 }
 
 // NewStore returns an empty store.
@@ -76,95 +79,54 @@ func NewStore() *Store { return &Store{} }
 // Len reports the number of ingested cases.
 func (s *Store) Len() int { return len(s.cases) }
 
+// Grow makes room for n more cases, so that many adds do not reallocate.
+func (s *Store) Grow(n int) { s.cases = slices.Grow(s.cases, n) }
+
 // AddCases ingests a batch of finished cases (e.g. report.Cases after a
 // spec run, SuiteResult.SuiteCases() after a suite, or
 // experiments.LoadSuiteCases of a saved report). Case IDs are assigned in
 // ingestion order, starting at 0.
 func (s *Store) AddCases(cases []*experiments.CaseResult) {
-	for _, c := range cases {
-		s.Add(c)
-	}
+	s.cases = append(s.cases, cases...)
 }
 
 // Add ingests one finished case and returns its assigned case_id.
 func (s *Store) Add(c *experiments.CaseResult) int64 {
-	id := int64(len(s.cases))
-	r := c.Result
-	servers := c.Servers
-	if servers < 1 {
-		servers = 1
-	}
-	row := ingested{
-		spec: c.Spec, row: c.Row, kase: c.Case,
-		model: c.Model, dataset: c.Dataset, server: c.Server, loader: c.Loader,
-		servers: int64(c.Servers), gpus: int64(c.GPUs),
-		batch: int64(c.Batch), epochs: int64(c.Epochs),
-		cacheBytes: c.CacheBytes, seed: c.Seed,
-
-		epochS:          r.EpochTime,
-		samplesPerS:     r.Throughput,
-		stallPct:        100 * r.StallFraction,
-		hitPct:          100 * r.HitRate,
-		missPct:         100 * (1 - r.HitRate),
-		diskGiBPerEpoch: r.DiskPerEpoch / stats.GiB,
-		diskGiBPerNode:  r.DiskPerEpoch / float64(servers) / stats.GiB,
-		netGiBPerEpoch:  r.NetPerEpoch / stats.GiB,
-		totalDiskGiB:    r.TotalDiskBytes / stats.GiB,
-		totalTimeS:      r.TotalTime,
-	}
-	s.cases = append(s.cases, row)
-	for i, e := range r.Epochs {
-		stallPct := 0.0
-		if e.Duration > 0 {
-			stallPct = 100 * e.StallTime / e.Duration
-		}
-		s.epochs = append(s.epochs, epochRow{
-			caseID: id, epoch: int64(i),
-			durationS: e.Duration, computeS: e.ComputeTime,
-			stallS: e.StallTime, stallPct: stallPct,
-			diskGiB:   e.DiskBytes / stats.GiB,
-			netGiB:    e.NetBytes / stats.GiB,
-			memGiB:    e.MemBytes / stats.GiB,
-			diskReads: int64(e.DiskReads), hits: int64(e.Hits),
-			misses: int64(e.Misses), remoteHits: int64(e.RemoteHits),
-			samples:      int64(e.Samples),
-			cacheUsedGiB: e.CacheUsedBytes / stats.GiB,
-		})
-	}
-	return id
+	s.cases = append(s.cases, c)
+	return int64(len(s.cases) - 1)
 }
 
-// The def slices are immutable after init; materialization shares them.
+// The def slices are immutable after init; scans share them.
 var (
 	allCaseDefs  = caseDefs()
 	allEpochDefs = epochDefs()
 )
 
-// caseRow materializes case i as a row in caseCols order.
-func (s *Store) caseRow(i int) []Value {
-	out := make([]Value, len(allCaseDefs))
-	for j, d := range allCaseDefs {
-		out[j] = d.get(int64(i), &s.cases[i])
+// appendCaseRow appends case id's columns, in caseCols order, to row.
+func (s *Store) appendCaseRow(row []Value, id int) []Value {
+	c := s.cases[id]
+	for _, d := range allCaseDefs {
+		row = append(row, d.get(int64(id), c))
 	}
-	return out
+	return row
 }
 
-// epochRowValues materializes epoch row i in epochCols order.
-func (s *Store) epochRowValues(i int) []Value {
-	out := make([]Value, len(allEpochDefs))
-	for j, d := range allEpochDefs {
-		out[j] = d.get(&s.epochs[i])
+// appendEpochRow appends epoch number epoch of case id, in epochCols order,
+// to row.
+func (s *Store) appendEpochRow(row []Value, id, epoch int) []Value {
+	e := &s.cases[id].Result.Epochs[epoch]
+	for _, d := range allEpochDefs {
+		row = append(row, d.get(int64(id), int64(epoch), e))
 	}
-	return out
+	return row
 }
 
-// identityValues materializes case id's identity columns (spec .. seed) for
-// the join.
-func (s *Store) identityValues(id int64) []Value {
-	defs := allCaseDefs[1:caseIdentityEnd]
-	out := make([]Value, len(defs))
-	for j, d := range defs {
-		out[j] = d.get(id, &s.cases[id])
+// appendIdentity appends case id's identity columns (spec .. seed) to row,
+// for the join.
+func (s *Store) appendIdentity(row []Value, id int) []Value {
+	c := s.cases[id]
+	for _, d := range allCaseDefs[1:caseIdentityEnd] {
+		row = append(row, d.get(int64(id), c))
 	}
-	return out
+	return row
 }

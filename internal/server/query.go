@@ -1,6 +1,6 @@
 // GET/POST /v1/query: the relational query surface over finished jobs. The
-// handler snapshots every completed job's captured cases — a spec job's
-// whole sweep grid, a single job's one run — into a fresh query.Store,
+// handler gathers every completed job's captured cases — a spec job's whole
+// sweep grid, a single job's one run — by reference into a query.Store,
 // executes the JSON query AST against it, and streams the result as NDJSON,
 // flushing per row so clients see rows as they are produced. The request
 // context drives the operator pipeline, so a client that disconnects
@@ -74,13 +74,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// queryStore snapshots every completed job's cases into a store. Jobs are
-// visited in submission order, so case_ids are stable across queries for a
-// given job history. Jobs rehydrated from WAL terminal records serve the
-// case capture stored in the record, so a restart keeps history queryable.
+// queryStore gathers every completed job's cases into a store, by
+// reference: captures are immutable once made, so the store copies no
+// result. Jobs are visited in submission order, so case_ids are stable
+// across queries for a given job history. Jobs rehydrated from WAL terminal
+// records serve the case capture stored in the record, so a restart keeps
+// history queryable.
 func (s *Server) queryStore() *query.Store {
+	jobs := s.store.list()
 	st := query.NewStore()
-	for _, j := range s.store.list() {
+	st.Grow(len(jobs)) // exact when every job is a single run
+	for _, j := range jobs {
 		st.AddCases(j.caseResults())
 	}
 	return st
@@ -102,26 +106,20 @@ func (f *flushWriter) Flush() error {
 	return nil
 }
 
-// caseResults exposes a completed job's runs for the query surface: the
-// captured grid cells of a spec job, the single run of a job submission, or
-// — for jobs rehydrated from a WAL terminal record — the capture stored in
-// the record.
+// caseResults exposes a completed job's runs, read-only, for the query
+// surface, terminal WAL records and compaction: the captured grid cells of
+// a spec job, or the one capture in job.cases — a single run's, taken once
+// by finishRun, or the one stored in a WAL terminal record the job was
+// rehydrated from (a loaded record without a capture stays invisible
+// rather than wrong).
 func (job *Job) caseResults() []*experiments.CaseResult {
 	job.mu.Lock()
 	defer job.mu.Unlock()
 	if job.status != StatusCompleted {
 		return nil
 	}
-	switch {
-	case job.report != nil && len(job.report.Cases) > 0:
+	if job.report != nil && len(job.report.Cases) > 0 {
 		return job.report.Cases
-	case job.cases != nil:
-		return job.cases
-	case job.result != nil && job.bc != nil:
-		// Deriving the capture needs the resolved config, which only live
-		// jobs carry (bc is nil exactly for loaded ones); a loaded record
-		// without a case capture stays invisible rather than wrong.
-		return []*experiments.CaseResult{experiments.JobCase(job.ID, job.cfg, job.result)}
 	}
-	return nil
+	return job.cases
 }

@@ -3,11 +3,17 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/url"
 	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"datastall/internal/experiments"
+	"datastall/internal/race"
+	"datastall/internal/trainer"
 )
 
 // envelope mirrors the typed error body every handler must emit.
@@ -118,6 +124,55 @@ func TestQueryEmptyStore(t *testing.T) {
 	}
 }
 
+// TestQueryWhileJobsFinish: queries read finished jobs' captures by
+// reference while other jobs finish, append terminal records and compact
+// the WAL, all of which read the same captures; run it under -race. Every
+// response is whole, and the last one sees every job.
+func TestQueryWhileJobsFinish(t *testing.T) {
+	done := func(context.Context, *Job) (*experiments.Report, *trainer.Result, error) {
+		return nil, &trainer.Result{TotalTime: 1, Epochs: []trainer.EpochStats{{Duration: 1}, {Duration: 2}}}, nil
+	}
+	srv, ts := newTestServer(t, Config{Workers: 2, WALDir: t.TempDir(), WALCompactEvery: 8, runJob: done})
+	const jobs = 40
+	join := `{"from":"epochs","join":true}`
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for _, q := range []string{`{}`, join} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				resp, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(q))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				b, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK || strings.Contains(string(b), `"error"`) {
+					t.Errorf("query %s: %d %v %s", q, resp.StatusCode, err, b)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < jobs; i++ {
+		if st := waitTerminal(t, srv, submitID(t, ts, tinyJob), 10*time.Second); st != StatusCompleted {
+			t.Fatalf("job ended %s", st)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if _, body := postJSON(t, ts.URL+"/v1/query", join); strings.Count(body, "\n") != 2*jobs {
+		t.Fatalf("join over %d two-epoch jobs returned %d rows", jobs, strings.Count(body, "\n"))
+	}
+}
+
 // TestErrorEnvelope is the cross-handler table test: every failure path
 // emits the typed {"error": {code, message, field}} envelope with the
 // right code, and typed validation failures carry the offending field.
@@ -205,5 +260,34 @@ func TestQueueFullEnvelope(t *testing.T) {
 	}
 	if e := decodeEnvelope(t, body); e.Error.Code != "queue_full" {
 		t.Fatalf("code %q (body %s)", e.Error.Code, body)
+	}
+}
+
+// TestAllocsQueryStore: gathering the query store reads each completed
+// job's capture by reference — a single job's case is taken once, when it
+// finishes — so the objects a gather allocates do not grow with the number
+// of jobs.
+func TestAllocsQueryStore(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race instrumentation allocates on otherwise allocation-free paths")
+	}
+	done := func(context.Context, *Job) (*experiments.Report, *trainer.Result, error) {
+		return nil, &trainer.Result{TotalTime: 1, Epochs: []trainer.EpochStats{{Duration: 1}}}, nil
+	}
+	srv, ts := newTestServer(t, Config{Workers: 1, runJob: done})
+	var allocs []float64
+	for _, n := range []int{64, 256} {
+		for srv.store.count() < n {
+			if st := waitTerminal(t, srv, submitID(t, ts, tinyJob), 10*time.Second); st != StatusCompleted {
+				t.Fatalf("job ended %s", st)
+			}
+		}
+		if got := srv.queryStore().Len(); got != n {
+			t.Fatalf("store holds %d cases over %d jobs", got, n)
+		}
+		allocs = append(allocs, testing.AllocsPerRun(5, func() { srv.queryStore() }))
+	}
+	if allocs[0] != allocs[1] || allocs[1] > 3 {
+		t.Fatalf("queryStore allocates %v objects over 64 jobs and %v over 256, want the same, at most 3", allocs[0], allocs[1])
 	}
 }

@@ -259,6 +259,11 @@ func (s *Server) finishRun(j *Job, rep *experiments.Report, res *trainer.Result,
 		j.status = StatusCompleted
 		j.report = rep
 		j.result = res
+		if res != nil {
+			// Capture the run once; queries, the terminal WAL record and
+			// compaction all read this one immutable case.
+			j.cases = []*experiments.CaseResult{experiments.JobCase(j.ID, j.cfg, res)}
+		}
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		// Cancelled by server drain (DELETE sets StatusCancelled itself).
 		j.status = StatusCancelled

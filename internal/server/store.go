@@ -74,11 +74,6 @@ type Job struct {
 	// only for terminal jobs rehydrated from a WAL terminal record.
 	bc *Broadcaster
 
-	// cases is the rehydrated case capture of a job reloaded from a WAL
-	// terminal record (live jobs serve cases straight from their
-	// report/result).
-	cases []*experiments.CaseResult
-
 	mu        sync.Mutex
 	status    Status
 	submitted time.Time
@@ -89,6 +84,10 @@ type Job struct {
 	report    *experiments.Report
 	result    *trainer.Result
 	cancel    func()
+	// cases is the case capture of a completed single run, taken once by
+	// finishRun, or of a job reloaded from a WAL terminal record (spec jobs
+	// serve theirs from report.Cases). Immutable once set.
+	cases []*experiments.CaseResult
 
 	// resume holds per-cell results recovered from the WAL (set before the
 	// job is queued, read-only after): the executor serves these cells from
