@@ -20,39 +20,63 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden suite files fr
 // be a deliberate `go test -run TestSuiteGolden -update .` commit, never an
 // accident of a refactor. This is what "runsuite output stays byte-identical"
 // means mechanically: every refactor and perf PR rides behind this file.
+//
+// The paper tables are pinned at a second seed too (7), so a change that
+// happens to preserve seed 1's draws but not the random streams in general
+// still fails here.
 func TestSuiteGolden(t *testing.T) {
-	rep, err := datastall.RunSuite(context.Background(), datastall.SuiteOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Failed > 0 || rep.Skipped > 0 {
-		t.Fatalf("suite not clean: %d failed, %d skipped", rep.Failed, rep.Skipped)
-	}
-
+	rep := runSuiteClean(t, 1)
 	gotJSON, err := rep.JSON(false) // timings excluded: reproducible bytes
 	if err != nil {
 		t.Fatal(err)
 	}
 	gotJSON = append(gotJSON, '\n')
+	rep7 := runSuiteClean(t, 7)
 
+	goldens := []struct {
+		path string
+		got  []byte
+	}{
+		{"testdata/golden-suite.json", gotJSON},
+		{"testdata/golden-tables.txt", suiteTables(rep)},
+		{"testdata/golden-tables-seed7.txt", suiteTables(rep7)},
+	}
+	for _, g := range goldens {
+		if *updateGolden {
+			if err := os.WriteFile(g.path, g.got, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		compareGolden(t, g.path, g.got)
+	}
+	if *updateGolden {
+		t.Log("golden files rewritten")
+	}
+}
+
+// runSuiteClean runs the whole suite at default scales and the given seed,
+// failing the test if any experiment failed or was skipped.
+func runSuiteClean(t *testing.T, seed int64) *datastall.SuiteReport {
+	t.Helper()
+	rep, err := datastall.RunSuite(context.Background(), datastall.SuiteOptions{Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Failed > 0 || rep.Skipped > 0 {
+		t.Fatalf("seed %d: suite not clean: %d failed, %d skipped", seed, rep.Failed, rep.Skipped)
+	}
+	return rep
+}
+
+// suiteTables renders every experiment's paper table, as runsuite -q prints
+// them.
+func suiteTables(rep *datastall.SuiteReport) []byte {
 	var tables bytes.Buffer
 	for _, e := range rep.Experiments {
 		fmt.Fprintf(&tables, "%s\n", e)
 	}
-
-	if *updateGolden {
-		if err := os.WriteFile("testdata/golden-suite.json", gotJSON, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile("testdata/golden-tables.txt", tables.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Log("golden files rewritten")
-		return
-	}
-
-	compareGolden(t, "testdata/golden-suite.json", gotJSON)
-	compareGolden(t, "testdata/golden-tables.txt", tables.Bytes())
+	return tables.Bytes()
 }
 
 func compareGolden(t *testing.T, path string, got []byte) {

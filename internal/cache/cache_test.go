@@ -64,7 +64,7 @@ func TestMinIOBeatsPageCache(t *testing.T) {
 	n := 2000
 	capacity := 0.5 * float64(n)
 	m := NewMinIO(capacity)
-	pc := pagecache.New(pagecache.TwoList, capacity, 7)
+	pc := pagecache.New(pagecache.TwoList, dataset.UniformSizes(1), capacity, 7)
 	rng := rand.New(rand.NewSource(2))
 	for epoch := 0; epoch < 4; epoch++ {
 		if epoch == 1 {
@@ -78,7 +78,7 @@ func TestMinIOBeatsPageCache(t *testing.T) {
 				m.Insert(id, 1)
 			}
 			if !pc.Lookup(id) {
-				pc.Insert(id, 1)
+				pc.Insert(id)
 			}
 		}
 	}

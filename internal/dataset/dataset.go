@@ -54,6 +54,10 @@ func (d *Dataset) Sizes() Sizes {
 	}
 }
 
+// UniformSizes returns the size model in which every item is b bytes: the
+// model of fixed-size units such as serialized record files.
+func UniformSizes(b float64) Sizes { return Sizes{avg: b} }
+
 // Bytes returns the deterministic size of item id.
 func (s Sizes) Bytes(id ItemID) float64 {
 	if s.spread == 0 {

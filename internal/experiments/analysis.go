@@ -332,11 +332,11 @@ func runFig8(ctx context.Context, o Options) (*Report, error) {
 	// The worked example: dataset {A,B,C,D}, cache of 2, two epochs.
 	epochs := [][]dataset.ItemID{{2, 1, 0, 3}, {1, 2, 3, 0}}
 	minio := cache.NewMinIO(2)
-	lru := pagecache.New(pagecache.LRU, 2, o.Seed)
+	lru := pagecache.New(pagecache.LRU, dataset.UniformSizes(1), 2, o.Seed)
 	minio.Insert(3, 1) // warm with D, B as in Fig 8
 	minio.Insert(1, 1)
-	lru.Insert(3, 1)
-	lru.Insert(1, 1)
+	lru.Insert(3)
+	lru.Insert(1)
 	r := &Report{Table: &stats.Table{
 		Title:   "Cache hits per epoch, 4-item dataset, capacity 2",
 		Columns: []string{"epoch", "MinIO hits", "LRU hits"},
@@ -349,7 +349,7 @@ func runFig8(ctx context.Context, o Options) (*Report, error) {
 				minio.Insert(id, 1)
 			}
 			if !lru.Lookup(id) {
-				lru.Insert(id, 1)
+				lru.Insert(id)
 			}
 		}
 		r.Table.AddRow(e+1, minio.Hits(), lru.Hits())

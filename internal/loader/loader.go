@@ -104,7 +104,7 @@ type PageCacheFetcher struct {
 func NewPageCacheFetcher(d *dataset.Dataset, c *cluster.Cluster, capBytes float64, seed int64) *PageCacheFetcher {
 	f := &PageCacheFetcher{Dataset: d, Cluster: c}
 	for i := range c.Servers {
-		f.Caches = append(f.Caches, pagecache.NewSized(pagecache.TwoList, capBytes, seed+int64(i), d.NumItems))
+		f.Caches = append(f.Caches, pagecache.NewSized(pagecache.TwoList, d.Sizes(), capBytes, seed+int64(i), d.NumItems))
 	}
 	return f
 }
@@ -114,8 +114,8 @@ func NewPageCacheFetcher(d *dataset.Dataset, c *cluster.Cluster, capBytes float6
 func (f *PageCacheFetcher) CacheUsedBytes() float64 { return cache.SumUsedBytes(f.Caches) }
 
 // Plan implements Fetcher: the misses are one random storage read, the
-// hits one DRAM copy. A hit's size is the one the cache holds for it, so
-// sizes are computed on misses only.
+// hits one DRAM copy. The page caches were built from the dataset's size
+// model, so a hit books the bytes its miss did.
 func (f *PageCacheFetcher) Plan(server int, items []dataset.ItemID, ops []Op) (FetchResult, []Op) {
 	var r FetchResult
 	pc := f.Caches[server]
@@ -125,15 +125,15 @@ func (f *PageCacheFetcher) Plan(server int, items []dataset.ItemID, ops []Op) (F
 		spi = 1
 	}
 	for _, id := range items {
-		if sz, ok := pc.Get(id); ok {
+		sz := sizes.Bytes(id)
+		if pc.Lookup(id) {
 			r.MemBytes += sz
 			r.Hits++
 		} else {
-			sz = sizes.Bytes(id)
 			r.DiskBytes += sz
 			r.DiskItems += spi
 			r.Misses++
-			pc.Insert(id, sz)
+			pc.Insert(id)
 		}
 	}
 	return r, AppendLocal(ops, server, r)
@@ -186,7 +186,8 @@ type TFRecordFetcher struct {
 }
 
 // NewTFRecordFetcher builds a record-granular fetcher with per-server page
-// caches of capBytes, pre-sized for the record count.
+// caches of capBytes, pre-sized for the record count, every record
+// recordBytes long.
 func NewTFRecordFetcher(d *dataset.Dataset, c *cluster.Cluster, capBytes, recordBytes float64, seed int64) *TFRecordFetcher {
 	f := &TFRecordFetcher{Dataset: d, Cluster: c, RecordBytes: recordBytes}
 	f.itemsPerRec = int(recordBytes / d.AvgItemBytes())
@@ -195,7 +196,7 @@ func NewTFRecordFetcher(d *dataset.Dataset, c *cluster.Cluster, capBytes, record
 	}
 	f.seenIn = make([]uint64, d.NumItems/f.itemsPerRec+1)
 	for i := range c.Servers {
-		f.Caches = append(f.Caches, pagecache.NewSized(pagecache.TwoList, capBytes, seed+int64(i), len(f.seenIn)))
+		f.Caches = append(f.Caches, pagecache.NewSized(pagecache.TwoList, dataset.UniformSizes(recordBytes), capBytes, seed+int64(i), len(f.seenIn)))
 	}
 	return f
 }
@@ -227,7 +228,7 @@ func (f *TFRecordFetcher) Plan(server int, items []dataset.ItemID, ops []Op) (Fe
 			r.DiskBytes += f.RecordBytes
 			r.DiskItems++
 			r.Misses++
-			pc.Insert(rec, f.RecordBytes)
+			pc.Insert(rec)
 		}
 	}
 	ops = AppendOp(ops, Op{Kind: OpDiskSeq, Dev: server, Bytes: r.DiskBytes})

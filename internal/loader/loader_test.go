@@ -6,6 +6,7 @@ import (
 
 	"datastall/internal/cluster"
 	"datastall/internal/dataset"
+	"datastall/internal/pagecache"
 	"datastall/internal/sim"
 	"datastall/internal/sim/simtest"
 	"datastall/internal/stats"
@@ -163,6 +164,46 @@ func TestTFRecordFetcherRecordGranularity(t *testing.T) {
 	}
 	if r2.Hits != 2 || r2.DiskBytes != 0 {
 		t.Fatalf("warm record fetch: %+v", r2)
+	}
+}
+
+// TestHitBooksItsMissBytes: planning the same items twice on a cache that
+// holds them all, the second plan's hits book exactly the bytes the first
+// plan's misses read from disk, and the cache holds exactly those bytes —
+// for item sizes spread around the mean and for uniform records. A cache
+// built with a size model other than the one the fetcher books from fails
+// here.
+func TestHitBooksItsMissBytes(t *testing.T) {
+	_, cl, _ := testEnv(1)
+	d := dataset.ImageNet1K.Scale(0.0002)
+	if s := d.Sizes(); s.Bytes(0) == s.Bytes(1) {
+		t.Fatal("dataset item sizes do not spread")
+	}
+	items := make([]dataset.ItemID, d.NumItems)
+	for i := range items {
+		items[i] = dataset.ItemID(i)
+	}
+	pc := NewPageCacheFetcher(d, cl, 2*d.TotalBytes, 1)
+	tf := NewTFRecordFetcher(d, cl, 2*d.TotalBytes, 10*d.AvgItemBytes(), 1)
+	for _, tc := range []struct {
+		name   string
+		f      Fetcher
+		caches []*pagecache.Cache
+	}{
+		{"pagecache", pc, pc.Caches},
+		{"tfrecord", tf, tf.Caches},
+	} {
+		cold, _ := tc.f.Plan(0, items, nil)
+		warm, _ := tc.f.Plan(0, items, nil)
+		if cold.Hits != 0 || warm.Misses != 0 || warm.Hits != cold.Misses {
+			t.Fatalf("%s: cold %+v, warm %+v; want all misses then all hits", tc.name, cold, warm)
+		}
+		if math.Float64bits(warm.MemBytes) != math.Float64bits(cold.DiskBytes) {
+			t.Fatalf("%s: hits booked %v bytes, their misses %v", tc.name, warm.MemBytes, cold.DiskBytes)
+		}
+		if used := tc.caches[0].UsedBytes(); math.Float64bits(used) != math.Float64bits(cold.DiskBytes) {
+			t.Fatalf("%s: cache holds %v bytes, misses read %v", tc.name, used, cold.DiskBytes)
+		}
 	}
 }
 

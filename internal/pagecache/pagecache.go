@@ -14,19 +14,23 @@
 //   - Random: random replacement, included for ablations.
 //
 // Storage layout: one []entry indexed by ItemID (IDs are dense small
-// integers) holds each item's size and the two 32-bit links that thread it
-// into an intrusive doubly-linked recency list, with its residency state in
-// the top two bits of the next link: 16 bytes per item, so a lookup is one
-// bounds-checked load and there is no separate index or free list. Links
-// store an ID plus one, so an all-zero slot is absent and unlinked, and IDs
-// at or above 2^30-1 (which would reach the state bits) are never cached;
-// the largest catalog dataset has 14.2M items. The slot array grows on
-// demand; NewSized pre-sizes it for a known ID range. Steady-state Lookup
-// and Insert-with-eviction therefore allocate nothing — no map operations,
-// no container/list element boxes, no per-entry heap objects. Eviction
-// order, rng consumption, and every statistic are identical to the
-// original map+container/list implementation (pinned by
-// TestSlabMatchesReference).
+// integers) holds the two 32-bit links that thread each item into an
+// intrusive doubly-linked recency list, with its residency state in the top
+// two bits of the next link: 8 bytes per item, so a lookup is one
+// bounds-checked load and there is no separate index or free list. An
+// item's size is not stored: the cache is built with the dataset's
+// deterministic size model and recomputes it whenever it books bytes, so
+// the caller cannot insert an item at a size that disagrees with the one
+// its hits and evictions later book. Links store an ID plus one, so an
+// all-zero slot is absent and unlinked, and IDs at or above 2^30-1 (which
+// would reach the state bits) are never cached; the largest catalog
+// dataset has 14.2M items. The slot array grows on demand; NewSized
+// pre-sizes it for a known ID range. Steady-state Lookup and
+// Insert-with-eviction therefore allocate nothing — no map operations, no
+// container/list element boxes, no per-entry heap objects. Eviction order,
+// rng consumption, and every statistic are identical to the original
+// map+container/list implementation, which stored each size at insert
+// (pinned by TestSlabMatchesReference).
 //
 // A Cache is NOT safe for concurrent use; each simulated job owns its
 // caches and drives them from the one simulation goroutine.
@@ -85,14 +89,16 @@ const (
 // linkOf returns the link naming the slot of id.
 func linkOf(id dataset.ItemID) link { return link(id) + 1 }
 
-// entry is the 16-byte slot of the item whose ItemID is its index. While
-// the item is resident, prev and next thread it into the inactive or active
+// id returns the ItemID whose slot l names.
+func (l link) id() dataset.ItemID { return dataset.ItemID(l - 1) }
+
+// entry is the 8-byte slot of the item whose ItemID is its index. While the
+// item is resident, prev and next thread it into the inactive or active
 // list; Random-policy entries are resident but unlinked. An all-zero slot is
 // absent and unlinked.
 type entry struct {
-	bytes float64
-	prev  link
-	next  link // state<<stateShift | next link
+	prev link
+	next link // state<<stateShift | next link
 }
 
 func (en *entry) state() uint8      { return uint8(en.next >> stateShift) }
@@ -111,6 +117,9 @@ type clist struct {
 type Cache struct {
 	policy   Policy
 	capBytes float64
+	// sizes gives every cached item's size; it is a value, not a func,
+	// so Bytes inlines into the booking paths.
+	sizes dataset.Sizes
 
 	slots []entry // indexed by ItemID; grown on demand
 
@@ -141,11 +150,13 @@ type Cache struct {
 	count        int
 }
 
-// New returns a cache with the given byte capacity and policy.
-func New(policy Policy, capBytes float64, seed int64) *Cache {
+// New returns a cache with the given policy and byte capacity, caching
+// items whose sizes sizes gives.
+func New(policy Policy, sizes dataset.Sizes, capBytes float64, seed int64) *Cache {
 	return &Cache{
 		policy:      policy,
 		capBytes:    capBytes,
+		sizes:       sizes,
 		activeRatio: 0.62,
 		refaultProb: 0.30,
 		rng:         rand.New(rand.NewSource(seed)),
@@ -154,8 +165,8 @@ func New(policy Policy, capBytes float64, seed int64) *Cache {
 
 // NewSized is New with the slot array pre-sized for numItems dense IDs, so
 // inserts of IDs below numItems never reallocate.
-func NewSized(policy Policy, capBytes float64, seed int64, numItems int) *Cache {
-	c := New(policy, capBytes, seed)
+func NewSized(policy Policy, sizes dataset.Sizes, capBytes float64, seed int64, numItems int) *Cache {
+	c := New(policy, sizes, capBytes, seed)
 	if numItems > 0 {
 		c.slots = make([]entry, numItems)
 	}
@@ -241,12 +252,12 @@ func (c *Cache) moveToFront(l *clist, e link) {
 	c.pushFront(l, e)
 }
 
-// Get reports whether id is cached and, on a hit, the size it was cached
-// with, updating recency/promotion state and hit/miss counters.
-func (c *Cache) Get(id dataset.ItemID) (bytes float64, ok bool) {
+// Lookup reports whether id is cached, updating recency/promotion state and
+// hit/miss counters.
+func (c *Cache) Lookup(id dataset.ItemID) bool {
 	if !c.Contains(id) {
 		c.misses++
-		return 0, false
+		return false
 	}
 	c.hits++
 	e := linkOf(id)
@@ -263,27 +274,25 @@ func (c *Cache) Get(id dataset.ItemID) (bytes float64, ok bool) {
 			c.unlink(&c.inactive, e)
 			c.pushFront(&c.active, e)
 			en.setState(active)
-			c.activeBytes += en.bytes
+			c.activeBytes += c.sizes.Bytes(id)
 			c.rebalance()
 		}
 	case Random:
 		// No recency state.
 	}
-	return en.bytes, true
+	return true
 }
 
-// Lookup reports whether id is cached, updating recency/promotion state and
-// hit/miss counters.
-func (c *Cache) Lookup(id dataset.ItemID) bool {
-	_, ok := c.Get(id)
-	return ok
-}
-
-// Insert caches id (typically after a miss fetched it from storage), evicting
-// as needed to respect capacity. Items larger than the cache are not cached,
-// nor are IDs outside [0, 2^30-1), which a slot cannot link.
-func (c *Cache) Insert(id dataset.ItemID, bytes float64) {
-	if id < 0 || int(id) >= maxItems || c.Contains(id) || bytes > c.capBytes {
+// Insert caches id at the size the cache's size model gives it (typically
+// after a miss fetched it from storage), evicting as needed to respect
+// capacity. Items larger than the cache are not cached, nor are IDs outside
+// [0, 2^30-1), which a slot cannot link.
+func (c *Cache) Insert(id dataset.ItemID) {
+	if id < 0 || int(id) >= maxItems || c.Contains(id) {
+		return
+	}
+	bytes := c.sizes.Bytes(id)
+	if bytes > c.capBytes {
 		return
 	}
 	for c.usedBytes+bytes > c.capBytes {
@@ -296,7 +305,6 @@ func (c *Cache) Insert(id dataset.ItemID, bytes float64) {
 	}
 	e := linkOf(id)
 	en := c.slot(e)
-	en.bytes = bytes
 	en.setState(inactive)
 	switch c.policy {
 	case Random:
@@ -332,16 +340,14 @@ func (c *Cache) demote() {
 	e := c.active.tail
 	c.unlink(&c.active, e)
 	c.pushFront(&c.inactive, e)
-	en := c.slot(e)
-	en.setState(inactive)
-	c.activeBytes -= en.bytes
+	c.slot(e).setState(inactive)
+	c.activeBytes -= c.sizes.Bytes(e.id())
 }
 
 // release evicts resident slot e and books the eviction.
 func (c *Cache) release(e link) {
-	en := c.slot(e)
-	en.setState(absent)
-	c.usedBytes -= en.bytes
+	c.slot(e).setState(absent)
+	c.usedBytes -= c.sizes.Bytes(e.id())
 	c.count--
 	c.evictions++
 }
@@ -375,7 +381,7 @@ func (c *Cache) evictOne() bool {
 				return false
 			}
 			c.unlink(&c.active, e)
-			c.activeBytes -= c.slot(e).bytes
+			c.activeBytes -= c.sizes.Bytes(e.id())
 			c.release(e)
 			return true
 		}

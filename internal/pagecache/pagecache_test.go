@@ -8,22 +8,32 @@ import (
 	"datastall/internal/dataset"
 )
 
-func access(c *Cache, id dataset.ItemID, size float64) bool {
+// unit is the size model of the tests' unit-size items.
+var unit = dataset.UniformSizes(1)
+
+// varied is a catalog size model whose items spread ±60% around the mean,
+// and avg its mean: a capacity of k*avg holds about k items.
+var (
+	varied = dataset.ImageNet1K.Sizes()
+	avg    = dataset.ImageNet1K.AvgItemBytes()
+)
+
+func access(c *Cache, id dataset.ItemID) bool {
 	if c.Lookup(id) {
 		return true
 	}
-	c.Insert(id, size)
+	c.Insert(id)
 	return false
 }
 
 func TestLRUBasic(t *testing.T) {
-	c := New(LRU, 2, 1)
-	access(c, 1, 1)
-	access(c, 2, 1)
+	c := New(LRU, unit, 2, 1)
+	access(c, 1)
+	access(c, 2)
 	if !c.Lookup(1) {
 		t.Fatal("1 should hit")
 	}
-	access(c, 3, 1) // evicts 2 (1 was just touched)
+	access(c, 3) // evicts 2 (1 was just touched)
 	if c.Lookup(2) {
 		t.Fatal("2 should have been evicted")
 	}
@@ -35,16 +45,16 @@ func TestLRUBasic(t *testing.T) {
 func TestLRUScanIsPathological(t *testing.T) {
 	// Cyclic scan over N items with capacity C < N: LRU gets zero hits
 	// after warmup — the paper's TFRecord pathological case (§3.3.3).
-	c := New(LRU, 50, 1)
+	c := New(LRU, unit, 50, 1)
 	n := 100
 	for e := 0; e < 3; e++ {
 		for i := 0; i < n; i++ {
-			access(c, dataset.ItemID(i), 1)
+			access(c, dataset.ItemID(i))
 		}
 	}
 	c.ResetStats()
 	for i := 0; i < n; i++ {
-		access(c, dataset.ItemID(i), 1)
+		access(c, dataset.ItemID(i))
 	}
 	if c.Hits() != 0 {
 		t.Fatalf("LRU scan got %d hits, want 0", c.Hits())
@@ -53,11 +63,11 @@ func TestLRUScanIsPathological(t *testing.T) {
 
 func TestCapacityNeverExceeded(t *testing.T) {
 	for _, pol := range []Policy{LRU, TwoList, Random} {
-		c := New(pol, 100, 1)
+		c := New(pol, varied, 33*avg, 1)
 		rng := rand.New(rand.NewSource(2))
 		for i := 0; i < 10000; i++ {
 			id := dataset.ItemID(rng.Intn(500))
-			access(c, id, float64(1+rng.Intn(5)))
+			access(c, id)
 			if c.UsedBytes() > c.CapBytes() {
 				t.Fatalf("%v: used %v > cap %v", pol, c.UsedBytes(), c.CapBytes())
 			}
@@ -66,17 +76,17 @@ func TestCapacityNeverExceeded(t *testing.T) {
 }
 
 func TestOversizeItemNotCached(t *testing.T) {
-	c := New(LRU, 10, 1)
-	c.Insert(1, 11)
+	c := New(LRU, dataset.UniformSizes(11), 10, 1)
+	c.Insert(1)
 	if c.Contains(1) || c.UsedBytes() != 0 {
 		t.Fatal("oversize item cached")
 	}
 }
 
 func TestInsertIdempotent(t *testing.T) {
-	c := New(TwoList, 10, 1)
-	c.Insert(1, 4)
-	c.Insert(1, 4)
+	c := New(TwoList, dataset.UniformSizes(4), 10, 1)
+	c.Insert(1)
+	c.Insert(1)
 	if c.UsedBytes() != 4 || c.Len() != 1 {
 		t.Fatalf("double insert: used=%v len=%d", c.UsedBytes(), c.Len())
 	}
@@ -85,7 +95,7 @@ func TestInsertIdempotent(t *testing.T) {
 // permEpochHitRate runs E epochs of uniform random permutation access over n
 // unit-size items with capacity c*n and returns the steady-state hit rate.
 func permEpochHitRate(pol Policy, n int, capFrac float64, epochs int) float64 {
-	c := New(pol, capFrac*float64(n), 3)
+	c := New(pol, unit, capFrac*float64(n), 3)
 	rng := rand.New(rand.NewSource(4))
 	for e := 0; e < epochs; e++ {
 		if e == 1 {
@@ -93,7 +103,7 @@ func permEpochHitRate(pol Policy, n int, capFrac float64, epochs int) float64 {
 		}
 		perm := rng.Perm(n)
 		for _, i := range perm {
-			access(c, dataset.ItemID(i), 1)
+			access(c, dataset.ItemID(i))
 		}
 	}
 	return c.HitRate()
@@ -134,14 +144,14 @@ func TestThrashingOrderingAcrossPolicies(t *testing.T) {
 func TestRandomPolicyScanHits(t *testing.T) {
 	// Random replacement under cyclic scan follows the fixed point
 	// h = exp(-(1-h)/c); at c=0.65 that's ~0.43.
-	c := New(Random, 0.65*3000, 5)
+	c := New(Random, unit, 0.65*3000, 5)
 	n := 3000
 	for e := 0; e < 6; e++ {
 		if e == 2 {
 			c.ResetStats()
 		}
 		for i := 0; i < n; i++ {
-			access(c, dataset.ItemID(i), 1)
+			access(c, dataset.ItemID(i))
 		}
 	}
 	h := c.HitRate()
@@ -151,9 +161,9 @@ func TestRandomPolicyScanHits(t *testing.T) {
 }
 
 func TestEvictionCountsAndResetStats(t *testing.T) {
-	c := New(LRU, 2, 1)
+	c := New(LRU, unit, 2, 1)
 	for i := 0; i < 5; i++ {
-		access(c, dataset.ItemID(i), 1)
+		access(c, dataset.ItemID(i))
 	}
 	if c.Evictions() != 3 {
 		t.Fatalf("evictions = %d, want 3", c.Evictions())
@@ -169,13 +179,13 @@ func TestEvictionCountsAndResetStats(t *testing.T) {
 func TestCacheInvariantsProperty(t *testing.T) {
 	f := func(ids []uint8, polRaw uint8) bool {
 		pol := Policy(int(polRaw) % 3)
-		c := New(pol, 20, 9)
+		c := New(pol, varied, 10*avg, 9)
 		lookups := 0
 		for _, raw := range ids {
 			id := dataset.ItemID(raw % 64)
 			c.Lookup(id)
 			lookups++
-			c.Insert(id, float64(raw%3+1))
+			c.Insert(id)
 			if c.UsedBytes() > c.CapBytes() {
 				return false
 			}
@@ -190,10 +200,10 @@ func TestCacheInvariantsProperty(t *testing.T) {
 // Property: Contains agrees with a shadow set of inserted-minus-evicted items.
 func TestResidencyConsistencyProperty(t *testing.T) {
 	f := func(ids []uint8) bool {
-		c := New(TwoList, 15, 11)
+		c := New(TwoList, unit, 15, 11)
 		for _, raw := range ids {
 			id := dataset.ItemID(raw % 32)
-			access(c, id, 1)
+			access(c, id)
 			// After an access the item must be resident (size 1 <= cap).
 			if !c.Contains(id) {
 				return false

@@ -1,10 +1,12 @@
 package pagecache
 
 // refCache is the original page-cache implementation (map of *entry +
-// container/list recency lists), frozen as the behavioural reference model:
-// TestSlabMatchesReference replays identical op sequences through it and
-// the ID-indexed Cache and requires identical hits, misses, evictions,
-// residency and rng consumption at every step. It exists only in tests.
+// container/list recency lists, each entry storing the size it was inserted
+// with), frozen as the behavioural reference model: TestSlabMatchesReference
+// replays identical op sequences through it and the ID-indexed Cache, which
+// derives sizes from its size model instead, and requires identical hits,
+// misses, evictions, bytes, residency and rng consumption at every step. It
+// exists only in tests.
 
 import (
 	"container/list"

@@ -12,36 +12,38 @@ import (
 // TestSlabMatchesReference replays long random op sequences through the
 // frozen map+container/list reference model and two ID-indexed caches, one
 // growing its slot array on demand and one pre-sized by NewSized: every
-// policy must produce identical hits, misses, evictions, used bytes, hit
-// sizes and residency at every step — the slot layout is a pure
-// representation change, down to rng consumption.
+// policy must produce identical hits, misses, evictions, used and active
+// bytes and residency at every step — the slot layout is a pure
+// representation change, down to rng consumption. Items take their sizes
+// from a catalog dataset's model, which spreads them around the mean; the
+// reference stores the size it is given at insert while the caches
+// recompute it from the model at every promotion, demotion and eviction,
+// so the two agreeing to the bit shows a derived size is the stored one.
 func TestSlabMatchesReference(t *testing.T) {
 	const ids = 200
+	d := dataset.ImageNet1K.Scale(0.001)
+	sizes := d.Sizes()
+	capBytes := 67 * d.AvgItemBytes() // about a third of the IDs
 	for _, pol := range []Policy{LRU, TwoList, Random} {
-		grown := New(pol, 300, 17)
-		sized := NewSized(pol, 300, 17, ids)
-		ref := newRef(pol, 300, 17)
+		grown := New(pol, sizes, capBytes, 17)
+		sized := NewSized(pol, sizes, capBytes, 17, ids)
+		ref := newRef(pol, capBytes, 17)
 		rng := rand.New(rand.NewSource(99))
 		for op := 0; op < 50000; op++ {
 			id := dataset.ItemID(rng.Intn(ids))
 			switch rng.Intn(3) {
 			case 0:
-				var wantBytes float64
-				if e, ok := ref.items[id]; ok {
-					wantBytes = e.bytes
-				}
 				want := ref.Lookup(id)
 				if got := grown.Lookup(id); got != want {
 					t.Fatalf("%v op %d: Lookup(%d) = %v, reference %v", pol, op, id, got, want)
 				}
-				if got, ok := sized.Get(id); ok != want || got != wantBytes {
-					t.Fatalf("%v op %d: Get(%d) = %v, %v; reference %v, %v", pol, op, id, got, ok, wantBytes, want)
+				if got := sized.Lookup(id); got != want {
+					t.Fatalf("%v op %d: sized Lookup(%d) = %v, reference %v", pol, op, id, got, want)
 				}
 			case 1:
-				bytes := float64(1 + rng.Intn(8))
-				grown.Insert(id, bytes)
-				sized.Insert(id, bytes)
-				ref.Insert(id, bytes)
+				grown.Insert(id)
+				sized.Insert(id)
+				ref.Insert(id, sizes.Bytes(id))
 			default:
 				want := ref.Contains(id)
 				if grown.Contains(id) != want || sized.Contains(id) != want {
@@ -50,9 +52,9 @@ func TestSlabMatchesReference(t *testing.T) {
 				}
 			}
 			for _, c := range []*Cache{grown, sized} {
-				if c.UsedBytes() != ref.usedBytes || c.Len() != len(ref.items) {
-					t.Fatalf("%v op %d: used/len %v/%d, reference %v/%d",
-						pol, op, c.UsedBytes(), c.Len(), ref.usedBytes, len(ref.items))
+				if c.UsedBytes() != ref.usedBytes || c.activeBytes != ref.activeBytes || c.Len() != len(ref.items) {
+					t.Fatalf("%v op %d: used/active/len %v/%v/%d, reference %v/%v/%d",
+						pol, op, c.UsedBytes(), c.activeBytes, c.Len(), ref.usedBytes, ref.activeBytes, len(ref.items))
 				}
 				if c.Hits() != ref.hits || c.Misses() != ref.misses || c.Evictions() != ref.evictions {
 					t.Fatalf("%v op %d: hits/misses/evictions %d/%d/%d, reference %d/%d/%d",
@@ -75,12 +77,12 @@ func TestSlabMatchesReference(t *testing.T) {
 func TestSizedCacheNeverGrows(t *testing.T) {
 	const n = 1000
 	for _, pol := range []Policy{LRU, TwoList, Random} {
-		c := NewSized(pol, 100, 1, n)
+		c := NewSized(pol, unit, 100, 1, n)
 		slots := &c.slots[0]
 		for epoch := 0; epoch < 3; epoch++ {
 			for i := 0; i < n; i++ {
 				if !c.Lookup(dataset.ItemID(i)) {
-					c.Insert(dataset.ItemID(i), 1)
+					c.Insert(dataset.ItemID(i))
 				}
 			}
 		}
@@ -93,25 +95,25 @@ func TestSizedCacheNeverGrows(t *testing.T) {
 // TestInsertGrowsSlotsOnDemand: an unsized cache accepts any non-negative
 // ID, and growth keeps earlier residents and leaves new slots absent.
 func TestInsertGrowsSlotsOnDemand(t *testing.T) {
-	c := New(LRU, 10, 1)
-	c.Insert(3, 1)
-	c.Insert(1000, 1)
-	c.Insert(-1, 1)
+	c := New(LRU, unit, 10, 1)
+	c.Insert(3)
+	c.Insert(1000)
+	c.Insert(-1)
 	if !c.Contains(3) || !c.Contains(1000) || c.Contains(-1) || c.Contains(999) || c.Len() != 2 {
 		t.Fatalf("residency after growth: 3=%v 1000=%v -1=%v 999=%v len=%d",
 			c.Contains(3), c.Contains(1000), c.Contains(-1), c.Contains(999), c.Len())
 	}
-	if b, ok := c.Get(1000); !ok || b != 1 {
-		t.Fatalf("Get(1000) = %v, %v; want 1, true", b, ok)
+	if !c.Lookup(1000) || c.UsedBytes() != 2 {
+		t.Fatalf("Lookup(1000) missed or used bytes %v, want a hit and 2", c.UsedBytes())
 	}
 }
 
-// TestSlotIs16Bytes pins the slot size: the residency state rides in the
-// top two bits of the next link instead of padding a third field to 24
-// bytes, which is the page cache's whole per-item footprint.
-func TestSlotIs16Bytes(t *testing.T) {
-	if n := unsafe.Sizeof(entry{}); n != 16 {
-		t.Fatalf("slot is %d bytes, want 16", n)
+// TestSlotIs8Bytes pins the slot size, the page cache's whole per-item
+// footprint: two 32-bit links, the residency state riding in the top two
+// bits of the next one, and no stored size — the size model gives it.
+func TestSlotIs8Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(entry{}); n != 8 {
+		t.Fatalf("slot is %d bytes, want 8", n)
 	}
 }
 
@@ -121,18 +123,18 @@ func TestSlotIs16Bytes(t *testing.T) {
 // accepted ID, 2^30-2, fits beside every state.
 func TestInsertIgnoresUnlinkableIDs(t *testing.T) {
 	for _, pol := range []Policy{LRU, TwoList, Random} {
-		c := New(pol, 2, 1)
-		c.Insert(5, 1)
-		c.Insert(6, 1)
+		c := New(pol, unit, 2, 1)
+		c.Insert(5)
+		c.Insert(6)
 		for _, id := range []dataset.ItemID{-1, 1<<30 - 1, 1 << 30, 1<<31 - 1} {
-			c.Insert(id, 1)
+			c.Insert(id)
 			if c.Contains(id) || c.Len() != 2 || c.Evictions() != 0 || len(c.slots) != 7 {
 				t.Fatalf("%v: Insert(%d) changed the cache: resident %v, len %d, evictions %d, %d slots",
 					pol, id, c.Contains(id), c.Len(), c.Evictions(), len(c.slots))
 			}
 		}
 	}
-	// A cache holding the largest accepted ID would need a 16 GiB slot
+	// A cache holding the largest accepted ID would need an 8 GiB slot
 	// array, so its packing is checked on a bare slot.
 	top := linkOf(1<<30 - 2)
 	for _, st := range []uint8{absent, inactive, active} {
@@ -159,13 +161,13 @@ func TestAllocsPagecacheHotPaths(t *testing.T) {
 	}
 	for _, pol := range []Policy{LRU, TwoList, Random} {
 		const n = 512
-		c := New(pol, n/2, 7)
+		c := New(pol, unit, n/2, 7)
 		// Warm until the slot array and randKeys reach their
 		// steady-state footprint.
 		for e := 0; e < 2; e++ {
 			for i := 0; i < n; i++ {
 				if !c.Lookup(dataset.ItemID(i)) {
-					c.Insert(dataset.ItemID(i), 1)
+					c.Insert(dataset.ItemID(i))
 				}
 			}
 		}
@@ -174,7 +176,7 @@ func TestAllocsPagecacheHotPaths(t *testing.T) {
 			for k := 0; k < 256; k++ {
 				id := dataset.ItemID(i & (n - 1))
 				if !c.Lookup(id) {
-					c.Insert(id, 1)
+					c.Insert(id)
 				}
 				i++
 			}

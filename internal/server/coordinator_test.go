@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -8,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -231,23 +233,40 @@ func TestCoordinatorSurvivesWorkerDeath(t *testing.T) {
 	}
 	// Count submits per worker and kill whichever receives a case first —
 	// consistent hashing decides the victim, so pinning one ahead of time
-	// would flake whenever the ring routes the whole grid elsewhere.
-	// Workers:1 keeps the victim busy long enough that closing it after
-	// its first accepted submit strands at least that case mid-run.
+	// would flake whenever the ring routes the whole grid elsewhere. Every
+	// submit is held until the victim is picked and closed, so the victim
+	// never starts, let alone completes, a case. A submit held on the
+	// victim returns once closing its connection ends the request's
+	// context; the body is read first because the server only watches the
+	// connection for a hang-up after the body is consumed.
 	var hits [2]atomic.Int64
+	picked := make(chan struct{})
 	countFor := func(n *atomic.Int64) func(http.Handler) http.Handler {
 		return func(next http.Handler) http.Handler {
 			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				if r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" {
+					body, err := io.ReadAll(r.Body)
+					if err != nil {
+						return
+					}
+					r.Body = io.NopCloser(bytes.NewReader(body))
 					n.Add(1)
+					select {
+					case <-picked:
+					case <-r.Context().Done():
+						return
+					}
 				}
 				next.ServeHTTP(w, r)
 			})
 		}
 	}
-	_, w1 := newWorker(t, Config{Workers: 1}, countFor(&hits[0]))
-	_, w2 := newWorker(t, Config{Workers: 1}, countFor(&hits[1]))
+	s1, w1 := newWorker(t, Config{Workers: 1}, countFor(&hits[0]))
+	s2, w2 := newWorker(t, Config{Workers: 1}, countFor(&hits[1]))
 	coord, ts := newCoordinatorServer(t, []string{w1.URL, w2.URL}, nil)
+	var releaseOnce sync.Once
+	release := func() { releaseOnce.Do(func() { close(picked) }) }
+	t.Cleanup(release) // runs before the servers close, even on failure
 
 	id := submitID(t, ts, `{"spec": `+string(raw)+`}`)
 	deadline := time.After(60 * time.Second)
@@ -258,12 +277,19 @@ func TestCoordinatorSurvivesWorkerDeath(t *testing.T) {
 		case <-time.After(time.Millisecond):
 		}
 	}
-	victim := w1
+	victimSrv, victim := s1, w1
 	if hits[1].Load() > 0 {
-		victim = w2
+		victimSrv, victim = s2, w2
 	}
+	// Stop accepting before dropping connections, so no submit can reach
+	// the victim after its held ones are cancelled and Close waits on it.
+	victim.Listener.Close()
 	victim.CloseClientConnections()
 	victim.Close()
+	release()
+	if n := victimSrv.store.count(); n != 0 {
+		t.Fatalf("victim accepted %d jobs before it was closed", n)
+	}
 
 	if st := waitTerminal(t, coord, id, 120*time.Second); st != StatusCompleted {
 		t.Fatalf("job ended %s (%s)", st, coord.store.get(id).view(true).Error)

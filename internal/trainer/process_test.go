@@ -85,14 +85,16 @@ func TestSimulationStartsNoGoroutines(t *testing.T) {
 
 // wholeCaseAllocs and wholeCaseBytes are the allocation ceilings of one
 // small single-server case run end to end (TestAllocsWholeCase), measured
-// at 220 objects and 79,720 bytes once a job kept one epoch plan and one
-// rng per sampler and page-cache slots shrank to 16 bytes. Earlier
-// ceilings: 226 objects, 111,200 bytes; before the page cache was indexed
-// by item ID and whole-dataset samplers stopped materialising an identity
-// shard, 247 objects, 197,600 bytes; goroutine producers took 278 objects.
+// at 220 objects and 57,208 bytes once page-cache slots shrank to 8 bytes
+// by deriving each item's size from the dataset's size model. Earlier
+// ceilings: 220 objects, 80,000 bytes (79,720 measured, 16-byte slots, one
+// epoch plan and one rng per sampler); 226 objects, 111,200 bytes; before
+// the page cache was indexed by item ID and whole-dataset samplers stopped
+// materialising an identity shard, 247 objects, 197,600 bytes; goroutine
+// producers took 278 objects.
 const (
 	wholeCaseAllocs = 220
-	wholeCaseBytes  = 80_000
+	wholeCaseBytes  = 58_000
 )
 
 // twoEpochsBytes is the ceiling on the heap bytes two more epochs of the
