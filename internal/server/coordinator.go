@@ -12,14 +12,22 @@
 // JSON hop exactly (Go emits shortest-roundtrip floats). A single job is a
 // one-cell grid, forwarded whole.
 //
-// Placement is a consistent-hash ring (FNV-64a, virtual nodes) keyed by
-// the cell's grid coordinates, so a re-submitted spec routes its cells to
-// the same workers. Failures — transport errors, 5xx, a worker-side panic
-// captured by that worker's own isolation — mark the worker unhealthy and
-// re-route the cell to the next distinct ring successor after exponential
-// backoff; a background probe restores workers whose /healthz answers
-// again. Deterministic failures (4xx at submit, a simulation error) are
-// permanent and fail the job without burning retries.
+// A cell costs two requests: POST /v1/jobs, then GET /v1/jobs/{id}/events
+// read to the closing job_done line, which carries the remote job's status,
+// its result and the worker's span records (the submit sends a
+// traceparent), grafted under the attempt span. Connections to each worker
+// are pooled, one per in-flight cell.
+//
+// Placement is a consistent-hash ring (FNV-64a finalized by splitmix64's
+// mixer, virtual nodes) keyed by the cell's grid coordinates, so a
+// re-submitted spec routes its cells to the same workers. Failures —
+// transport errors, 5xx, an event stream that breaks before job_done, a
+// worker-side panic captured by that worker's own isolation — mark the
+// worker unhealthy and re-route the cell to the next distinct ring
+// successor after exponential backoff; a background probe restores workers
+// whose /healthz answers again. Deterministic failures (4xx at submit, a
+// simulation error) are permanent and fail the job without burning
+// retries.
 package server
 
 import (
@@ -28,7 +36,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"log/slog"
 	"net/http"
@@ -69,7 +76,6 @@ type coordinator struct {
 	retries int           // re-route attempts per case beyond the first
 	backoff time.Duration // first retry delay, doubling per attempt
 	client  *http.Client
-	poll    time.Duration
 }
 
 // newCoordinator validates the worker fleet and builds the hash ring.
@@ -81,11 +87,15 @@ func newCoordinator(cfg Config) (*coordinator, error) {
 	if inflight <= 0 {
 		inflight = 4
 	}
+	// Each in-flight cell holds one connection at a time (its submit, then
+	// its event stream); twice the bound per worker leaves room for health
+	// probes and cancels without dialing anew.
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConnsPerHost = 2 * inflight
 	c := &coordinator{
 		retries: cfg.CaseRetries,
 		backoff: cfg.RetryBackoff,
-		client:  &http.Client{},
-		poll:    10 * time.Millisecond,
+		client:  &http.Client{Transport: tr},
 	}
 	if c.retries <= 0 {
 		c.retries = 3
@@ -108,17 +118,28 @@ func newCoordinator(cfg Config) (*coordinator, error) {
 		w.healthy.Store(true)
 		c.workers = append(c.workers, w)
 		for p := 0; p < ringPoints; p++ {
-			c.ring = append(c.ring, ringSlot{hash: fnv64(fmt.Sprintf("%s#%d", base, p)), w: w})
+			c.ring = append(c.ring, ringSlot{hash: ringHash(base + "#" + strconv.Itoa(p)), w: w})
 		}
 	}
+	tr.MaxIdleConns = len(c.workers) * tr.MaxIdleConnsPerHost
 	sort.Slice(c.ring, func(i, j int) bool { return c.ring[i].hash < c.ring[j].hash })
 	return c, nil
 }
 
-func fnv64(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	return h.Sum64()
+// ringHash places a string on the hash circle: FNV-64a, finalized with
+// splitmix64's mixer. Raw FNV-64a clusters the virtual nodes "url#0" …
+// "url#63", which differ only in their last bytes, so one worker of a pair
+// could own anywhere from 1% to 94% of the circle; the mixer spreads every
+// input bit over the whole word.
+func ringHash(s string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 1099511628211
+	}
+	h = (h ^ h>>30) * 0xbf58476d1ce4e5b9
+	h = (h ^ h>>27) * 0x94d049bb133111eb
+	return h ^ h>>31
 }
 
 func (c *coordinator) healthyCount() int {
@@ -135,7 +156,7 @@ func (c *coordinator) healthyCount() int {
 // key's position: the case's home worker first, then each failover
 // candidate — a stable preference list for retries.
 func (c *coordinator) succession(key string) []*coordWorker {
-	h := fnv64(key)
+	h := ringHash(key)
 	i := sort.Search(len(c.ring), func(i int) bool { return c.ring[i].hash >= h })
 	out := make([]*coordWorker, 0, len(c.workers))
 	seen := map[*coordWorker]bool{}
@@ -256,10 +277,18 @@ func (s *Server) coordRunCase(ctx context.Context, j *Job, key string, js experi
 			lastErr = fmt.Errorf("no healthy workers (%d configured)", len(c.workers))
 			continue
 		}
+		select {
+		case w.sem <- struct{}{}:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		// The attempt span opens once the worker's in-flight slot is held,
+		// so it times the dispatch, not the wait for a slot.
 		att := caseSpan.Start("attempt")
 		att.SetAttr("attempt", strconv.Itoa(attempt+1))
 		att.SetAttr("worker", w.url)
 		res, err := s.coordRunOn(ctx, w, j, js, key, attempt+1, att)
+		<-w.sem
 		if err == nil {
 			att.End()
 			return res, nil
@@ -289,19 +318,38 @@ func (s *Server) markDown(w *coordWorker, key string, attempt int, err error) {
 	}
 }
 
-// coordRunOn runs one cell on one specific worker: submit over POST
-// /v1/jobs, poll GET /v1/jobs/{id} to terminal, decode the result. The
-// error is wrapped permanent when retrying elsewhere cannot help.
+// coordRunOn runs one cell on one specific worker, whose in-flight slot the
+// caller holds: submit over POST /v1/jobs, then follow GET
+// /v1/jobs/{id}/events to job_done, which carries the outcome and, when
+// traced, the worker's spans. The error is wrapped permanent when retrying
+// elsewhere cannot help.
 func (s *Server) coordRunOn(ctx context.Context, w *coordWorker, j *Job, js experiments.JobSpec, key string, attempt int, att obs.Span) (*trainer.Result, error) {
-	c := s.coord
-	select {
-	case w.sem <- struct{}{}:
-	case <-ctx.Done():
+	s.metrics.casesDispatched.Add(1)
+	id, err := s.coordSubmit(ctx, w, j, js, key, attempt, att)
+	if err != nil {
+		return nil, err
+	}
+	done, err := s.coordAwait(ctx, w, id, key, attempt)
+	if ctx.Err() != nil {
+		// The coordinator-side job was cancelled (DELETE or drain):
+		// release the worker promptly rather than orphaning the run.
+		s.coord.remoteCancel(w, id)
 		return nil, ctx.Err()
 	}
-	defer func() { <-w.sem }()
-	s.metrics.casesDispatched.Add(1)
+	if err != nil {
+		return nil, err
+	}
+	res, err := s.settle(w, key, attempt, done)
+	if err == nil {
+		// Merge the worker's own span tree under this attempt so the
+		// distributed sweep reads as one trace.
+		att.Graft(done.Spans)
+	}
+	return res, err
+}
 
+// coordSubmit POSTs one cell to a worker and returns the remote job's ID.
+func (s *Server) coordSubmit(ctx context.Context, w *coordWorker, j *Job, js experiments.JobSpec, key string, attempt int, att obs.Span) (string, error) {
 	body, err := json.Marshal(struct {
 		Job    *experiments.JobSpec `json:"job"`
 		Scale  float64              `json:"scale,omitempty"`
@@ -309,22 +357,22 @@ func (s *Server) coordRunOn(ctx context.Context, w *coordWorker, j *Job, js expe
 		Seed   int64                `json:"seed,omitempty"`
 	}{Job: &js, Scale: j.opts.Scale, Epochs: j.opts.Epochs, Seed: j.opts.Seed})
 	if err != nil {
-		return nil, &permanentError{err}
+		return "", &permanentError{err}
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.url+"/v1/jobs", bytes.NewReader(body))
 	if err != nil {
-		return nil, &permanentError{err}
+		return "", &permanentError{err}
 	}
 	req.Header.Set("Content-Type", "application/json")
 	if j.tracer != nil {
 		// Propagate the trace across the hop: the worker continues this
-		// trace ID, and the graft below stitches its spans under att.
+		// trace ID and returns its spans on job_done for the graft.
 		req.Header.Set("traceparent", obs.Traceparent(j.tracer.TraceID(), att.ID()))
 	}
-	resp, err := c.client.Do(req)
+	resp, err := s.coord.client.Do(req)
 	if err != nil {
 		s.markDown(w, key, attempt, err)
-		return nil, fmt.Errorf("submit: %w", err)
+		return "", fmt.Errorf("submit: %w", err)
 	}
 	rb, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
 	resp.Body.Close()
@@ -333,97 +381,100 @@ func (s *Server) coordRunOn(ctx context.Context, w *coordWorker, j *Job, js expe
 	case resp.StatusCode == http.StatusServiceUnavailable || resp.StatusCode == http.StatusTooManyRequests:
 		// Busy (full queue, quota) is retryable without declaring the
 		// worker dead — its /healthz still answers.
-		return nil, fmt.Errorf("submit: %s: HTTP %d: %s", w.url, resp.StatusCode, firstLine(rb))
+		return "", fmt.Errorf("submit: %s: HTTP %d: %s", w.url, resp.StatusCode, firstLine(rb))
 	case resp.StatusCode >= 500:
 		s.markDown(w, key, attempt, fmt.Errorf("submit: HTTP %d", resp.StatusCode))
-		return nil, fmt.Errorf("submit: %s: HTTP %d: %s", w.url, resp.StatusCode, firstLine(rb))
+		return "", fmt.Errorf("submit: %s: HTTP %d: %s", w.url, resp.StatusCode, firstLine(rb))
 	default:
 		// 4xx: the workload itself was rejected; every worker agrees.
-		return nil, &permanentError{fmt.Errorf("submit: %s: HTTP %d: %s", w.url, resp.StatusCode, firstLine(rb))}
+		return "", &permanentError{fmt.Errorf("submit: %s: HTTP %d: %s", w.url, resp.StatusCode, firstLine(rb))}
 	}
 	var acc struct {
 		ID string `json:"id"`
 	}
 	if err := json.Unmarshal(rb, &acc); err != nil || acc.ID == "" {
-		return nil, fmt.Errorf("submit: %s: malformed accept body %q", w.url, firstLine(rb))
+		return "", fmt.Errorf("submit: %s: malformed accept body %q", w.url, firstLine(rb))
 	}
+	return acc.ID, nil
+}
 
-	for {
-		res, done, err := s.coordPollOnce(ctx, w, acc.ID, key, attempt)
-		if done || err != nil {
-			if err == nil && res != nil {
-				// Merge the worker's own span tree under this attempt so the
-				// distributed sweep reads as one trace.
-				s.graftRemoteTrace(ctx, w, acc.ID, att)
-			}
-			if ctx.Err() != nil {
-				// The coordinator-side job was cancelled (DELETE or drain):
-				// release the worker promptly rather than orphaning the run.
-				c.remoteCancel(w, acc.ID)
-			}
-			return res, err
+// remoteDone is what the coordinator reads of a worker's event stream: the
+// fields of its closing job_done line.
+type remoteDone struct {
+	Type   string           `json:"type"`
+	Status Status           `json:"status"`
+	Error  string           `json:"error"`
+	Result *trainer.Result  `json:"result"`
+	Spans  []obs.SpanRecord `json:"spans"`
+}
+
+// coordAwait follows a remote job's event stream to its job_done line,
+// then reads the stream to its end so the connection returns to the pool.
+// A stream that breaks before job_done means the worker died under the
+// case: it is marked down and the case re-routes. A 404 — a restarted
+// worker that forgot the job — is transient.
+func (s *Server) coordAwait(ctx context.Context, w *coordWorker, id, key string, attempt int) (*remoteDone, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.url+"/v1/jobs/"+id+"/events", nil)
+	if err != nil {
+		return nil, &permanentError{err}
+	}
+	resp, err := s.coord.client.Do(req)
+	if err != nil {
+		if ctx.Err() == nil {
+			s.markDown(w, key, attempt, err)
 		}
-		select {
-		case <-time.After(c.poll):
-		case <-ctx.Done():
-			c.remoteCancel(w, acc.ID)
-			return nil, ctx.Err()
+		return nil, fmt.Errorf("events: %w", err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		rb, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+		err := fmt.Errorf("events: %s: HTTP %d: %s", w.url, resp.StatusCode, firstLine(rb))
+		if resp.StatusCode >= 500 {
+			s.markDown(w, key, attempt, err)
+		}
+		return nil, err
+	}
+	dec := json.NewDecoder(io.LimitReader(resp.Body, 64<<20))
+	var ev remoteDone
+	for {
+		ev = remoteDone{}
+		if err := dec.Decode(&ev); err != nil {
+			err = fmt.Errorf("events: %s: stream ended before job_done: %w", w.url, err)
+			if ctx.Err() == nil {
+				s.markDown(w, key, attempt, err)
+			}
+			return nil, err
+		}
+		if ev.Type == "job_done" {
+			io.Copy(io.Discard, resp.Body)
+			return &ev, nil
 		}
 	}
 }
 
-// coordPollOnce checks a remote job once; done reports a terminal answer
-// (result or permanent/transient error resolved).
-func (s *Server) coordPollOnce(ctx context.Context, w *coordWorker, id, key string, attempt int) (*trainer.Result, bool, error) {
-	c := s.coord
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.url+"/v1/jobs/"+id, nil)
-	if err != nil {
-		return nil, true, &permanentError{err}
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		s.markDown(w, key, attempt, err)
-		return nil, true, fmt.Errorf("poll: %w", err)
-	}
-	rb, _ := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	resp.Body.Close()
-	if resp.StatusCode >= 500 {
-		s.markDown(w, key, attempt, fmt.Errorf("poll: HTTP %d", resp.StatusCode))
-		return nil, true, fmt.Errorf("poll: %s: HTTP %d", w.url, resp.StatusCode)
-	}
-	if resp.StatusCode != http.StatusOK {
-		// The worker restarted and forgot the job: transient, resubmit
-		// elsewhere.
-		return nil, true, fmt.Errorf("poll: %s: HTTP %d: %s", w.url, resp.StatusCode, firstLine(rb))
-	}
-	var v struct {
-		Status Status          `json:"status"`
-		Error  string          `json:"error,omitempty"`
-		Result *trainer.Result `json:"result,omitempty"`
-	}
-	if err := json.Unmarshal(rb, &v); err != nil {
-		return nil, true, fmt.Errorf("poll: %s: %w", w.url, err)
-	}
-	switch v.Status {
+// settle classifies a remote job's terminal answer: a completed job yields
+// its result; a captured panic marks the worker down and re-routes; any
+// other failure is permanent; a cancel under the case (a drain, an
+// operator) re-routes.
+func (s *Server) settle(w *coordWorker, key string, attempt int, d *remoteDone) (*trainer.Result, error) {
+	switch d.Status {
 	case StatusCompleted:
-		if v.Result == nil {
-			return nil, true, fmt.Errorf("poll: %s: completed without a result", w.url)
+		if d.Result == nil {
+			return nil, fmt.Errorf("%s: completed without a result", w.url)
 		}
-		return v.Result, true, nil
+		return d.Result, nil
 	case StatusFailed:
-		if strings.Contains(v.Error, "panic") {
+		if strings.Contains(d.Error, "panic") {
 			// The worker's panic isolation captured a crash; the workload is
 			// deterministic, but a crashing worker is suspect — re-route.
-			s.markDown(w, key, attempt, fmt.Errorf("remote panic: %s", v.Error))
-			return nil, true, fmt.Errorf("remote panic on %s: %s", w.url, v.Error)
+			s.markDown(w, key, attempt, fmt.Errorf("remote panic: %s", d.Error))
+			return nil, fmt.Errorf("remote panic on %s: %s", w.url, d.Error)
 		}
-		return nil, true, &permanentError{fmt.Errorf("remote failure: %s", v.Error)}
+		return nil, &permanentError{fmt.Errorf("remote failure: %s", d.Error)}
 	case StatusCancelled:
-		// Someone (a drain, an operator) killed it under us: retryable.
-		return nil, true, fmt.Errorf("remote job cancelled on %s", w.url)
-	default:
-		return nil, false, nil
+		return nil, fmt.Errorf("remote job cancelled on %s", w.url)
 	}
+	return nil, fmt.Errorf("%s: job_done with status %q", w.url, d.Status)
 }
 
 // remoteCancel best-effort DELETEs an in-flight remote job after the

@@ -4,7 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
+	"log/slog"
+	"math"
+	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -223,22 +228,97 @@ func TestCoordinatorRetriesRemotePanic(t *testing.T) {
 	}
 }
 
-// TestCoordinatorSurvivesWorkerDeath kills one worker outright mid-sweep —
-// connections refused, not clean errors — and requires the merged report
-// to still byte-match the single-node run.
+// TestCoordinatorSurvivesWorkerDeath covers a worker lost under a sweep,
+// three ways, and requires the merged report to still byte-match the
+// single-node run each time:
+//   - killed: one worker dies outright — connections refused, not clean
+//     errors — and stays marked unhealthy;
+//   - stream_broken: a case's event stream breaks before job_done, as it
+//     does when the worker dies mid-case; the worker is marked down and
+//     the case re-routes;
+//   - events_404: the worker answers the stream with 404, as a restarted
+//     worker that forgot the job does; that is transient, so the case
+//     re-routes without blaming the worker.
 func TestCoordinatorSurvivesWorkerDeath(t *testing.T) {
 	raw, err := os.ReadFile("../../testdata/specs/cache-sweep.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Count submits per worker and kill whichever receives a case first —
-	// consistent hashing decides the victim, so pinning one ahead of time
-	// would flake whenever the ring routes the whole grid elsewhere. Every
-	// submit is held until the victim is picked and closed, so the victim
-	// never starts, let alone completes, a case. A submit held on the
-	// victim returns once closing its connection ends the request's
-	// context; the body is read first because the server only watches the
-	// connection for a hang-up after the body is consumed.
+	t.Run("killed", func(t *testing.T) { survivesKilledWorker(t, raw) })
+
+	// faultyStream answers the fleet's first event-stream request with
+	// fault, and every other request normally.
+	faultyStream := func(t *testing.T, fault http.HandlerFunc) (unhealthy []capturedRec) {
+		var budget atomic.Int64
+		budget.Store(1)
+		mw := func(next http.Handler) http.Handler {
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if strings.HasSuffix(r.URL.Path, "/events") && budget.Add(-1) == 0 {
+					fault(w, r)
+					return
+				}
+				next.ServeHTTP(w, r)
+			})
+		}
+		_, w1 := newWorker(t, Config{Workers: 2}, mw)
+		_, w2 := newWorker(t, Config{Workers: 2}, mw)
+		capture := &logCapture{}
+		coord, ts := newCoordinatorServer(t, []string{w1.URL, w2.URL}, func(c *Config) {
+			c.Log = slog.New(captureHandler{c: capture})
+		})
+		id := submitID(t, ts, `{"spec": `+string(raw)+`}`)
+		if st := waitTerminal(t, coord, id, 120*time.Second); st != StatusCompleted {
+			t.Fatalf("job ended %s (%s)", st, coord.store.get(id).view(true).Error)
+		}
+		viaHTTP, inProcess := specReportJSON(t, ts, id, raw)
+		if viaHTTP != inProcess {
+			t.Fatalf("report after a faulty event stream differs from RunSpec")
+		}
+		if budget.Load() > 0 {
+			t.Fatal("no event stream was ever faulted")
+		}
+		if n := coord.metrics.caseRetries.Load(); n != 1 {
+			t.Fatalf("%d retries, want 1 (the faulted case)", n)
+		}
+		for _, rec := range capture.records() {
+			if rec.msg == "coordinator: worker unhealthy" {
+				unhealthy = append(unhealthy, rec)
+			}
+		}
+		return unhealthy
+	}
+	t.Run("stream_broken", func(t *testing.T) {
+		unhealthy := faultyStream(t, func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/x-ndjson")
+			w.WriteHeader(http.StatusOK)
+			io.WriteString(w, `{"type":"status","job":"x","status":"running"}`+"\n")
+			w.(http.Flusher).Flush()
+			panic(http.ErrAbortHandler) // drop the connection mid-stream
+		})
+		if len(unhealthy) != 1 || !strings.Contains(fmt.Sprint(unhealthy[0].attrs["error"]), "before job_done") {
+			t.Fatalf("a broken stream must mark its worker down once; unhealthy lines: %v", unhealthy)
+		}
+	})
+	t.Run("events_404", func(t *testing.T) {
+		unhealthy := faultyStream(t, func(w http.ResponseWriter, r *http.Request) {
+			writeErr(w, http.StatusNotFound, codeNotFound, "unknown job")
+		})
+		if len(unhealthy) != 0 {
+			t.Fatalf("a 404 stream is transient, but the worker was marked down: %v", unhealthy)
+		}
+	})
+}
+
+// survivesKilledWorker kills one worker outright mid-sweep.
+func survivesKilledWorker(t *testing.T, raw []byte) {
+	// Count submits per worker and kill whichever receives a case first:
+	// which worker that is depends on the listeners' ports, so the victim
+	// cannot be pinned ahead of time. Every submit is held until the
+	// victim is picked and closed, so the victim never starts, let alone
+	// completes, a case. A submit held on the victim returns once closing
+	// its connection ends the request's context; the body is read first
+	// because the server only watches the connection for a hang-up after
+	// the body is consumed.
 	var hits [2]atomic.Int64
 	picked := make(chan struct{})
 	countFor := func(n *atomic.Int64) func(http.Handler) http.Handler {
@@ -324,6 +404,102 @@ func TestCoordinatorPermanentFailure(t *testing.T) {
 	}
 	if n := coord.metrics.caseRetries.Load(); n != 0 {
 		t.Fatalf("%d retries burned on a deterministic failure", n)
+	}
+}
+
+// TestRingSharesBalanced: over 200 seeded two-worker fleets on random
+// loopback ports, each worker owns 35–65% of the hash circle, so where a
+// fleet's cases land does not hinge on the ports its workers happened to
+// get.
+func TestRingSharesBalanced(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	for fleet := 0; fleet < 200; fleet++ {
+		p1 := 32768 + rng.Intn(28232)
+		p2 := p1
+		for p2 == p1 {
+			p2 = 32768 + rng.Intn(28232)
+		}
+		c, err := newCoordinator(Config{WorkerURLs: []string{
+			fmt.Sprintf("http://127.0.0.1:%d", p1), fmt.Sprintf("http://127.0.0.1:%d", p2),
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A key hashing into (previous point, point] routes to the point's
+		// worker; the first point also owns the wrap-around arc.
+		share := map[*coordWorker]float64{}
+		for i, slot := range c.ring {
+			prev := c.ring[(i+len(c.ring)-1)%len(c.ring)].hash
+			share[slot.w] += float64(slot.hash-prev) / math.Exp2(64)
+		}
+		for _, w := range c.workers {
+			if f := share[w]; f < 0.35 || f > 0.65 {
+				t.Errorf("ports %d/%d: %s owns %.1f%% of the ring, want 35–65%%", p1, p2, w.url, 100*f)
+			}
+		}
+	}
+}
+
+// TestCoordinatorRequestsPerCell: a cell costs its worker exactly one
+// POST /v1/jobs and one GET /v1/jobs/{id}/events — no polls and no trace
+// fetches — sweep after sweep. New connections per sweep are logged: the
+// coordinator's pool keeps one per in-flight cell, so a steady-state sweep
+// should dial few or none.
+func TestCoordinatorRequestsPerCell(t *testing.T) {
+	raw, err := os.ReadFile("../../testdata/specs/cache-sweep.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var posts, streams, other, dials atomic.Int64
+	var urls []string
+	for range 2 {
+		srv, err := New(Config{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			switch {
+			case r.Method == http.MethodPost && r.URL.Path == "/v1/jobs":
+				posts.Add(1)
+			case r.Method == http.MethodGet && strings.HasSuffix(r.URL.Path, "/events"):
+				streams.Add(1)
+			default:
+				other.Add(1)
+			}
+			srv.Handler().ServeHTTP(w, r)
+		}))
+		ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+			if st == http.StateNew {
+				dials.Add(1)
+			}
+		}
+		ts.Start()
+		t.Cleanup(func() {
+			ts.Close()
+			srv.Close()
+		})
+		urls = append(urls, ts.URL)
+	}
+	coord, ts := newCoordinatorServer(t, urls, nil)
+
+	const cells = 10 // cache-sweep: 5 rows × 2 loaders, no duplicates
+	for sweep := 1; sweep <= 3; sweep++ {
+		posts.Store(0)
+		streams.Store(0)
+		other.Store(0)
+		dials.Store(0)
+		id := submitID(t, ts, `{"spec": `+string(raw)+`}`)
+		if st := waitTerminal(t, coord, id, 120*time.Second); st != StatusCompleted {
+			t.Fatalf("sweep %d ended %s (%s)", sweep, st, coord.store.get(id).view(true).Error)
+		}
+		if posts.Load() != cells || streams.Load() != cells || other.Load() != 0 {
+			t.Fatalf("sweep %d: %d submits, %d event streams and %d other requests, want %d, %d and 0",
+				sweep, posts.Load(), streams.Load(), other.Load(), cells, cells)
+		}
+		t.Logf("sweep %d: %d new connections", sweep, dials.Load())
+	}
+	if n := coord.metrics.caseRetries.Load(); n != 0 {
+		t.Fatalf("%d retries on a healthy fleet", n)
 	}
 }
 

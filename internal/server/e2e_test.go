@@ -2,16 +2,21 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"strings"
 	"testing"
 	"time"
 
 	"datastall/internal/experiments"
+	"datastall/internal/obs"
+	"datastall/internal/trainer"
 	"datastall/internal/wal"
 )
 
@@ -271,6 +276,143 @@ func TestE2EJobDoneFollowsTerminalRecord(t *testing.T) {
 		t.Fatalf("job ended %s", st)
 	}
 	waitTerminal(t, srv, blocker, 10*time.Second)
+}
+
+// streamJobDone reads a job's NDJSON event stream and returns its closing
+// job_done line, raw.
+func streamJobDone(t *testing.T, ts *httptest.Server, id string) []byte {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	scanner := bufio.NewScanner(resp.Body)
+	scanner.Buffer(make([]byte, 1<<20), 1<<20)
+	var last []byte
+	for scanner.Scan() {
+		last = append(last[:0], scanner.Bytes()...)
+	}
+	if err := scanner.Err(); err != nil {
+		t.Fatal(err)
+	}
+	var ev wireEvent
+	if err := json.Unmarshal(last, &ev); err != nil || ev.Type != "job_done" {
+		t.Fatalf("job %s: stream ended on %q, not job_done (%v)", id, last, err)
+	}
+	return last
+}
+
+// submitTraced submits body, continuing a caller's trace when traceparent
+// is set, and returns the accepted job ID.
+func submitTraced(t *testing.T, ts *httptest.Server, body, traceparent string) string {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/jobs", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	if traceparent != "" {
+		req.Header.Set("traceparent", traceparent)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var acc struct {
+		ID string `json:"id"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&acc); err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d (%v)", resp.StatusCode, err)
+	}
+	return acc.ID
+}
+
+// TestEventStreamJobDonePayload: job_done carries the job's output, so the
+// coordinator needs no second request per case. A completed single job's
+// result is JSON-identical to GET /v1/jobs/{id}'s; spec jobs and failed
+// jobs carry none; the job's spans appear exactly when the submission sent
+// a traceparent, and they are complete.
+func TestEventStreamJobDonePayload(t *testing.T) {
+	raw, err := os.ReadFile("../../testdata/specs/cache-sweep.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const parent = "00-0123456789abcdef0123456789abcdef-00000000000000aa-01"
+	srv, ts := newTestServer(t, Config{Workers: 2})
+	// A failing runner that produced a result anyway: a failed job must
+	// still ship none.
+	failing, fts := newTestServer(t, Config{Workers: 1, runJob: func(context.Context, *Job) (*experiments.Report, *trainer.Result, error) {
+		return nil, &trainer.Result{TotalTime: 1}, errors.New("injected failure")
+	}})
+	for _, tc := range []struct {
+		name        string
+		srv         *Server
+		ts          *httptest.Server
+		body        string
+		traceparent string
+		status      Status
+		result      bool
+	}{
+		{"job", srv, ts, tinyJob, "", StatusCompleted, true},
+		{"job_traced", srv, ts, tinyJob, parent, StatusCompleted, true},
+		{"spec", srv, ts, `{"spec": ` + string(raw) + `}`, "", StatusCompleted, false},
+		{"spec_traced", srv, ts, `{"spec": ` + string(raw) + `}`, parent, StatusCompleted, false},
+		{"failed_traced", failing, fts, tinyJob, parent, StatusFailed, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			id := submitTraced(t, tc.ts, tc.body, tc.traceparent)
+			line := streamJobDone(t, tc.ts, id)
+			var done struct {
+				Status Status           `json:"status"`
+				Result json.RawMessage  `json:"result"`
+				Spans  []obs.SpanRecord `json:"spans"`
+			}
+			if err := json.Unmarshal(line, &done); err != nil {
+				t.Fatal(err)
+			}
+			if done.Status != tc.status {
+				t.Fatalf("job_done status %s, want %s: %s", done.Status, tc.status, line)
+			}
+			switch {
+			case tc.result:
+				_, body := getJSON(t, tc.ts.URL+"/v1/jobs/"+id)
+				var v struct {
+					Result json.RawMessage `json:"result"`
+				}
+				if err := json.Unmarshal([]byte(body), &v); err != nil {
+					t.Fatal(err)
+				}
+				var got, want bytes.Buffer
+				if err := json.Compact(&got, done.Result); err != nil {
+					t.Fatalf("job_done result: %v", err)
+				}
+				if err := json.Compact(&want, v.Result); err != nil {
+					t.Fatalf("GET result: %v", err)
+				}
+				if got.String() != want.String() {
+					t.Fatalf("job_done result differs from GET /v1/jobs/%s:\njob_done: %s\nGET:      %s", id, got.String(), want.String())
+				}
+			case done.Result != nil:
+				t.Fatalf("job_done of a %s job carries a result: %s", tc.name, done.Result)
+			}
+			if tc.traceparent == "" {
+				if done.Spans != nil {
+					t.Fatalf("untraced job_done carries %d spans", len(done.Spans))
+				}
+				return
+			}
+			// The spans are the job's whole, closed trace: the same records
+			// ?format=spans serves once the job is terminal.
+			want := tc.srv.store.get(id).tracer.Export()
+			got, _ := json.Marshal(done.Spans)
+			exp, _ := json.Marshal(want)
+			if string(got) != string(exp) || len(spansNamed(done.Spans, "job")) != 1 {
+				t.Fatalf("job_done spans differ from the job's finished trace:\njob_done: %s\ntrace:    %s", got, exp)
+			}
+		})
+	}
 }
 
 // TestE2ESubmitBuiltinSpecByName: the documented {"spec_name": "fig5"}

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"strings"
 
+	"datastall/internal/obs"
 	"datastall/internal/trainer"
 )
 
@@ -29,6 +30,12 @@ type wireEvent struct {
 	Status  Status `json:"status,omitempty"`
 	Error   string `json:"error,omitempty"`
 	Dropped uint64 `json:"dropped,omitempty"`
+
+	// job_done output: a completed single job's result (a spec's report
+	// stays behind GET /v1/jobs/{id}), and the job's span records when its
+	// submission carried a traceparent.
+	Result *trainer.Result  `json:"result,omitempty"`
+	Spans  []obs.SpanRecord `json:"spans,omitempty"`
 
 	// job_started fields.
 	Epochs  int `json:"epochs,omitempty"`
@@ -65,9 +72,8 @@ func toWire(jobID string, ev trainer.Event) wireEvent {
 			Stats: &st, CacheUsedBytes: e.CacheUsedBytes,
 		}
 	case trainer.JobEnded:
-		// The full result is deliberately not inlined: clients fetch it
-		// once from GET /v1/jobs/{id} instead of every subscriber
-		// receiving a copy.
+		// The full result is not inlined here: it rides once on the
+		// closing job_done.
 		return wireEvent{Type: "job_ended", Job: jobID, Time: e.Time}
 	case trainer.Annotation:
 		return wireEvent{
@@ -162,9 +168,15 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		dropped = sub.Dropped()
 	}
-	v := j.view(false)
-	sw.write(wireEvent{
+	// finalize ended the trace before it closed the stream, so the spans
+	// are complete.
+	v := j.view(j.Kind == KindJob)
+	done := wireEvent{
 		Type: "job_done", Job: j.ID, Status: v.Status,
-		Error: v.Error, Dropped: dropped,
-	})
+		Error: v.Error, Dropped: dropped, Result: v.Result,
+	}
+	if j.joinedTrace {
+		done.Spans = j.tracer.Export()
+	}
+	sw.write(done)
 }

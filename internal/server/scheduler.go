@@ -118,6 +118,7 @@ func (s *Server) submit(tenant, traceID string, build func(id string) *Job) (*Jo
 // logger. traceID continues a caller-propagated trace (empty: fresh).
 func (s *Server) openTrace(j *Job, traceID string, recovered bool) {
 	j.tracer = obs.NewTracer("stallserved", traceID)
+	j.joinedTrace = traceID != ""
 	j.span = j.tracer.Start("job")
 	j.span.SetAttr("kind", j.Kind)
 	j.span.SetAttr("name", j.Name)
@@ -204,7 +205,7 @@ func (s *Server) execute(ctx context.Context, j *Job, runSpan obs.Span) (rep *ex
 // executor configures the one cell executor for a job. Locally, cells
 // simulate in-process, serially in index order; in coordinator mode each
 // unique cell goes to the fleet on its own goroutine, and this worker
-// goroutine only scatters, polls and gathers. Either way, WAL-recovered
+// goroutine only scatters and gathers. Either way, WAL-recovered
 // cells are served from j.resume, spec cells stream case_started and
 // case_resumed annotations, and every captured cell is logged as
 // case_done and timed.
@@ -292,28 +293,29 @@ func (s *Server) finishRun(j *Job, rep *experiments.Report, res *trainer.Result,
 	s.finalize(j)
 }
 
-// finalize logs the job's terminal state to the WAL, closes its event
-// stream, accounts its drops, and signals Done. Exactly one caller reaches
-// it per job: the worker via finishRun, or the DELETE handler for a job
-// cancelled out of the queue. The terminal WAL record lands before the
-// event stream closes and before done closes, so a client that reads
-// job_done from /events, and anything that waits on Done(), observes a
-// state that is already durable (under -fsync always).
+// finalize logs the job's terminal state to the WAL, ends its trace, frees
+// its tenant's quota slot, closes its event stream, accounts its drops, and
+// signals Done. Exactly one caller reaches it per job: the worker via
+// finishRun, or the DELETE handler for a job cancelled out of the queue.
+// Everything before the stream closes is settled for anyone who reads
+// job_done from /events or waits on Done(): the state is already durable
+// (under -fsync always), job_done's spans are complete, and a resubmission
+// is not refused over the finished job's slot.
 func (s *Server) finalize(j *Job) {
 	j.mu.Lock()
 	j.walFinal = true
 	j.mu.Unlock()
 	s.walTerminal(j)
-	if j.bc != nil {
-		j.bc.Close()
-		s.metrics.eventsDropped.Add(int64(j.bc.Dropped()))
-	}
 	s.endTrace(j)
-	close(j.done)
 	if j.quotaHeld {
 		j.quotaHeld = false
 		s.releaseTenant(j.tenant)
 	}
+	if j.bc != nil {
+		j.bc.Close()
+		s.metrics.eventsDropped.Add(int64(j.bc.Dropped()))
+	}
+	close(j.done)
 	s.store.evictTerminal(s.cfg.MaxRecords)
 }
 
@@ -384,6 +386,10 @@ func (s *Server) Drain(ctx context.Context) bool {
 	case <-ctx.Done():
 		s.runCancel()
 		<-workersDone
+	}
+	// No job dispatches any more: drop the pooled worker connections.
+	if s.coord != nil {
+		s.coord.client.CloseIdleConnections()
 	}
 	// Workers are gone, so no more appends: sync and close the log.
 	if s.wal != nil {

@@ -116,11 +116,14 @@ type Job struct {
 	// persistence — their execution predates this process). span is the
 	// root "job" span; queueSpan covers submission to worker pickup. log
 	// carries the job-scoped structured fields (job_id, trace_id, tenant).
-	// All are set before the job is enqueued and immutable after.
-	tracer    *obs.Tracer
-	span      obs.Span
-	queueSpan obs.Span
-	log       *slog.Logger
+	// joinedTrace marks a submission that continued a caller's trace (a
+	// traceparent header): its job_done ships the span records back. All
+	// are set before the job is enqueued and immutable after.
+	tracer      *obs.Tracer
+	span        obs.Span
+	queueSpan   obs.Span
+	log         *slog.Logger
+	joinedTrace bool
 }
 
 // discardLog backs logger() for jobs that never got a scoped logger

@@ -6,21 +6,18 @@
 // sub-spans on the simulation clock), WAL appends, and — in coordinator
 // mode — one attempt span per dispatch with the worker's own trace
 // grafted under the successful attempt, so one distributed sweep yields
-// one merged trace. GET /v1/jobs/{id}/trace serves the Chrome trace-event
-// form (Perfetto / chrome://tracing viewable) by default and the flat
-// span-record form with ?format=spans (what the graft fetches).
+// one merged trace (the worker returns its spans on the job_done line of
+// the event stream the coordinator follows). GET /v1/jobs/{id}/trace
+// serves the Chrome trace-event form (Perfetto / chrome://tracing
+// viewable) by default and the flat span-record form with ?format=spans.
 package server
 
 import (
 	"bytes"
-	"context"
-	"encoding/json"
-	"io"
 	"net/http"
 	"os"
 	"path/filepath"
 
-	"datastall/internal/obs"
 	"datastall/internal/wal"
 )
 
@@ -49,7 +46,8 @@ func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 // endTrace closes every span the job still has open (a cancelled or
 // failed run must not leave dangling spans) and, with Config.TraceDir
 // set, dumps the merged trace crash-atomically. Called from finalize,
-// before done closes, so waiters observe a complete trace.
+// before the event stream and done close, so job_done and waiters observe
+// a complete trace.
 func (s *Server) endTrace(j *Job) {
 	if j.tracer == nil {
 		return
@@ -71,36 +69,4 @@ func (s *Server) endTrace(j *Job) {
 	if err := wal.AtomicWriteFile(path, buf.Bytes(), 0o644); err != nil {
 		j.logger().Warn("trace: write", "path", path, "error", err)
 	}
-}
-
-// graftRemoteTrace fetches a completed remote job's span records and
-// grafts them under the attempt span that dispatched it, merging the
-// worker's subtree into the coordinator's trace. Best-effort: a worker
-// that died after completing the case costs the trace its remote detail,
-// never the job its result.
-func (s *Server) graftRemoteTrace(ctx context.Context, w *coordWorker, id string, att obs.Span) {
-	if !att.Enabled() {
-		return
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		w.url+"/v1/jobs/"+id+"/trace?format=spans", nil)
-	if err != nil {
-		return
-	}
-	resp, err := s.coord.client.Do(req)
-	if err != nil {
-		return
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		return
-	}
-	var v struct {
-		Spans []obs.SpanRecord `json:"spans"`
-	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 64<<20)).Decode(&v); err != nil {
-		return
-	}
-	att.Graft(v.Spans)
 }

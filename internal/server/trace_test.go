@@ -90,27 +90,11 @@ func TestTraceLocalJobSpans(t *testing.T) {
 func TestTraceparentContinuesTrace(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Workers: 1})
 	const wantTrace = "0123456789abcdef0123456789abcdef"
-	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/jobs", strings.NewReader(tinyJob))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("traceparent", "00-"+wantTrace+"-00000000000000aa-01")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var acc struct {
-		ID string `json:"id"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&acc); err != nil || acc.ID == "" {
-		t.Fatalf("submit: %v", err)
-	}
-	resp.Body.Close()
-	if st := waitTerminal(t, srv, acc.ID, 60*time.Second); st != StatusCompleted {
+	id := submitTraced(t, ts, tinyJob, "00-"+wantTrace+"-00000000000000aa-01")
+	if st := waitTerminal(t, srv, id, 60*time.Second); st != StatusCompleted {
 		t.Fatalf("job ended %s", st)
 	}
-	_, body := getJSON(t, ts.URL+"/v1/jobs/"+acc.ID+"/trace?format=spans")
+	_, body := getJSON(t, ts.URL+"/v1/jobs/"+id+"/trace?format=spans")
 	var v struct {
 		TraceID string           `json:"trace_id"`
 		Spans   []obs.SpanRecord `json:"spans"`
@@ -126,17 +110,7 @@ func TestTraceparentContinuesTrace(t *testing.T) {
 	}
 	// A malformed header falls back to a fresh trace instead of failing
 	// the submission.
-	req2, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/jobs", strings.NewReader(tinyJob))
-	req2.Header.Set("Content-Type", "application/json")
-	req2.Header.Set("traceparent", "garbage")
-	resp2, err := http.DefaultClient.Do(req2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit with bad traceparent: %d, want 202", resp2.StatusCode)
-	}
+	submitTraced(t, ts, tinyJob, "garbage")
 }
 
 // distributedTopology boots a fresh 2-worker fleet plus coordinator, runs
