@@ -146,8 +146,9 @@ crashsmoke:
 # Memoization smoke: runsuite runs three experiments cold then warm against
 # one cache directory (warm must simulate nothing, report byte-identical),
 # a stallserved on the CLI-warmed directory must serve the same spec purely
-# from disk (shared on-disk format), and a corrupted entry must degrade to
-# a counted miss with unchanged output.
+# from disk (shared on-disk format), a corrupted entry must degrade to
+# a counted miss with unchanged output, and a run killed -9 mid-write must
+# leave only loadable entries and no temp file behind its rerun.
 memosmoke:
 	BUILD_DIR=$(BUILD_DIR) ./scripts/memosmoke.sh
 

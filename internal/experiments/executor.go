@@ -76,6 +76,12 @@ func LocalRunner(o Options, observers ...trainer.Observer) RunCell {
 // copies that leader's result — even a resumed one — without reaching the
 // memo or the runner. Keys are of the fully resolved config, so identical
 // means "runs the same simulation", not "spelled the same".
+//
+// With o.Memo set, a miss's entry is written behind its cell, overlapping
+// the cells after it. Execute returns — on success, error or cancellation —
+// only once every entry write its cells started has ended, so no write
+// outlives the grid. A write that failed left its entry out: that costs a
+// future hit, never a wrong result.
 func (e Executor) Execute(ctx context.Context, cells []SpecCase, o Options) ([]*trainer.Result, error) {
 	salt := ""
 	if o.Memo != nil {
@@ -99,6 +105,13 @@ func (e Executor) Execute(ctx context.Context, cells []SpecCase, o Options) ([]*
 		}
 	}
 
+	// Misses write their memo entries behind the grid; on every return
+	// path, error and cancellation too, those writes finish first.
+	var writes *memo.Writes
+	if o.Memo != nil {
+		writes = new(memo.Writes)
+		defer flush(writes, o.Trace)
+	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	results := make([]*trainer.Result, len(cells))
@@ -124,7 +137,7 @@ func (e Executor) Execute(ctx context.Context, cells []SpecCase, o Options) ([]*
 			results[i] = results[leader[i]]
 			e.copied(c, results[i], o.Trace)
 		case !e.Parallel:
-			res, err := e.runCell(ctx, c, keys[i], o)
+			res, err := e.runCell(ctx, c, keys[i], o, writes)
 			if err != nil {
 				return nil, err
 			}
@@ -135,7 +148,7 @@ func (e Executor) Execute(ctx context.Context, cells []SpecCase, o Options) ([]*
 			// would be heap-allocated on every iteration, serial ones too.
 			go func(i int, c SpecCase) {
 				defer wg.Done()
-				res, err := e.runCell(ctx, c, keys[i], o)
+				res, err := e.runCell(ctx, c, keys[i], o, writes)
 				if err != nil {
 					mu.Lock()
 					if firstErr == nil {
@@ -161,8 +174,8 @@ func (e Executor) Execute(ctx context.Context, cells []SpecCase, o Options) ([]*
 }
 
 // runCell takes one unique cell through the memo (when o has one and the
-// cell has a key) and the runner.
-func (e Executor) runCell(ctx context.Context, c SpecCase, key memo.Key, o Options) (*trainer.Result, error) {
+// cell has a key) and the runner; a miss's entry write joins writes.
+func (e Executor) runCell(ctx context.Context, c SpecCase, key memo.Key, o Options, writes *memo.Writes) (*trainer.Result, error) {
 	e.start(c, false)
 	sp := openCase(o.Trace, c)
 	began := time.Now()
@@ -171,7 +184,7 @@ func (e Executor) runCell(ctx context.Context, c SpecCase, key memo.Key, o Optio
 	var err error
 	if o.Memo != nil && key.Hash != "" {
 		var hit bool
-		res, hit, err = o.Memo.Do(ctx, key, run)
+		res, hit, err = o.Memo.Do(ctx, key, writes, run)
 		sp.Event("memo_lookup").SetAttr("hit", strconv.FormatBool(hit))
 	} else {
 		res, err = run()
@@ -186,6 +199,20 @@ func (e Executor) runCell(ctx context.Context, c SpecCase, key memo.Key, o Optio
 	}
 	sp.End()
 	return res, nil
+}
+
+// flush waits until the writes of the memo entries a grid wrote, or was
+// served while still in flight, have ended, under a memo_flush span when
+// there are any.
+func flush(writes *memo.Writes, parent obs.Span) {
+	n := writes.Len()
+	if n == 0 {
+		return
+	}
+	sp := parent.Start("memo_flush")
+	sp.SetAttr("writes", strconv.Itoa(n))
+	writes.Wait()
+	sp.End()
 }
 
 // copied reports a duplicate cell holding its leader's result: Done like

@@ -99,11 +99,12 @@ func observed(t *testing.T, rep *experiments.Report) string {
 	return rep.Table.String() + "\n" + string(vals) + "\n" + rep.Notes + "\n" + nd.String()
 }
 
-func memoFiles(t *testing.T, dir string) []string {
+// filesWithSuffix lists the files under dir whose names end in suffix.
+func filesWithSuffix(t *testing.T, dir, suffix string) []string {
 	t.Helper()
 	var files []string
 	filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
-		if err == nil && !d.IsDir() && strings.HasSuffix(path, ".memo") {
+		if err == nil && !d.IsDir() && strings.HasSuffix(path, suffix) {
 			files = append(files, path)
 		}
 		return nil
@@ -166,7 +167,7 @@ func TestMemoColdWarmByteIdentical(t *testing.T) {
 			// Corrupt one persisted entry: the third run must notice (a
 			// counted load error), silently re-simulate that case, and
 			// still emit the same bytes.
-			files := memoFiles(t, dir)
+			files := filesWithSuffix(t, dir, ".memo")
 			if len(files) != 4 {
 				t.Fatalf("%d entry files on disk, want 4", len(files))
 			}
@@ -206,37 +207,19 @@ func TestMemoColdWarmByteIdentical(t *testing.T) {
 // the cells the first never ran.
 func TestMemoSharedAcrossSpecs(t *testing.T) {
 	ctx := context.Background()
-	mk := func(fracs []float64) *experiments.Spec {
-		doc := map[string]interface{}{
-			"name":       "overlap",
-			"title":      "overlap",
-			"row_header": []string{"frac"},
-			"base":       map[string]interface{}{"model": "resnet18", "server": "config-ssd-v100"},
-			"rows":       map[string]interface{}{"param": "cache_fraction", "values": fracs},
-			"columns": []map[string]interface{}{
-				{"label": "s", "metric": "epoch_s"},
-			},
-		}
-		b, _ := json.Marshal(doc)
-		sp, err := experiments.LoadSpec(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sp
-	}
 	cache, err := memo.Open(memo.Options{Dir: t.TempDir(), Salt: "battery"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := experiments.Options{Scale: 0.02, Epochs: 2, Memo: cache}
-	if _, err := experiments.RunSpec(ctx, mk([]float64{0.2, 0.4, 0.6}), opts); err != nil {
+	if _, err := experiments.RunSpec(ctx, fracSweep(t, "overlap", []float64{0.2, 0.4, 0.6}), opts); err != nil {
 		t.Fatal(err)
 	}
 	if st := cache.Stats(); st.Misses != 3 || st.Hits != 0 {
 		t.Fatalf("first sweep hits=%d misses=%d, want 0/3", st.Hits, st.Misses)
 	}
 	// 2 of 4 values overlap the first sweep.
-	if _, err := experiments.RunSpec(ctx, mk([]float64{0.2, 0.4, 0.7, 0.8}), opts); err != nil {
+	if _, err := experiments.RunSpec(ctx, fracSweep(t, "overlap", []float64{0.2, 0.4, 0.7, 0.8}), opts); err != nil {
 		t.Fatal(err)
 	}
 	if st := cache.Stats(); st.Misses != 5 || st.Hits != 2 {

@@ -16,7 +16,16 @@
 // Entries are written crash-atomically (wal.AtomicWriteFile) in a CRC-framed
 // envelope; a torn, truncated or bit-flipped entry fails its checksum or
 // its hash check, is counted as a load error, deleted, and treated as a
-// miss — corruption can cost a re-simulation, never a wrong result.
+// miss — corruption can cost a re-simulation, never a wrong result. A
+// crash between write and rename leaves a temp file, which Open deletes.
+//
+// A miss need not wait for its write: Do publishes the result in memory,
+// returns, and writes the entry on a goroutine, so the disk wait overlaps
+// the caller's next case. The caller's Writes.Wait then blocks until every
+// such write has ended; the cell executor calls it before a grid returns,
+// so entries still land before a job's terminal WAL record. A write that
+// fails (a full disk, say) leaves its entry out, which costs a future hit
+// and never a wrong result — as a failed Put always has.
 package memo
 
 import (
@@ -202,11 +211,13 @@ type Cache struct {
 
 	hits, misses, evictions, loadErrors, bytesWritten atomic.Int64
 
-	// mu guards the in-memory LRU (front = most recently used).
-	mu    sync.Mutex
-	ll    *list.List
-	idx   map[string]*list.Element
-	bytes int64
+	// mu guards the in-memory LRU (front = most recently used) and the
+	// set of entry writes in flight, each closed when its write ends.
+	mu      sync.Mutex
+	ll      *list.List
+	idx     map[string]*list.Element
+	bytes   int64
+	writing map[string]chan struct{}
 
 	// dmu guards the disk-entry ledger (front = oldest write).
 	dmu       sync.Mutex
@@ -240,7 +251,7 @@ func Open(o Options) (*Cache, error) {
 	}
 	c := &Cache{
 		dir: o.Dir, max: o.MaxBytes, salt: o.Salt, onLookup: o.OnLookup,
-		ll: list.New(), idx: map[string]*list.Element{},
+		ll: list.New(), idx: map[string]*list.Element{}, writing: map[string]chan struct{}{},
 		dl: list.New(), didx: map[string]*list.Element{},
 	}
 	if c.dir == "" {
@@ -267,7 +278,10 @@ func (c *Cache) path(hash string) string {
 }
 
 // scan indexes the entry directory oldest-first and enforces MaxBytes at
-// reload: entries beyond the budget are deleted before anything is served.
+// reload: entries beyond the budget are deleted before anything is served,
+// and so are temp files a crash left between write and rename. (A process
+// writing to the directory at that moment loses that one entry: its rename
+// fails, which costs a future hit, never a wrong result.)
 // File contents are validated lazily on first Get, not here — a corrupt
 // entry costs a load error then, never a failed Open.
 func (c *Cache) scan() error {
@@ -291,6 +305,12 @@ func (c *Cache) scan() error {
 		}
 		for _, f := range files {
 			name := f.Name()
+			if !f.IsDir() && strings.HasSuffix(name, ".memo.tmp") {
+				// A write cut short by a crash: never an entry, and
+				// invisible to the disk budget, so delete it here.
+				os.Remove(filepath.Join(c.dir, sub.Name(), name))
+				continue
+			}
 			if f.IsDir() || !strings.HasSuffix(name, ".memo") {
 				continue
 			}
@@ -391,8 +411,8 @@ func (c *Cache) lookupInner(key Key) (*trainer.Result, bool) {
 }
 
 // Put stores a result under key, in memory and (when persisted) on disk,
-// enforcing MaxBytes on both. Errors are I/O only — an entry too large for
-// the budget is silently not cached.
+// enforcing MaxBytes on both; the entry is durable when Put returns. Errors
+// are I/O only — an entry too large for the budget is silently not cached.
 func (c *Cache) Put(key Key, res *trainer.Result) error {
 	b, err := EncodeEntry(key, res)
 	if err != nil {
@@ -403,18 +423,98 @@ func (c *Cache) Put(key Key, res *trainer.Result) error {
 		return nil
 	}
 	if c.dir != "" {
-		path := c.path(key.Hash)
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			return fmt.Errorf("memo: %w", err)
+		// Wait out an in-flight write of the same entry: two writers of
+		// one path would share its temp file.
+		done, mine := c.claim(key.Hash)
+		for !mine {
+			<-done
+			done, mine = c.claim(key.Hash)
 		}
-		if err := wal.AtomicWriteFile(path, b, 0o644); err != nil {
-			return fmt.Errorf("memo: %w", err)
+		err := c.persist(key.Hash, b)
+		c.release(key.Hash, done)
+		if err != nil {
+			return err
 		}
-		c.bytesWritten.Add(size)
-		c.addDisk(key.Hash, size)
 	}
 	c.addMem(key.Hash, res, size)
 	return nil
+}
+
+// putBehind publishes a result to the in-memory LRU at once and writes its
+// entry on a goroutine that w tracks, so the caller's next case overlaps
+// the disk wait. A write of the same entry already in flight is joined,
+// not repeated. A failed write only costs future hits; the result is good.
+func (c *Cache) putBehind(key Key, res *trainer.Result, w *Writes) {
+	b, err := EncodeEntry(key, res)
+	size := int64(len(b))
+	if err != nil || size > c.max {
+		return
+	}
+	// Claim before publishing, so a caller served the entry from memory
+	// finds the write to join.
+	var done chan struct{}
+	mine := false
+	if c.dir != "" {
+		done, mine = c.claim(key.Hash)
+		w.add(done)
+	}
+	c.addMem(key.Hash, res, size)
+	if !mine {
+		return
+	}
+	go func() {
+		_ = c.persist(key.Hash, b)
+		c.release(key.Hash, done)
+	}()
+}
+
+// persist writes one encoded entry crash-atomically and records it in the
+// disk ledger. The caller holds the entry's claim.
+func (c *Cache) persist(hash string, b []byte) error {
+	path := c.path(hash)
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return fmt.Errorf("memo: %w", err)
+	}
+	if err := wal.AtomicWriteFile(path, b, 0o644); err != nil {
+		return fmt.Errorf("memo: %w", err)
+	}
+	c.bytesWritten.Add(int64(len(b)))
+	c.addDisk(hash, int64(len(b)))
+	return nil
+}
+
+// claim registers a write of hash. mine reports that no other write of it
+// was in flight and the caller must write, then release; otherwise done is
+// the in-flight write's, closed when it finishes.
+func (c *Cache) claim(hash string) (done chan struct{}, mine bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if done, ok := c.writing[hash]; ok {
+		return done, false
+	}
+	done = make(chan struct{})
+	c.writing[hash] = done
+	return done, true
+}
+
+// release ends a claimed write.
+func (c *Cache) release(hash string, done chan struct{}) {
+	c.mu.Lock()
+	delete(c.writing, hash)
+	c.mu.Unlock()
+	close(done)
+}
+
+// join makes w wait for an in-flight write of hash, if there is one: a
+// caller served an entry that is still being written is not done with it
+// until the entry is durable.
+func (c *Cache) join(hash string, w *Writes) {
+	c.mu.Lock()
+	done, ok := c.writing[hash]
+	c.mu.Unlock()
+	if ok {
+		w.add(done)
+	}
 }
 
 // addMem inserts into the LRU and evicts from the tail past MaxBytes.
@@ -483,9 +583,15 @@ func (c *Cache) dropDisk(hash string, evict bool) {
 // (cache, or waiting on another caller's identical in-flight case). A
 // leader's error is returned to the leader but never cached — a waiting
 // caller retries rather than inheriting, say, the leader's cancellation.
-func (c *Cache) Do(ctx context.Context, key Key, fn func() (*trainer.Result, error)) (res *trainer.Result, hit bool, err error) {
+//
+// A miss's result is published in memory and Do returns at once; the
+// entry write runs behind it, tracked by w, whose Wait blocks until the
+// write has ended. A hit on an entry whose write is still in flight joins
+// w to that write too. Put is the synchronous alternative.
+func (c *Cache) Do(ctx context.Context, key Key, w *Writes, fn func() (*trainer.Result, error)) (res *trainer.Result, hit bool, err error) {
 	if res, ok := c.lookup(key); ok {
 		c.hits.Add(1)
+		c.join(key.Hash, w)
 		return res, true, nil
 	}
 	var led bool
@@ -499,8 +605,7 @@ func (c *Cache) Do(ctx context.Context, key Key, fn func() (*trainer.Result, err
 		c.misses.Add(1)
 		r, err := fn()
 		if err == nil {
-			// A failed write only costs future hits; the result is good.
-			_ = c.Put(key, r)
+			c.putBehind(key, r, w)
 		}
 		return r, err
 	})
@@ -509,9 +614,49 @@ func (c *Cache) Do(ctx context.Context, key Key, fn func() (*trainer.Result, err
 	}
 	if !led {
 		c.hits.Add(1)
+		c.join(key.Hash, w)
 		return res, true, nil
 	}
 	return res, false, nil
+}
+
+// Writes tracks the entry writes that one caller's Do calls left running,
+// so the caller can wait until every write of an entry it wrote or was
+// served has ended. Use one per grid, not one per Cache: callers sharing a cache
+// each wait for their own writes only. The zero value is ready to use.
+type Writes struct {
+	mu      sync.Mutex
+	pending []chan struct{}
+}
+
+func (w *Writes) add(done chan struct{}) {
+	w.mu.Lock()
+	w.pending = append(w.pending, done)
+	w.mu.Unlock()
+}
+
+// Len reports how many writes w has tracked and not yet waited for.
+func (w *Writes) Len() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return len(w.pending)
+}
+
+// Wait blocks until every write w tracks has finished, successfully or
+// not, and forgets them.
+func (w *Writes) Wait() {
+	for {
+		w.mu.Lock()
+		pending := w.pending
+		w.pending = nil
+		w.mu.Unlock()
+		if len(pending) == 0 {
+			return
+		}
+		for _, done := range pending {
+			<-done
+		}
+	}
 }
 
 // Stats snapshots the counters and occupancy.

@@ -402,14 +402,14 @@ func TestDoAccounting(t *testing.T) {
 	}
 	key := testKey(1)
 	run := func() (*trainer.Result, error) { return testResult(1), nil }
-	res, hit, err := c.Do(context.Background(), key, run)
+	res, hit, err := c.Do(context.Background(), key, new(Writes), run)
 	if err != nil || hit {
 		t.Fatalf("first Do: hit=%v err=%v, want cold miss", hit, err)
 	}
 	if !reflect.DeepEqual(res, testResult(1)) {
 		t.Fatalf("first Do result %+v", res)
 	}
-	if _, hit, _ = c.Do(context.Background(), key, run); !hit {
+	if _, hit, _ = c.Do(context.Background(), key, new(Writes), run); !hit {
 		t.Fatal("second Do missed")
 	}
 	st := c.Stats()
@@ -429,7 +429,7 @@ func TestDoAccounting(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-gate
-			c2.Do(context.Background(), key, func() (*trainer.Result, error) {
+			c2.Do(context.Background(), key, new(Writes), func() (*trainer.Result, error) {
 				runs.Add(1)
 				return testResult(1), nil
 			})
@@ -450,13 +450,13 @@ func TestDoErrorNotCached(t *testing.T) {
 	c, _ := Open(Options{Salt: "test"})
 	key := testKey(1)
 	boom := errors.New("boom")
-	if _, _, err := c.Do(context.Background(), key, func() (*trainer.Result, error) {
+	if _, _, err := c.Do(context.Background(), key, new(Writes), func() (*trainer.Result, error) {
 		return nil, boom
 	}); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
 	// The failure must not be memoized: the next Do runs again.
-	res, hit, err := c.Do(context.Background(), key, func() (*trainer.Result, error) {
+	res, hit, err := c.Do(context.Background(), key, new(Writes), func() (*trainer.Result, error) {
 		return testResult(1), nil
 	})
 	if err != nil || hit || !reflect.DeepEqual(res, testResult(1)) {
@@ -475,5 +475,106 @@ func TestOversizeEntryNotCached(t *testing.T) {
 	}
 	if st := c.Stats(); st.Entries != 0 {
 		t.Fatalf("oversize entry was cached (%d resident)", st.Entries)
+	}
+}
+
+// TestDoWritesBehind: with a Writes, a miss's result is served from memory
+// as soon as Do returns, and once Wait returns its entry is on disk, where
+// a fresh cache on the directory finds it. A hit on that entry by another
+// caller before the write ends joins the second caller's Writes to it.
+func TestDoWritesBehind(t *testing.T) {
+	dir := t.TempDir()
+	c, err := Open(Options{Dir: dir, Salt: "test"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 5
+	var w Writes
+	for i := 0; i < n; i++ {
+		res, hit, err := c.Do(context.Background(), testKey(i), &w, func() (*trainer.Result, error) {
+			return testResult(i), nil
+		})
+		if err != nil || hit || !reflect.DeepEqual(res, testResult(i)) {
+			t.Fatalf("Do %d: res=%+v hit=%v err=%v", i, res, hit, err)
+		}
+		// Served from memory before the write need have finished.
+		if got, ok := c.Get(testKey(i)); !ok || !reflect.DeepEqual(got, res) {
+			t.Fatalf("entry %d not published in memory", i)
+		}
+	}
+	if w.Len() != n {
+		t.Fatalf("Writes tracks %d writes, want %d", w.Len(), n)
+	}
+	w.Wait()
+	if w.Len() != 0 {
+		t.Fatalf("Writes tracks %d writes after Wait", w.Len())
+	}
+	if st := c.Stats(); st.DiskEntries != n || st.Misses != n {
+		t.Fatalf("disk entries %d, misses %d after Wait, want %d/%d", st.DiskEntries, st.Misses, n, n)
+	}
+	fresh, err := Open(Options{Dir: dir, Salt: "test"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if got, ok := fresh.Get(testKey(i)); !ok || !reflect.DeepEqual(got, testResult(i)) {
+			t.Fatalf("entry %d not durable after Wait", i)
+		}
+	}
+
+	// A caller served from memory while the entry's write is in flight
+	// waits for that write: hold it open with a claim of our own.
+	key := testKey(n)
+	var a, b Writes
+	if _, _, err := c.Do(context.Background(), key, &a, func() (*trainer.Result, error) {
+		return testResult(n), nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	a.Wait()
+	done, mine := c.claim(key.Hash)
+	if !mine {
+		t.Fatal("claim of an idle entry was refused")
+	}
+	if _, hit, _ := c.Do(context.Background(), key, &b, nil); !hit {
+		t.Fatal("published entry missed")
+	}
+	if b.Len() != 1 {
+		t.Fatalf("hit on an entry being written tracks %d writes, want 1", b.Len())
+	}
+	c.release(key.Hash, done)
+	b.Wait()
+}
+
+// TestOpenRemovesLeftoverTemp: a write cut short between create and rename
+// leaves <hash>.memo.tmp behind; Open deletes it and keeps real entries.
+func TestOpenRemovesLeftoverTemp(t *testing.T) {
+	dir := t.TempDir()
+	c, err := Open(Options{Dir: dir, Salt: "test"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Put(testKey(1), testResult(1)); err != nil {
+		t.Fatal(err)
+	}
+	tmp := c.path(testKey(2).Hash) + ".tmp"
+	if err := os.MkdirAll(filepath.Dir(tmp), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(tmp, []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(Options{Dir: dir, Salt: "test"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+		t.Fatalf("leftover temp file survived Open: %v", err)
+	}
+	if st := re.Stats(); st.DiskEntries != 1 {
+		t.Fatalf("reopened ledger has %d entries, want 1", st.DiskEntries)
+	}
+	if _, ok := re.Get(testKey(1)); !ok {
+		t.Fatal("real entry lost beside the leftover temp file")
 	}
 }

@@ -6,9 +6,13 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"datastall/internal/experiments"
+	"datastall/internal/memo"
 )
 
 // memoQuery orders every captured case deterministically, so two servers
@@ -104,5 +108,50 @@ func TestE2EMemoWarmRunByteIdentical(t *testing.T) {
 	}
 	if _, q := getJSON(t, tsB.URL+"/v1/query?q="+url.QueryEscape(memoQuery)); q != goldenQuery {
 		t.Fatalf("/v1/query after restart differs from cold run:\ncold: %s\nwarm: %s", goldenQuery, q)
+	}
+}
+
+// TestE2EMemoEntryDurableBeforeTerminal: a miss's memo entry is written
+// behind its case, yet when a single job's terminal WAL record is about to
+// be appended, the job's <hh>/<hash>.memo is already on disk and decodes.
+func TestE2EMemoEntryDurableBeforeTerminal(t *testing.T) {
+	memoDir := t.TempDir()
+	atTerminal := make(chan map[string][]byte, 1)
+	t.Cleanup(func() { testHookWALTerminal = nil })
+	testHookWALTerminal = func() {
+		files, _ := filepath.Glob(filepath.Join(memoDir, "*", "*.memo"))
+		seen := map[string][]byte{}
+		for _, f := range files {
+			if b, err := os.ReadFile(f); err == nil {
+				seen[strings.TrimSuffix(filepath.Base(f), ".memo")] = b
+			}
+		}
+		atTerminal <- seen
+	}
+	srv, ts := newTestServer(t, Config{Workers: 1, WALDir: t.TempDir(), MemoDir: memoDir})
+	id := submitID(t, ts, tinyJob)
+	var seen map[string][]byte
+	select {
+	case seen = <-atTerminal:
+	case <-time.After(60 * time.Second):
+		t.Fatal("the job's terminal record was never appended")
+	}
+	if st := waitTerminal(t, srv, id, 10*time.Second); st != StatusCompleted {
+		t.Fatalf("job ended %s", st)
+	}
+	j := srv.store.get(id)
+	key, err := experiments.CaseKey(*j.jobSpec, j.opts, srv.memo.Salt())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, ok := seen[key.Hash]
+	if !ok {
+		t.Fatalf("entry %s not on disk at the terminal append (saw %d entries)", key.Hash, len(seen))
+	}
+	if got, res, err := memo.DecodeEntry(b); err != nil || got.Hash != key.Hash || res == nil {
+		t.Fatalf("entry on disk at the terminal append does not decode: %v", err)
+	}
+	if st := srv.memo.Stats(); st.Misses != 1 {
+		t.Fatalf("memo misses %d, want 1", st.Misses)
 	}
 }

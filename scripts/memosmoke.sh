@@ -13,6 +13,11 @@
 #   3. Corruption: one entry in the warm directory is bit-flipped; the
 #      rerun must count a load error, quietly re-simulate that case, and
 #      still produce the identical report.
+#   4. Crash: a cold runsuite is killed -9 partway through, while entries
+#      are being written behind its cases, and a leftover temp file is
+#      planted beside an entry. The rerun must exit 0, serve every entry
+#      the killed run left without a load error, emit the byte-identical
+#      report, and leave no *.tmp file in the directory.
 #
 # DATASTALL_MEMO_SALT pins the engine salt so both binaries address the
 # same entries even on dirty builds.
@@ -150,4 +155,48 @@ CORRUPT_MISSES=$(memo_field "$CORRUPT_LINE" misses)
 cmp -s "$BUILD_DIR/memosmoke-cold.json" "$BUILD_DIR/memosmoke-corrupt.json" ||
   fail "report after corruption-induced re-simulation differs from cold"
 echo "memosmoke: corrupt entry degraded to $CORRUPT_MISSES counted miss(es), report byte-identical"
+
+# --- Leg 4: kill -9 mid-write, then a clean rerun. ---
+# The kill must cut the cold run short, so a run that finished every
+# entry before it is retried; after 5 such runs the leg fails.
+CRASH=$BUILD_DIR/memosmoke-cache-crash
+attempt=0
+while :; do
+  attempt=$((attempt + 1))
+  rm -rf "$CRASH"
+  "$BUILD_DIR/runsuite" -ids fig5,fig9a,fig18 -json -cases -memo "$CRASH" \
+    >/dev/null 2>&1 &
+  CRASHPID=$!
+  i=0
+  until [ -n "$(find "$CRASH" -name '*.memo' 2>/dev/null | head -1)" ]; do
+    i=$((i + 1))
+    [ "$i" -lt 2000 ] || fail "cold run wrote no entry to kill it after"
+    sleep 0.005
+  done
+  kill -9 "$CRASHPID" 2>/dev/null || true
+  wait "$CRASHPID" 2>/dev/null || true
+  LEFT=$(find "$CRASH" -name '*.memo' | wc -l)
+  LEFT=$((LEFT + 0))
+  [ "$LEFT" -ge "$COLD_MISSES" ] || break
+  [ "$attempt" -lt 5 ] ||
+    fail "the kill -9 never cut the cold run short: $attempt runs wrote all $COLD_MISSES entries first"
+done
+# A temp file as a kill between create and rename leaves it.
+PLANT=$(find "$CRASH" -name '*.memo' | head -1).tmp
+printf 'torn' >"$PLANT"
+"$BUILD_DIR/runsuite" -ids fig5,fig9a,fig18 -json -cases -memo "$CRASH" \
+  >"$BUILD_DIR/memosmoke-crash.json" 2>"$BUILD_DIR/memosmoke-crash.err" ||
+  fail "runsuite failed after a kill -9: $(cat "$BUILD_DIR/memosmoke-crash.err")"
+CRASH_LINE=$(grep 'msg="memo summary"' "$BUILD_DIR/memosmoke-crash.err") ||
+  fail "rerun after the kill printed no memo summary"
+[ "$(memo_field "$CRASH_LINE" load_errors)" -eq 0 ] ||
+  fail "an entry the killed run left did not load: $CRASH_LINE"
+[ "$(memo_field "$CRASH_LINE" hits)" -eq "$LEFT" ] ||
+  fail "rerun hit $(memo_field "$CRASH_LINE" hits) entries, the killed run left $LEFT: $CRASH_LINE"
+cmp -s "$BUILD_DIR/memosmoke-cold.json" "$BUILD_DIR/memosmoke-crash.json" ||
+  fail "report after a kill -9 differs from cold:
+$(diff "$BUILD_DIR/memosmoke-cold.json" "$BUILD_DIR/memosmoke-crash.json" | head -20)"
+TMPS=$(find "$CRASH" -name '*.tmp')
+[ -z "$TMPS" ] || fail "temp files survived the rerun: $TMPS"
+echo "memosmoke: rerun after kill -9 (attempt $attempt) served the $LEFT of $COLD_MISSES entries left behind, report byte-identical, no temp files"
 echo "memosmoke: PASS"
