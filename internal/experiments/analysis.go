@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"context"
+	"strconv"
+
 	"datastall/internal/cache"
 	"datastall/internal/cluster"
 	"datastall/internal/dataset"
@@ -49,14 +51,43 @@ func init() {
 		Title:        "ResNet18 8-GPU prep stalls: DALI CPU vs GPU prep, V100 vs 1080Ti",
 		Paper:        "GPU prep eliminates stalls on 1080Ti but leaves ~50% on V100",
 		DefaultScale: 0.01,
-		Run:          runFig5,
+		// The server axis crossed with the GPU-prep sweep. The GPU-prep
+		// figure is the canonical small sweep, so it doubles as the
+		// template for user-authored -spec files.
+		Spec: &Spec{
+			Name:      "fig5",
+			Title:     "ResNet18 8-GPU prep stall %, 3 CPU threads/GPU, dataset cached",
+			RowHeader: []string{"server"},
+			Base: JobSpec{
+				Model: "resnet18", Dataset: "imagenet-1k",
+				ThreadsPerGPU: 3, FetchMode: "fully-cached",
+			},
+			Rows: Axis{Cases: []Case{
+				{Cells: []string{"v100"}, Set: JobSpec{Server: "config-ssd-v100"}},
+				{Cells: []string{"1080ti"}, Set: JobSpec{Server: "config-hdd-1080ti"}},
+			}},
+			Sweep: &Axis{Param: "gpu_prep", Values: rawStrings("off", "on")},
+			Columns: []Column{
+				{Label: "CPU prep", Metric: "stall_pct", Of: "off"},
+				{Label: "CPU+GPU prep", Metric: "stall_pct", Of: "on", Key: "prep_stall_gpuprep_{row}"},
+			},
+		},
 	})
 	register(&Experiment{
 		ID:           "fig6",
 		Title:        "Prep stalls across DNNs (8 GPUs, 3 cores/GPU, dataset cached)",
 		Paper:        "DNNs spend 5-65% of epoch time on blocking prep",
 		DefaultScale: 0.004,
-		Run:          runFig6,
+		Spec: &Spec{
+			Name:      "fig6",
+			Title:     "Prep stalls, 8 GPUs x 3 cores, Config-SSD-V100, dataset cached",
+			RowHeader: []string{"model"},
+			Base:      JobSpec{ThreadsPerGPU: 3, FetchMode: "fully-cached"},
+			Rows:      Axis{Param: "model", Values: rawStrings(fig2Models...)},
+			Columns: []Column{
+				{Label: "prep stall %", Metric: "stall_pct", Key: "prep_stall_{row}"},
+			},
+		},
 	})
 	register(&Experiment{
 		ID:           "table3",
@@ -234,53 +265,6 @@ func runFig4(ctx context.Context, o Options) (*Report, error) {
 	return r, nil
 }
 
-// fig5Spec is runFig5 as data: the server axis crossed with the GPU-prep
-// sweep. The GPU-prep figure is the canonical small sweep, so it doubles as
-// the template for user-authored -spec files.
-var fig5Spec = registerSpec(&Spec{
-	Name:      "fig5",
-	Title:     "ResNet18 8-GPU prep stall %, 3 CPU threads/GPU, dataset cached",
-	RowHeader: []string{"server"},
-	Base: JobSpec{
-		Model: "resnet18", Dataset: "imagenet-1k",
-		ThreadsPerGPU: 3, FetchMode: "fully-cached",
-	},
-	Rows: Axis{Cases: []Case{
-		{Cells: []string{"v100"}, Set: JobSpec{Server: "config-ssd-v100"}},
-		{Cells: []string{"1080ti"}, Set: JobSpec{Server: "config-hdd-1080ti"}},
-	}},
-	Sweep: &Axis{Param: "gpu_prep", Values: rawStrings("off", "on")},
-	Columns: []Column{
-		{Label: "CPU prep", Metric: "stall_pct", Of: "off"},
-		{Label: "CPU+GPU prep", Metric: "stall_pct", Of: "on", Key: "prep_stall_gpuprep_{row}"},
-	},
-})
-
-func runFig5(ctx context.Context, o Options) (*Report, error) {
-	return RunSpec(ctx, fig5Spec, o)
-}
-
-func runFig6(ctx context.Context, o Options) (*Report, error) {
-	r := &Report{Table: &stats.Table{
-		Title:   "Prep stalls, 8 GPUs x 3 cores, Config-SSD-V100, dataset cached",
-		Columns: []string{"model", "prep stall %"},
-	}}
-	for _, name := range fig2Models {
-		m := gpu.MustByName(name)
-		d := scaled(m, o)
-		res, err := mustRun(ctx, trainer.Config{
-			Model: m, Dataset: d, Spec: cluster.ConfigSSDV100(), ThreadsPerGPU: 3,
-			FetchMode: trainer.FullyCached, Epochs: o.Epochs, Seed: o.Seed,
-		})
-		if err != nil {
-			return nil, err
-		}
-		r.Table.AddRow(name, pct(res.StallFraction))
-		r.set("prep_stall_"+name, pct(res.StallFraction))
-	}
-	return r, nil
-}
-
 func runTable3(ctx context.Context, o Options) (*Report, error) {
 	// TensorFlow serializes the dataset into ~1000 record files of
 	// 100-200 MB and each job visits the records in its own shuffled
@@ -353,14 +337,10 @@ func runFig8(ctx context.Context, o Options) (*Report, error) {
 			}
 		}
 		r.Table.AddRow(e+1, minio.Hits(), lru.Hits())
-		r.set(fmt2("minio_hits_epoch", e+1), float64(minio.Hits()))
-		r.set(fmt2("lru_hits_epoch", e+1), float64(lru.Hits()))
+		r.set("minio_hits_epoch"+strconv.Itoa(e+1), float64(minio.Hits()))
+		r.set("lru_hits_epoch"+strconv.Itoa(e+1), float64(lru.Hits()))
 	}
 	return r, nil
-}
-
-func fmt2(prefix string, n int) string {
-	return prefix + string(rune('0'+n))
 }
 
 func runFig12(ctx context.Context, o Options) (*Report, error) {
@@ -445,27 +425,9 @@ func runFig14(ctx context.Context, o Options) (*Report, error) {
 		}
 		compute := res.EpochTime * (1 - res.StallFraction)
 		r.Table.AddRow(b, compute, res.EpochTime, pct(res.StallFraction))
-		r.set(fmtBatch("epoch_s_b", b), res.EpochTime)
-		r.set(fmtBatch("compute_s_b", b), compute)
+		r.set("epoch_s_b"+strconv.Itoa(b), res.EpochTime)
+		r.set("compute_s_b"+strconv.Itoa(b), compute)
 	}
 	r.Notes = "compute shrinks with batch size but epoch time is pinned by prep (Appendix B.3)"
 	return r, nil
-}
-
-func fmtBatch(prefix string, b int) string {
-	return prefix + itoa(b)
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }

@@ -2,6 +2,9 @@ package experiments
 
 import (
 	"context"
+	"math"
+	"strconv"
+
 	"datastall/internal/cluster"
 	"datastall/internal/dataset"
 	"datastall/internal/dsanalyzer"
@@ -47,7 +50,31 @@ func init() {
 		Title:        "Py-CoorDL (MinIO in the native PyTorch loader) vs PyTorch DL",
 		Paper:        "2.1-3.3x on HDD; ~7% on SSD (prep-bound with Pillow decode)",
 		DefaultScale: 0.01,
-		Run:          runFig21,
+		// Rows are device x cache fraction; each row label ("hdd_35")
+		// keys its speedup.
+		Spec: &Spec{
+			Name:      "fig21",
+			Title:     "Py-CoorDL (native PyTorch + MinIO) vs PyTorch DL epoch time (s)",
+			RowHeader: []string{"device", "cache %"},
+			Base:      JobSpec{Model: "resnet18", Dataset: "imagenet-1k", Framework: "pytorch"},
+			Rows: Axis{Cases: []Case{
+				{Label: "hdd_35", Cells: []string{"hdd", "35.0"}, Set: JobSpec{Server: "config-hdd-1080ti", CacheFraction: 0.35}},
+				{Label: "hdd_50", Cells: []string{"hdd", "50.0"}, Set: JobSpec{Server: "config-hdd-1080ti", CacheFraction: 0.50}},
+				{Label: "hdd_65", Cells: []string{"hdd", "65.0"}, Set: JobSpec{Server: "config-hdd-1080ti", CacheFraction: 0.65}},
+				{Label: "hdd_80", Cells: []string{"hdd", "80.0"}, Set: JobSpec{Server: "config-hdd-1080ti", CacheFraction: 0.80}},
+				{Label: "ssd_35", Cells: []string{"ssd", "35.0"}, Set: JobSpec{Server: "config-ssd-v100", CacheFraction: 0.35}},
+				{Label: "ssd_50", Cells: []string{"ssd", "50.0"}, Set: JobSpec{Server: "config-ssd-v100", CacheFraction: 0.50}},
+				{Label: "ssd_65", Cells: []string{"ssd", "65.0"}, Set: JobSpec{Server: "config-ssd-v100", CacheFraction: 0.65}},
+				{Label: "ssd_80", Cells: []string{"ssd", "80.0"}, Set: JobSpec{Server: "config-ssd-v100", CacheFraction: 0.80}},
+			}},
+			Sweep: &Axis{Param: "loader", Values: rawStrings("pytorch-dl", "coordl")},
+			Columns: []Column{
+				{Label: "pytorch-dl", Metric: "epoch_s", Of: "pytorch-dl"},
+				{Label: "py-coordl", Metric: "epoch_s", Of: "coordl"},
+				{Label: "speedup", Metric: "epoch_s", Of: "pytorch-dl", Over: "coordl", Key: "speedup_{row}"},
+			},
+			Notes: "HDD gains are large (I/O-bound); SSD gains are small because Pillow prep binds first (Appendix E.2.1)",
+		},
 	})
 	register(&Experiment{
 		ID:           "fig22",
@@ -68,14 +95,46 @@ func init() {
 		Title:        "Ablation: cache policy (LRU / two-list / MinIO) on one fetch-bound job",
 		Paper:        "design choice behind §4.1: insert-once beats recency policies for DNN access",
 		DefaultScale: 0.004,
-		Run:          runAblationCache,
+		// Page-cache policies via the DALI-shuffle path; MinIO via CoorDL.
+		Spec: &Spec{
+			Name:      "ablation-cache",
+			Title:     "Cache-policy ablation (ShuffleNet/OpenImages, 50% cache, SSD)",
+			RowHeader: []string{"policy"},
+			Base:      JobSpec{Model: "shufflenetv2", Dataset: "openimages", CacheFraction: 0.5},
+			Rows: Axis{Cases: []Case{
+				{Label: "dali-shuffle", Cells: []string{"twolist (page cache)"}, Set: JobSpec{Loader: "dali-shuffle"}},
+				{Label: "coordl", Cells: []string{"minio (insert-once)"}, Set: JobSpec{Loader: "coordl"}},
+			}},
+			Columns: []Column{
+				{Label: "hit rate %", Metric: "hit_pct", Key: "hit_{row}"},
+				{Label: "epoch s", Metric: "epoch_s"},
+			},
+			Notes: "MinIO hits = capacity ratio exactly; recency policies thrash below it",
+		},
 	})
 	register(&Experiment{
 		ID:           "ablation-remote",
 		Title:        "Ablation: partitioned caching with and without the remote-fetch path",
 		Paper:        "design choice behind §4.2: remote DRAM beats local storage on misses",
 		DefaultScale: 0.003,
-		Run:          runAblationRemote,
+		Spec: &Spec{
+			Name:      "ablation-remote",
+			Title:     "Partitioned caching ablation (2 HDD servers)",
+			RowHeader: []string{"variant"},
+			Base: JobSpec{
+				Model: "resnet18", Dataset: "openimages", Server: "config-hdd-1080ti",
+				Servers: 2, Loader: "coordl", CacheFraction: 0.65,
+			},
+			Rows: Axis{Cases: []Case{
+				{Label: "remote", Cells: []string{"partitioned (remote fetch)"}},
+				{Label: "local", Cells: []string{"local MinIO only"}, Set: JobSpec{DisableRemoteFetch: true}},
+			}},
+			Columns: []Column{
+				{Label: "epoch s", Metric: "epoch_s", Key: "{row}_epoch_s"},
+				{Label: "disk GiB/epoch", Metric: "disk_gib_per_epoch"},
+				{Label: "net GiB/epoch", Metric: "net_gib_per_epoch"},
+			},
+		},
 	})
 	register(&Experiment{
 		ID:           "ablation-staging",
@@ -89,7 +148,17 @@ func init() {
 		Title:        "Ablation: prefetch pipeline depth",
 		Paper:        "design choice behind §2's pipelined prefetching",
 		DefaultScale: 0.004,
-		Run:          runAblationPrefetch,
+		Spec: &Spec{
+			Name:      "ablation-prefetch",
+			Title:     "Prefetch-depth ablation (CoorDL, ShuffleNet/OpenImages)",
+			RowHeader: []string{"depth"},
+			Base:      JobSpec{Model: "shufflenetv2", Dataset: "openimages", Loader: "coordl", CacheFraction: 0.65},
+			Rows:      Axis{Param: "prefetch_depth", Values: rawInts(1, 2, 3, 6)},
+			Columns: []Column{
+				{Label: "epoch s", Metric: "epoch_s", Key: "epoch_s_depth{row}"},
+				{Label: "stall %", Metric: "stall_pct"},
+			},
+		},
 	})
 }
 
@@ -117,18 +186,11 @@ func runTable5(ctx context.Context, o Options) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		errPct := pct(abs(pred-res.Throughput) / res.Throughput)
+		errPct := pct(math.Abs(pred-res.Throughput) / res.Throughput)
 		r.Table.AddRow(pct(frac), pred, res.Throughput, errPct)
-		r.set("error_pct_"+itoa(int(frac*100)), errPct)
+		r.set("error_pct_"+strconv.Itoa(int(frac*100)), errPct)
 	}
 	return r, nil
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 func runFig16(ctx context.Context, o Options) (*Report, error) {
@@ -228,35 +290,6 @@ func runFig20(ctx context.Context, o Options) (*Report, error) {
 	return r, nil
 }
 
-func runFig21(ctx context.Context, o Options) (*Report, error) {
-	m := gpu.MustByName("resnet18")
-	d := dataset.ImageNet1K.Scale(o.Scale)
-	r := &Report{Table: &stats.Table{
-		Title:   "Py-CoorDL (native PyTorch + MinIO) vs PyTorch DL epoch time (s)",
-		Columns: []string{"device", "cache %", "pytorch-dl", "py-coordl", "speedup"},
-	}}
-	for _, spec := range []cluster.ServerSpec{cluster.ConfigHDD1080Ti(), cluster.ConfigSSDV100()} {
-		for _, frac := range []float64{0.35, 0.50, 0.65, 0.80} {
-			var times []float64
-			for _, k := range []loader.Kind{loader.PyTorchDL, loader.CoorDL} {
-				res, err := mustRun(ctx, trainer.Config{
-					Model: m, Dataset: d, Spec: spec, Loader: k,
-					Framework:  prep.PyTorchNative,
-					CacheBytes: frac * d.TotalBytes, Epochs: o.Epochs, Seed: o.Seed,
-				})
-				if err != nil {
-					return nil, err
-				}
-				times = append(times, res.EpochTime)
-			}
-			r.Table.AddRow(spec.Disk.Name, pct(frac), times[0], times[1], times[0]/times[1])
-			r.set("speedup_"+spec.Disk.Name+"_"+itoa(int(frac*100)), times[0]/times[1])
-		}
-	}
-	r.Notes = "HDD gains are large (I/O-bound); SSD gains are small because Pillow prep binds first (Appendix E.2.1)"
-	return r, nil
-}
-
 func runFig22(ctx context.Context, o Options) (*Report, error) {
 	m := gpu.MustByName("resnet18")
 	d := dataset.ImageNet1K.Scale(o.Scale)
@@ -283,9 +316,9 @@ func runFig22(ctx context.Context, o Options) (*Report, error) {
 			return nil, err
 		}
 		sp := indep.Jobs[0].EpochTime / coord.Jobs[0].EpochTime
-		r.Table.AddRow(itoa(sh.jobs)+"x"+itoa(sh.workers),
+		r.Table.AddRow(strconv.Itoa(sh.jobs)+"x"+strconv.Itoa(sh.workers),
 			indep.Jobs[0].EpochTime, coord.Jobs[0].EpochTime, sp)
-		r.set("speedup_"+itoa(sh.jobs)+"jobs", sp)
+		r.set("speedup_"+strconv.Itoa(sh.jobs)+"jobs", sp)
 	}
 	return r, nil
 }
@@ -393,67 +426,6 @@ func runSearchWithPageCacheCoord(ctx context.Context, cfg hpsearch.Config) (*hps
 	return res, nil
 }
 
-func runAblationCache(ctx context.Context, o Options) (*Report, error) {
-	m := gpu.MustByName("shufflenetv2")
-	full, _ := dataset.ByName("openimages")
-	d := full.Scale(o.Scale)
-	cacheBytes := 0.5 * d.TotalBytes
-	r := &Report{Table: &stats.Table{
-		Title:   "Cache-policy ablation (ShuffleNet/OpenImages, 50% cache, SSD)",
-		Columns: []string{"policy", "hit rate %", "epoch s"},
-	}}
-	// Page-cache policies via the DALI-shuffle path; MinIO via CoorDL.
-	for _, k := range []loader.Kind{loader.DALIShuffle, loader.CoorDL} {
-		res, err := mustRun(ctx, trainer.Config{
-			Model: m, Dataset: d, Spec: cluster.ConfigSSDV100(),
-			Loader: k, CacheBytes: cacheBytes, Epochs: o.Epochs, Seed: o.Seed,
-		})
-		if err != nil {
-			return nil, err
-		}
-		name := "twolist (page cache)"
-		if k == loader.CoorDL {
-			name = "minio (insert-once)"
-		}
-		r.Table.AddRow(name, pct(res.HitRate), res.EpochTime)
-		r.set("hit_"+k.String(), pct(res.HitRate))
-	}
-	r.Notes = "MinIO hits = capacity ratio exactly; recency policies thrash below it"
-	return r, nil
-}
-
-func runAblationRemote(ctx context.Context, o Options) (*Report, error) {
-	m := gpu.MustByName("resnet18")
-	full, _ := dataset.ByName("openimages")
-	d := full.Scale(o.Scale)
-	cacheBytes := 0.65 * d.TotalBytes
-	r := &Report{Table: &stats.Table{
-		Title:   "Partitioned caching ablation (2 HDD servers)",
-		Columns: []string{"variant", "epoch s", "disk GiB/epoch", "net GiB/epoch"},
-	}}
-	for _, disable := range []bool{false, true} {
-		res, err := mustRun(ctx, trainer.Config{
-			Model: m, Dataset: d, Spec: cluster.ConfigHDD1080Ti(),
-			NumServers: 2, Loader: loader.CoorDL, CacheBytes: cacheBytes,
-			DisableRemoteFetch: disable, Epochs: o.Epochs, Seed: o.Seed,
-		})
-		if err != nil {
-			return nil, err
-		}
-		name := "partitioned (remote fetch)"
-		if disable {
-			name = "local MinIO only"
-		}
-		r.Table.AddRow(name, res.EpochTime, gib(res.DiskPerEpoch), gib(res.NetPerEpoch))
-		if disable {
-			r.set("local_epoch_s", res.EpochTime)
-		} else {
-			r.set("remote_epoch_s", res.EpochTime)
-		}
-	}
-	return r, nil
-}
-
 func runAblationStaging(ctx context.Context, o Options) (*Report, error) {
 	m := gpu.MustByName("alexnet")
 	full, _ := dataset.ByName("openimages")
@@ -476,30 +448,7 @@ func runAblationStaging(ctx context.Context, o Options) (*Report, error) {
 			return nil, err
 		}
 		r.Table.AddRow(capGiB, res.Jobs[0].EpochTime, gib(res.StagingPeakBytes))
-		r.set("epoch_s_cap"+itoa(int(capGiB*10)), res.Jobs[0].EpochTime)
-	}
-	return r, nil
-}
-
-func runAblationPrefetch(ctx context.Context, o Options) (*Report, error) {
-	m := gpu.MustByName("shufflenetv2")
-	full, _ := dataset.ByName("openimages")
-	d := full.Scale(o.Scale)
-	r := &Report{Table: &stats.Table{
-		Title:   "Prefetch-depth ablation (CoorDL, ShuffleNet/OpenImages)",
-		Columns: []string{"depth", "epoch s", "stall %"},
-	}}
-	for _, depth := range []int{1, 2, 3, 6} {
-		res, err := mustRun(ctx, trainer.Config{
-			Model: m, Dataset: d, Spec: cluster.ConfigSSDV100(),
-			Loader: loader.CoorDL, CacheBytes: 0.65 * d.TotalBytes,
-			PrefetchDepth: depth, Epochs: o.Epochs, Seed: o.Seed,
-		})
-		if err != nil {
-			return nil, err
-		}
-		r.Table.AddRow(depth, res.EpochTime, pct(res.StallFraction))
-		r.set("epoch_s_depth"+itoa(depth), res.EpochTime)
+		r.set("epoch_s_cap"+strconv.Itoa(int(capGiB*10)), res.Jobs[0].EpochTime)
 	}
 	return r, nil
 }

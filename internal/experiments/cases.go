@@ -185,8 +185,7 @@ func fromCaseJSON(cj *caseResultJSON) *CaseResult {
 
 // SuiteCases flattens every successful experiment's captured cases, in
 // experiment order — the in-memory feed for the query store after a suite
-// run. Experiments that predate case capture (hand-written, non-sweep)
-// contribute nothing.
+// run. Experiments without a Spec (see SpecFor) contribute nothing.
 func (r *SuiteResult) SuiteCases() []*CaseResult {
 	var out []*CaseResult
 	for _, er := range r.Results {
@@ -221,7 +220,7 @@ func LoadSuiteCases(data []byte) ([]*CaseResult, error) {
 		}
 	}
 	if len(out) == 0 {
-		return nil, fmt.Errorf("cases: the report contains no per-case results; write it with `runsuite -json -cases`, and note only spec-backed experiments (fig5, fig9a, fig18, -spec files) capture cases")
+		return nil, fmt.Errorf("cases: the report contains no per-case results; write it with `runsuite -json -cases`, and note only spec-backed experiments (GET /v1/specs lists the built-in ones) and -spec files capture cases")
 	}
 	return out, nil
 }

@@ -11,10 +11,10 @@
 //     the underlying simulations, so a timed-out suite aborts in-flight
 //     experiments instead of waiting them out;
 //   - declarative Specs (spec.go) describe sweep-shaped scenarios — a base
-//     job plus parameter axes plus derived columns — as data. The registry's
-//     sweep-shaped figures are themselves defined as Specs, and user
-//     scenarios load from JSON (`runsuite -spec file.json`) without touching
-//     compiled code.
+//     job plus parameter axes plus derived columns — as data. Every registry
+//     experiment whose table fits that model carries its Spec literal in its
+//     registration, and user scenarios load from JSON (`runsuite -spec
+//     file.json`) without touching compiled code.
 package experiments
 
 import (
@@ -77,9 +77,9 @@ type Report struct {
 	// Notes records deviations or caveats.
 	Notes string
 	// Cases holds the per-cell results captured by spec-driven sweeps
-	// (RunSpec), the feed for internal/query. Hand-written experiments
-	// leave it nil. It is excluded from the default JSON report; pass
-	// includeCases to SuiteResult.JSONWith to emit it.
+	// (RunSpec), the feed for internal/query. Only experiments with a
+	// Spec (see SpecFor) fill it. It is excluded from the default JSON
+	// report; pass includeCases to SuiteResult.JSONWith to emit it.
 	Cases []*CaseResult
 }
 
@@ -107,7 +107,11 @@ type Experiment struct {
 	Paper string
 	// DefaultScale keeps the run fast while preserving ratios.
 	DefaultScale float64
-	Run          func(context.Context, Options) (*Report, error)
+	// Spec, when set, is the experiment as data: register points Run at
+	// RunSpec over it, so a JSON round-trip of the Spec reproduces the
+	// experiment byte for byte (the speccheck gate). Its Name must be ID.
+	Spec *Spec
+	Run  func(context.Context, Options) (*Report, error)
 }
 
 var registry = map[string]*Experiment{}
@@ -116,7 +120,34 @@ func register(e *Experiment) {
 	if _, dup := registry[e.ID]; dup {
 		panic("experiments: duplicate id " + e.ID)
 	}
+	if sp := e.Spec; sp != nil {
+		if sp.Name != e.ID {
+			panic("experiments: spec " + sp.Name + " registered under id " + e.ID)
+		}
+		e.Run = func(ctx context.Context, o Options) (*Report, error) { return RunSpec(ctx, sp, o) }
+	}
 	registry[e.ID] = e
+}
+
+// Specs returns the declarative specs of the registry's spec-backed
+// experiments, in ID order.
+func Specs() []*Spec {
+	var out []*Spec
+	for _, e := range List() {
+		if e.Spec != nil {
+			out = append(out, e.Spec)
+		}
+	}
+	return out
+}
+
+// SpecFor returns the declarative form of a registry experiment, or nil if
+// that experiment is not expressible as a Spec.
+func SpecFor(id string) *Spec {
+	if e, ok := registry[id]; ok {
+		return e.Spec
+	}
+	return nil
 }
 
 // ByID returns a registered experiment.

@@ -1,9 +1,9 @@
 // Declarative scenario specs: a sweep-shaped experiment — base job, named
 // parameter axes, derived table columns — described as data instead of code.
 // Specs JSON-(un)marshal losslessly, so the same machinery runs both the
-// registry's sweep-shaped figures (defined as Spec literals below their
-// registrations) and user-authored scenario files (`runsuite -spec f.json`)
-// that exist nowhere in compiled code.
+// registry's sweep-shaped figures (Spec literals in their registrations) and
+// user-authored scenario files (`runsuite -spec f.json`) that exist nowhere
+// in compiled code.
 package experiments
 
 import (
@@ -11,7 +11,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"sort"
 
 	"datastall/internal/cluster"
 	"datastall/internal/dataset"
@@ -581,41 +580,6 @@ func deriveCells(js JobSpec, headers []string) []interface{} {
 	}
 	return out
 }
-
-// --- registry specs ---
-
-// specRegistry holds the declarative form of every registry experiment that
-// is expressible as a Spec; their Run functions execute these very values,
-// so a JSON round-trip of the Spec reproduces the experiment byte for byte
-// (the speccheck CI gate).
-var specRegistry = map[string]*Spec{}
-
-func registerSpec(sp *Spec) *Spec {
-	if _, dup := specRegistry[sp.Name]; dup {
-		panic("experiments: duplicate spec " + sp.Name)
-	}
-	specRegistry[sp.Name] = sp
-	return sp
-}
-
-// Specs returns the declarative specs of the registry's sweep-shaped
-// experiments, keyed by experiment ID, in ID order.
-func Specs() []*Spec {
-	ids := make([]string, 0, len(specRegistry))
-	for id := range specRegistry {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	out := make([]*Spec, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, specRegistry[id])
-	}
-	return out
-}
-
-// SpecFor returns the declarative form of a registry experiment, or nil if
-// that experiment is not expressible as a Spec.
-func SpecFor(id string) *Spec { return specRegistry[id] }
 
 // rawStrings builds a string-valued axis value list.
 func rawStrings(vs ...string) []json.RawMessage {

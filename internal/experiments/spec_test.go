@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"datastall/internal/memo"
 	"datastall/internal/trainer"
 )
 
@@ -61,6 +62,87 @@ func TestSpecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSpecBackedExperiments holds every spec-backed registry experiment to
+// what its Spec promises beyond the table: Run captures one case per grid
+// cell under the experiment's ID, and a second Run through the same memo
+// cache simulates nothing and reproduces the table, values and notes.
+func TestSpecBackedExperiments(t *testing.T) {
+	var ids []string
+	for _, sp := range Specs() {
+		ids = append(ids, sp.Name)
+	}
+	want := []string{"ablation-cache", "ablation-prefetch", "ablation-remote",
+		"fig18", "fig21", "fig5", "fig6", "fig9a", "fig9b"}
+	if !reflect.DeepEqual(ids, want) {
+		t.Fatalf("Specs() = %v, want %v", ids, want)
+	}
+	ctx := context.Background()
+	for _, sp := range Specs() {
+		sp := sp
+		t.Run(sp.Name, func(t *testing.T) {
+			e, err := ByID(sp.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cells, err := EnumerateCases(sp, Options{}.withDefaults(e.DefaultScale))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cache, err := memo.Open(memo.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cold, err := Run(ctx, sp.Name, Options{Memo: cache})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(cold.Cases) != len(cells) {
+				t.Fatalf("captured %d cases for %d grid cells", len(cold.Cases), len(cells))
+			}
+			for i, c := range cold.Cases {
+				if c.Spec != sp.Name || c.Row != cells[i].Row || c.Case != cells[i].Case {
+					t.Errorf("case %d is %s/%s/%s, want %s/%s/%s",
+						i, c.Spec, c.Row, c.Case, sp.Name, cells[i].Row, cells[i].Case)
+				}
+			}
+			misses := cache.Stats().Misses
+			if misses == 0 {
+				t.Fatal("cold run simulated nothing through the memo cache")
+			}
+			warm, err := Run(ctx, sp.Name, Options{Memo: cache})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := cache.Stats().Misses - misses; n != 0 {
+				t.Errorf("warm run simulated %d cells, want 0", n)
+			}
+			if got, want := warm.Table.String(), cold.Table.String(); got != want {
+				t.Errorf("warm table differs:\ngot:\n%s\nwant:\n%s", got, want)
+			}
+			if !reflect.DeepEqual(warm.Values, cold.Values) {
+				t.Errorf("warm values differ:\ngot:  %v\nwant: %v", warm.Values, cold.Values)
+			}
+			if warm.Notes != cold.Notes {
+				t.Errorf("warm notes %q, want %q", warm.Notes, cold.Notes)
+			}
+		})
+	}
+}
+
+// TestSpecNameMustMatchID: an experiment whose Spec carries another name
+// would run and capture its cases under the wrong ID, so register refuses it.
+func TestSpecNameMustMatchID(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("register accepted a Spec whose Name differs from the experiment ID")
+		}
+		if _, ok := registry["spec-mismatch"]; ok {
+			t.Fatal("the rejected experiment was registered")
+		}
+	}()
+	register(&Experiment{ID: "spec-mismatch", Spec: &Spec{Name: "fig5"}})
+}
+
 // TestSpecExampleFile runs the committed example scenario — a sweep that
 // exists nowhere in compiled code — end to end.
 func TestSpecExampleFile(t *testing.T) {
@@ -97,11 +179,11 @@ func TestSpecExampleFile(t *testing.T) {
 // TestSpecDeterministic: the same spec twice gives byte-identical tables.
 func TestSpecDeterministic(t *testing.T) {
 	o := Options{}.withDefaults(0.01)
-	a, err := RunSpec(context.Background(), fig5Spec, o)
+	a, err := RunSpec(context.Background(), SpecFor("fig5"), o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunSpec(context.Background(), fig5Spec, o)
+	b, err := RunSpec(context.Background(), SpecFor("fig5"), o)
 	if err != nil {
 		t.Fatal(err)
 	}

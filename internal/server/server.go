@@ -14,7 +14,7 @@
 //	GET    /v1/jobs/{id}        full record incl. report/result when completed
 //	DELETE /v1/jobs/{id}        cancel (mid-run aborts propagate into the engine)
 //	GET    /v1/jobs/{id}/events live event stream, NDJSON or SSE
-//	GET    /v1/specs            built-in runnable specs (fig5, fig9a, fig18)
+//	GET    /v1/specs            built-in runnable specs (experiments.Specs)
 //	GET    /v1/specs/{name}     one built-in spec document
 //	GET    /v1/query            run a query (?q=<JSON query>) over finished jobs -> NDJSON
 //	POST   /v1/query            same, query document as the body

@@ -2,9 +2,10 @@
 # End-to-end smoke of result memoization, run by `make memosmoke` locally
 # and in CI. Three legs on real binaries sharing one cache directory:
 #
-#   1. CLI: runsuite runs fig5+fig9a+fig18 cold into a fresh -memo dir,
-#      then warm — the warm run must simulate nothing (100% hits, >= the
-#      90% floor) and emit a byte-identical JSON report.
+#   1. CLI: runsuite runs every spec-backed experiment (SPEC_IDS) cold
+#      into a fresh -memo dir, then warm — the warm run must simulate
+#      nothing (100% hits, >= the 90% floor) and emit a byte-identical JSON
+#      report.
 #   2. Daemon: a cold stallserved runs fig5 into its own dir; a second
 #      server opened on the CLI-warmed directory must serve the same spec
 #      entirely from the CLI's entries (zero misses) with /v1/query bytes
@@ -30,6 +31,9 @@ MEMO=$BUILD_DIR/memosmoke-cache
 SRVLOGA=$BUILD_DIR/memosmoke-servera.log
 SRVLOGB=$BUILD_DIR/memosmoke-serverb.log
 QUERY='{"order_by":[{"col":"case_id"}]}'
+# The registry experiments defined as Specs (GET /v1/specs), the ones whose
+# cases go through the memo cache.
+SPEC_IDS=ablation-cache,ablation-prefetch,ablation-remote,fig18,fig21,fig5,fig6,fig9a,fig9b
 SRVPID=
 export DATASTALL_MEMO_SALT=memosmoke
 
@@ -80,7 +84,7 @@ go build -o "$BUILD_DIR/stallserved" ./cmd/stallserved
 rm -rf "$MEMO"
 
 # --- Leg 1: CLI cold then warm. ---
-"$BUILD_DIR/runsuite" -ids fig5,fig9a,fig18 -json -cases -memo "$MEMO" \
+"$BUILD_DIR/runsuite" -ids "$SPEC_IDS" -json -cases -memo "$MEMO" \
   >"$BUILD_DIR/memosmoke-cold.json" 2>"$BUILD_DIR/memosmoke-cold.err" ||
   fail "cold runsuite failed: $(cat "$BUILD_DIR/memosmoke-cold.err")"
 COLD_LINE=$(grep 'msg="memo summary"' "$BUILD_DIR/memosmoke-cold.err") ||
@@ -88,7 +92,7 @@ COLD_LINE=$(grep 'msg="memo summary"' "$BUILD_DIR/memosmoke-cold.err") ||
 COLD_MISSES=$(memo_field "$COLD_LINE" misses)
 [ "$COLD_MISSES" -gt 0 ] || fail "cold run missed nothing: $COLD_LINE"
 
-"$BUILD_DIR/runsuite" -ids fig5,fig9a,fig18 -json -cases -memo "$MEMO" \
+"$BUILD_DIR/runsuite" -ids "$SPEC_IDS" -json -cases -memo "$MEMO" \
   >"$BUILD_DIR/memosmoke-warm.json" 2>"$BUILD_DIR/memosmoke-warm.err" ||
   fail "warm runsuite failed: $(cat "$BUILD_DIR/memosmoke-warm.err")"
 WARM_LINE=$(grep 'msg="memo summary"' "$BUILD_DIR/memosmoke-warm.err") ||
@@ -143,7 +147,7 @@ echo "memosmoke: daemon served fig5 from CLI-written entries ($DAEMON_MISSES cas
 VICTIM=$(find "$MEMO" -name '*.memo' | head -1)
 [ -n "$VICTIM" ] || fail "no .memo entries on disk to corrupt"
 printf '\377' | dd of="$VICTIM" bs=1 seek=$(($(wc -c <"$VICTIM") - 1)) conv=notrunc 2>/dev/null
-"$BUILD_DIR/runsuite" -ids fig5,fig9a,fig18 -json -cases -memo "$MEMO" \
+"$BUILD_DIR/runsuite" -ids "$SPEC_IDS" -json -cases -memo "$MEMO" \
   >"$BUILD_DIR/memosmoke-corrupt.json" 2>"$BUILD_DIR/memosmoke-corrupt.err" ||
   fail "runsuite failed on a corrupt entry: $(cat "$BUILD_DIR/memosmoke-corrupt.err")"
 CORRUPT_LINE=$(grep 'msg="memo summary"' "$BUILD_DIR/memosmoke-corrupt.err") ||
@@ -164,7 +168,7 @@ attempt=0
 while :; do
   attempt=$((attempt + 1))
   rm -rf "$CRASH"
-  "$BUILD_DIR/runsuite" -ids fig5,fig9a,fig18 -json -cases -memo "$CRASH" \
+  "$BUILD_DIR/runsuite" -ids "$SPEC_IDS" -json -cases -memo "$CRASH" \
     >/dev/null 2>&1 &
   CRASHPID=$!
   i=0
@@ -184,7 +188,7 @@ done
 # A temp file as a kill between create and rename leaves it.
 PLANT=$(find "$CRASH" -name '*.memo' | head -1).tmp
 printf 'torn' >"$PLANT"
-"$BUILD_DIR/runsuite" -ids fig5,fig9a,fig18 -json -cases -memo "$CRASH" \
+"$BUILD_DIR/runsuite" -ids "$SPEC_IDS" -json -cases -memo "$CRASH" \
   >"$BUILD_DIR/memosmoke-crash.json" 2>"$BUILD_DIR/memosmoke-crash.err" ||
   fail "runsuite failed after a kill -9: $(cat "$BUILD_DIR/memosmoke-crash.err")"
 CRASH_LINE=$(grep 'msg="memo summary"' "$BUILD_DIR/memosmoke-crash.err") ||
