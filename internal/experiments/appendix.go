@@ -349,18 +349,11 @@ func runFig23(ctx context.Context, o Options) (*Report, error) {
 			// Two epochs per rung: the first wave epoch is cold-cache
 			// warmup, so the caching policies differentiate (the paper's
 			// long-lived server keeps its cache warm across trials).
-			cfg := hpsearch.Config{
+			sr, err := hpsearch.Run(ctx, hpsearch.Config{
 				Base: base, NumTrials: 16, ParallelJobs: 8,
 				EpochsPerRung: 2,
-				Coordinated:   v.coord, Seed: o.Seed,
-			}
-			var sr *hpsearch.Result
-			var err error
-			if v.coord && v.pgc {
-				sr, err = runSearchWithPageCacheCoord(ctx, cfg)
-			} else {
-				sr, err = hpsearch.Run(ctx, cfg)
-			}
+				Coordinated:   v.coord, CoordUsePageCache: v.pgc, Seed: o.Seed,
+			})
 			if err != nil {
 				return nil, err
 			}
@@ -385,45 +378,6 @@ func keyify(s string) string {
 		}
 	}
 	return string(out)
-}
-
-// runSearchWithPageCacheCoord runs the "coordinated prep alone" variant:
-// coordination through the staging area but fetching via the page cache.
-func runSearchWithPageCacheCoord(ctx context.Context, cfg hpsearch.Config) (*hpsearch.Result, error) {
-	// hpsearch drives trainer.RunConcurrent; reproduce its waves here
-	// with CoordUsePageCache set.
-	res := &hpsearch.Result{}
-	remaining := cfg.NumTrials
-	for remaining > 0 {
-		n := cfg.ParallelJobs
-		if n > remaining {
-			n = remaining
-		}
-		base := cfg.Base
-		base.Epochs = cfg.EpochsPerRung
-		if base.Epochs == 0 {
-			base.Epochs = 1
-		}
-		cr, err := trainer.RunConcurrentContext(ctx, trainer.ConcurrentConfig{
-			Base: base, NumJobs: n, GPUsPerJob: 1,
-			Coordinated: true, CoordUsePageCache: true,
-		})
-		if err != nil {
-			return nil, err
-		}
-		waveTime := 0.0
-		for _, jr := range cr.Jobs {
-			if jr.TotalTime > waveTime {
-				waveTime = jr.TotalTime
-			}
-		}
-		res.SearchSeconds += waveTime
-		res.TotalDiskBytes += cr.TotalDiskBytes
-		res.Waves++
-		res.TotalEpochs += n
-		remaining -= n
-	}
-	return res, nil
 }
 
 func runAblationStaging(ctx context.Context, o Options) (*Report, error) {

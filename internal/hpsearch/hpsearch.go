@@ -45,7 +45,10 @@ type Config struct {
 	KeepFraction float64
 	// Coordinated selects CoorDL's coordinated prep for each wave.
 	Coordinated bool
-	Seed        int64
+	// CoordUsePageCache makes coordinated waves fetch through the OS page
+	// cache instead of MinIO (trainer.ConcurrentConfig.CoordUsePageCache).
+	CoordUsePageCache bool
+	Seed              int64
 }
 
 func (c Config) withDefaults() Config {
@@ -132,10 +135,11 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			base := cfg.Base
 			base.Epochs = cfg.EpochsPerRung
 			cr, err := trainer.RunConcurrentContext(ctx, trainer.ConcurrentConfig{
-				Base:        base,
-				NumJobs:     len(wave),
-				GPUsPerJob:  cfg.GPUsPerJob,
-				Coordinated: cfg.Coordinated,
+				Base:              base,
+				NumJobs:           len(wave),
+				GPUsPerJob:        cfg.GPUsPerJob,
+				Coordinated:       cfg.Coordinated,
+				CoordUsePageCache: cfg.CoordUsePageCache,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("hpsearch wave: %w", err)

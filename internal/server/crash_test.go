@@ -17,17 +17,22 @@ package server
 //     at an older version after recovery.
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http"
+	"net/http/httptest"
 	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"datastall/internal/experiments"
+	"datastall/internal/trainer"
 	"datastall/internal/wal"
 )
 
@@ -340,6 +345,9 @@ func TestCrashAfterCompactionReplaysCheckpoint(t *testing.T) {
 			t.Fatalf("job %s ended %s", id, st)
 		}
 	}
+	// Compaction runs behind the job; the second server below opens this
+	// live log, so the first server's compaction must be over.
+	srv.waitCompaction()
 	if srv.metrics.walCompactions.Load() == 0 {
 		t.Fatal("no compaction ran")
 	}
@@ -361,6 +369,171 @@ func TestCrashAfterCompactionReplaysCheckpoint(t *testing.T) {
 	if errs := srv2.metrics.persistLoadErrors.Load(); errs != 0 {
 		t.Fatalf("checkpoint replay reported %d load errors", errs)
 	}
+}
+
+// replayOnly replays dir into a server with no workers, so recovered jobs
+// stay exactly as replay and the startup eviction left them.
+func replayOnly(t *testing.T, dir string, maxRecords int) *Server {
+	t.Helper()
+	l, rec, err := wal.Open(wal.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	s := &Server{store: newStore(), metrics: newMetrics(), log: slog.New(slog.DiscardHandler), wal: l}
+	if _, errs := s.replayWAL(rec.Records); errs != 0 || rec.LoadErrors != 0 {
+		t.Fatalf("replay of %s: %d load errors", dir, errs+rec.LoadErrors)
+	}
+	s.store.evictTerminal(maxRecords)
+	s.buildMux()
+	return s
+}
+
+// served returns the bytes s answers GET path with.
+func served(s *Server, path string) string {
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+	return rec.Body.String()
+}
+
+// TestCompactionInvisibleToReplay: a log holding finished, evicted,
+// resumed-pending and cancel-requested jobs replays to the same job list
+// and query bytes with and without compactions in between, while the
+// checkpoint drops the evicted job and every finished job's history.
+func TestCompactionInvisibleToReplay(t *testing.T) {
+	const maxRecords = 3
+	plain := filepath.Join(t.TempDir(), "wal")
+	srv, ts := newTestServer(t, Config{Workers: 1, WALDir: plain})
+	for _, body := range []string{tinyJob, tinySpec, tinyJob} {
+		if id := submitID(t, ts, body); waitTerminal(t, srv, id, 60*time.Second) != StatusCompleted {
+			t.Fatalf("job %s did not complete", id)
+		}
+	}
+	ts.Close()
+	srv.Close()
+	// job-000004 was interrupted after one logged cell (twice logged, as
+	// duplicates are); job-000005 was cancelled while running.
+	l, _, err := wal.Open(wal.Options{Dir: plain})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, _ := json.Marshal(walSubmitted{
+		Kind: KindJob, Name: "resnet18", SubmittedAt: time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC),
+		Job: jobSpecFor(t, tinyJob),
+	})
+	started := []byte(`{"started_at":"2026-01-01T00:00:01Z"}`)
+	cell := []byte(`{"index":0,"result":{"TotalTime":1}}`)
+	for _, rec := range []wal.Record{
+		{Type: wal.TypeSubmitted, JobID: "job-000004", Payload: sub},
+		{Type: wal.TypeStarted, JobID: "job-000004", Payload: started},
+		{Type: wal.TypeCaseDone, JobID: "job-000004", Payload: cell},
+		{Type: wal.TypeCaseDone, JobID: "job-000004", Payload: cell},
+		{Type: wal.TypeSubmitted, JobID: "job-000005", Payload: sub},
+		{Type: wal.TypeStarted, JobID: "job-000005", Payload: started},
+		{Type: wal.TypeCancelRequested, JobID: "job-000005", Payload: []byte(`{}`)},
+	} {
+		if err := l.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	compacted := filepath.Join(t.TempDir(), "wal")
+	if err := os.CopyFS(compacted, os.DirFS(plain)); err != nil {
+		t.Fatal(err)
+	}
+	s := replayOnly(t, compacted, maxRecords)
+	if s.store.get("job-000001") != nil {
+		t.Fatal("job-000001 was not evicted at replay")
+	}
+	for i := 0; i < 2; i++ { // the second folds the first's checkpoint
+		if err := s.wal.Compact(s.walKeep); err != nil {
+			t.Fatalf("compaction %d: %v", i+1, err)
+		}
+	}
+	s.wal.Close()
+
+	before, err := wal.ReadAll(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after, err := wal.ReadAll(compacted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := map[string][]wal.Type{}
+	for _, r := range after.Records {
+		kinds[r.JobID] = append(kinds[r.JobID], r.Type)
+	}
+	if got := fmt.Sprint(kinds); got != "map[job-000002:[terminal] job-000003:[terminal] "+
+		"job-000004:[submitted started case_done case_done] job-000005:[submitted started cancel_requested]]" {
+		t.Fatalf("checkpoint of %d records holds %s", len(before.Records), got)
+	}
+
+	want, got := replayOnly(t, plain, maxRecords), replayOnly(t, compacted, maxRecords)
+	query := "/v1/query?q=" + url.QueryEscape(crashQuery)
+	for _, path := range []string{"/v1/jobs", query} {
+		if w, g := served(want, path), served(got, path); g != w {
+			t.Fatalf("GET %s after compaction:\n got %s\nwant %s", path, g, w)
+		}
+	}
+	if rows := strings.Count(served(got, query), "\n"); rows != 3 {
+		t.Fatalf("query over the retained jobs returned %d rows, want 3 (2 spec cells + 1 job)", rows)
+	}
+}
+
+// TestDrainWaitsForCompaction: Drain closes the log only after an
+// in-flight compaction has ended.
+func TestDrainWaitsForCompaction(t *testing.T) {
+	parked, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	wal.SetCrashHook(func(p string) {
+		if p == wal.CrashCompactPreRename {
+			once.Do(func() { close(parked) })
+			<-release
+		}
+	})
+	t.Cleanup(func() { wal.SetCrashHook(nil) })
+	finish := func(context.Context, *Job) (*experiments.Report, *trainer.Result, error) {
+		return nil, &trainer.Result{TotalTime: 1}, nil
+	}
+	srv, ts := newTestServer(t, Config{Workers: 1, WALDir: t.TempDir(), WALCompactEvery: 1, runJob: finish})
+	if st := waitTerminal(t, srv, submitID(t, ts, tinyJob), 10*time.Second); st != StatusCompleted {
+		t.Fatalf("job ended %s", st)
+	}
+	select {
+	case <-parked:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no compaction started")
+	}
+	drained := make(chan struct{})
+	go func() {
+		srv.Drain(context.Background())
+		close(drained)
+	}()
+	select {
+	case <-drained:
+		t.Fatal("Drain returned while a compaction was in flight")
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(release)
+	select {
+	case <-drained:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Drain never returned after the compaction ended")
+	}
+	if n := srv.metrics.walCompactions.Load(); n != 1 {
+		t.Fatalf("%d compactions completed before Drain returned, want 1", n)
+	}
+}
+
+// waitCompaction returns once no compaction is running. Not for use after
+// Drain, which keeps compactMu.
+func (s *Server) waitCompaction() {
+	s.compactMu.Lock()
+	s.compactMu.Unlock()
 }
 
 // TestCrashHonoursCancelVerdict: a WAL holding submitted + started +

@@ -52,6 +52,7 @@ type metrics struct {
 	caseSecs   *obs.Histogram // one grid case, local simulate or remote round trip
 	memoLookup *obs.Histogram // one memo cache lookup (memory or disk)
 	walFsync   *obs.Histogram // one WAL data fsync
+	walCompact *obs.Histogram // one WAL compaction
 }
 
 // newMetrics builds the metrics set with its histogram buckets. Bucket
@@ -71,6 +72,9 @@ func newMetrics() *metrics {
 		walFsync: obs.NewHistogram("stallserved_wal_fsync_seconds",
 			"Latency of write-ahead-log data fsyncs.",
 			[]float64{0.0001, 0.001, 0.005, 0.01, 0.05, 0.1}),
+		walCompact: obs.NewHistogram("stallserved_wal_compact_seconds",
+			"Duration of write-ahead-log compactions into a checkpoint.",
+			[]float64{0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1}),
 	}
 }
 
@@ -125,4 +129,5 @@ func (m *metrics) writeProm(w io.Writer, queueDepth, workersHealthy, workersTota
 	m.caseSecs.WriteProm(w)
 	m.memoLookup.WriteProm(w)
 	m.walFsync.WriteProm(w)
+	m.walCompact.WriteProm(w)
 }

@@ -107,7 +107,7 @@ func (f *flushWriter) Flush() error {
 }
 
 // caseResults exposes a completed job's runs, read-only, for the query
-// surface, terminal WAL records and compaction: the captured grid cells of
+// surface and terminal WAL records: the captured grid cells of
 // a spec job, or the one capture in job.cases — a single run's, taken once
 // by finishRun, or the one stored in a WAL terminal record the job was
 // rehydrated from (a loaded record without a capture stays invisible

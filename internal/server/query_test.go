@@ -125,9 +125,9 @@ func TestQueryEmptyStore(t *testing.T) {
 }
 
 // TestQueryWhileJobsFinish: queries read finished jobs' captures by
-// reference while other jobs finish, append terminal records and compact
-// the WAL, all of which read the same captures; run it under -race. Every
-// response is whole, and the last one sees every job.
+// reference while other jobs finish and append terminal records, which
+// read the same captures, and the WAL compacts behind them; run it under
+// -race. Every response is whole, and the last one sees every job.
 func TestQueryWhileJobsFinish(t *testing.T) {
 	done := func(context.Context, *Job) (*experiments.Report, *trainer.Result, error) {
 		return nil, &trainer.Result{TotalTime: 1, Epochs: []trainer.EpochStats{{Duration: 1}, {Duration: 2}}}, nil

@@ -16,6 +16,7 @@ import (
 	"datastall/internal/experiments"
 	"datastall/internal/obs"
 	"datastall/internal/trainer"
+	"datastall/internal/wal"
 )
 
 // errQueueFull rejects submissions when the bounded queue has no room.
@@ -230,7 +231,7 @@ func (s *Server) executor(j *Job) experiments.Executor {
 			j.bc.Observe(trainer.Annotation{Kind: kind, Text: text, Index: c.Index, Total: c.Total})
 		},
 		Done: func(c experiments.SpecCase, res *trainer.Result, took time.Duration) {
-			s.walCaseDone(j, c.Index, res)
+			s.walRecord(j, wal.TypeCaseDone, walCase{Index: c.Index, Result: res})
 			if took > 0 { // zero: a duplicate, which copied its leader
 				s.metrics.caseSecs.Observe(took.Seconds())
 			}
@@ -261,8 +262,8 @@ func (s *Server) finishRun(j *Job, rep *experiments.Report, res *trainer.Result,
 		j.report = rep
 		j.result = res
 		if res != nil {
-			// Capture the run once; queries, the terminal WAL record and
-			// compaction all read this one immutable case.
+			// Capture the run once; queries and the terminal WAL record
+			// both read this one immutable case.
 			j.cases = []*experiments.CaseResult{experiments.JobCase(j.ID, j.cfg, res)}
 		}
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
@@ -302,9 +303,6 @@ func (s *Server) finishRun(j *Job, rep *experiments.Report, res *trainer.Result,
 // (under -fsync always), job_done's spans are complete, and a resubmission
 // is not refused over the finished job's slot.
 func (s *Server) finalize(j *Job) {
-	j.mu.Lock()
-	j.walFinal = true
-	j.mu.Unlock()
 	s.walTerminal(j)
 	s.endTrace(j)
 	if j.quotaHeld {
@@ -344,12 +342,11 @@ func (s *Server) cancelJob(j *Job) (Status, bool) {
 	default: // running
 		j.status = StatusCancelled
 		j.errMsg = "cancelled"
-		j.cancelRequested = true
 		cancel := j.cancel
 		j.mu.Unlock()
 		// The client is about to be told "cancelled"; log the verdict so a
 		// crash that beats the worker's terminal record still honours it.
-		s.walCancelRequested(j)
+		s.walRecord(j, wal.TypeCancelRequested, struct{}{})
 		cancel()
 		s.metrics.cancelled.Add(1)
 		j.logger().Info("job cancelling (was running)")
@@ -391,9 +388,11 @@ func (s *Server) Drain(ctx context.Context) bool {
 	if s.coord != nil {
 		s.coord.client.CloseIdleConnections()
 	}
-	// Workers are gone, so no more appends: sync and close the log.
+	// Workers are gone, so no more appends: wait out a running compaction,
+	// keep compactMu so none starts, then sync and close the log.
 	if s.wal != nil {
 		s.walClose.Do(func() {
+			s.compactMu.Lock()
 			if err := s.wal.Close(); err != nil {
 				s.log.Warn("wal close failed", "error", err)
 			}

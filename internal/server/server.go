@@ -84,8 +84,9 @@ type Config struct {
 	WALFsyncInterval time.Duration
 	// WALSegmentBytes bounds one log segment (<= 0: 4 MiB).
 	WALSegmentBytes int64
-	// WALCompactEvery compacts the log into a checkpoint after this many
-	// terminal records (<= 0: 64), bounding replay cost.
+	// WALCompactEvery starts a compaction of the log into a checkpoint
+	// after this many terminal records (<= 0: 64), bounding replay cost.
+	// It runs in the background; a trigger while one runs is skipped.
 	WALCompactEvery int
 	// MemoDir, when set, memoizes every case through a content-addressed
 	// result cache persisted under this directory (the same on-disk layout
@@ -160,10 +161,12 @@ type Server struct {
 
 	// wal is the open write-ahead log (nil when Config.WALDir unset);
 	// walTerminals counts terminal records toward the compaction cadence,
+	// compactMu is held while a compaction runs (and from drain on),
 	// walClose makes the drain-time close idempotent, and walInfo is the
 	// startup recovery summary /healthz reports.
 	wal          *wal.Log
 	walTerminals atomic.Int64
+	compactMu    sync.Mutex
 	walClose     sync.Once
 	walInfo      struct {
 		records     int

@@ -91,22 +91,11 @@ type Job struct {
 
 	// resume holds per-cell results recovered from the WAL (set before the
 	// job is queued, read-only after): the executor serves these cells from
-	// the log instead of re-simulating them.
-	// walCases mirrors every cell result logged (or recovered) so far —
-	// it is the source a compaction gather snapshots, and it is always
-	// updated before the corresponding record is appended. cancelRequested
-	// marks that a DELETE verdict was returned to a client (and logged);
-	// quotaHeld marks that submit counted this job against its tenant's
-	// quota (recovered jobs never re-acquire it).
-	resume          map[int]*trainer.Result
-	walCases        map[int]*trainer.Result
-	cancelRequested bool
-	quotaHeld       bool
-	// walFinal is set (under mu, before the terminal record is appended —
-	// the mutate-before-append rule) once the job's history is fully
-	// captured by a terminal record; compaction gathers it as terminal from
-	// that point even though done has not closed yet.
-	walFinal bool
+	// the log instead of re-simulating them. quotaHeld marks that submit
+	// counted this job against its tenant's quota (recovered jobs never
+	// re-acquire it).
+	resume    map[int]*trainer.Result
+	quotaHeld bool
 
 	// done closes exactly once, when the job reaches a terminal state and
 	// its event stream has been closed.

@@ -181,35 +181,45 @@ func TestTraceSurvivesWorkerDeath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var hits [2]atomic.Int64
-	countFor := func(n *atomic.Int64) func(http.Handler) http.Handler {
+	// The first worker to receive a case is the victim. It holds every case
+	// it receives until it is closed, so none finishes there and a retry
+	// is certain.
+	var victimIdx atomic.Int32 // 1 + the victim's index; 0 until chosen
+	release := make(chan struct{})
+	t.Cleanup(func() {
+		select {
+		case <-release:
+		default:
+			close(release)
+		}
+	})
+	holdFor := func(k int32) func(http.Handler) http.Handler {
 		return func(next http.Handler) http.Handler {
 			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				if r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" {
-					n.Add(1)
+				if r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" &&
+					(victimIdx.CompareAndSwap(0, k+1) || victimIdx.Load() == k+1) {
+					<-release
 				}
 				next.ServeHTTP(w, r)
 			})
 		}
 	}
-	_, w1 := newWorker(t, Config{Workers: 1}, countFor(&hits[0]))
-	_, w2 := newWorker(t, Config{Workers: 1}, countFor(&hits[1]))
+	_, w1 := newWorker(t, Config{Workers: 1}, holdFor(0))
+	_, w2 := newWorker(t, Config{Workers: 1}, holdFor(1))
 	coord, ts := newCoordinatorServer(t, []string{w1.URL, w2.URL}, nil)
 
 	id := submitID(t, ts, `{"spec": `+string(raw)+`}`)
 	deadline := time.After(60 * time.Second)
-	for hits[0].Load() == 0 && hits[1].Load() == 0 {
+	for victimIdx.Load() == 0 {
 		select {
 		case <-deadline:
 			t.Fatal("no worker ever received a case")
 		case <-time.After(time.Millisecond):
 		}
 	}
-	victim := w1
-	if hits[1].Load() > 0 {
-		victim = w2
-	}
+	victim := []*httptest.Server{w1, w2}[victimIdx.Load()-1]
 	victim.CloseClientConnections()
+	close(release)
 	victim.Close()
 
 	if st := waitTerminal(t, coord, id, 120*time.Second); st != StatusCompleted {

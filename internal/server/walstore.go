@@ -11,15 +11,10 @@
 // Resume map, served without re-running, and its Done hook logs every
 // newly captured cell — duplicates included — as a case_done record.
 //
-// Two ordering rules keep the log and memory consistent:
-//
-//   - Mutate in-memory state BEFORE appending its record. A crash between
-//     the two loses both together (the record was never durable, so the
-//     client never saw it), and compaction's gather — which snapshots
-//     memory under the log's lock — always sees a superset of what the
-//     segments it replaces contain.
-//   - The log's mutex is outermost: never append while holding store.mu or
-//     a job's mu, because Compact's gather takes both.
+// Mutate in-memory state BEFORE appending its record. A crash between the
+// two loses both together (the record was never durable, so the client
+// never saw it), and a compaction, which keeps only the jobs the store
+// holds, never drops a job whose records it is folding.
 package server
 
 import (
@@ -105,32 +100,13 @@ func (s *Server) walStarted(j *Job) {
 	s.walRecord(j, wal.TypeStarted, walStarted{StartedAt: at})
 }
 
-// walCaseDone captures one finished cell: memory first (the resume map a
-// compaction gather reads), then the record.
-func (s *Server) walCaseDone(j *Job, index int, res *trainer.Result) {
-	if s.wal == nil {
-		return
-	}
-	j.mu.Lock()
-	if j.walCases == nil {
-		j.walCases = map[int]*trainer.Result{}
-	}
-	j.walCases[index] = res
-	j.mu.Unlock()
-	s.walRecord(j, wal.TypeCaseDone, walCase{Index: index, Result: res})
-}
-
-func (s *Server) walCancelRequested(j *Job) {
-	s.walRecord(j, wal.TypeCancelRequested, struct{}{})
-}
-
 // testHookWALTerminal, when set, runs just before each terminal record is
 // appended. Tests set it before starting a server to widen the window in
 // which a finished job is not yet durable.
 var testHookWALTerminal func()
 
 // walTerminal logs the job's final record and, every WALCompactEvery
-// terminals, folds the log into a checkpoint.
+// terminals, starts a compaction unless one is already running.
 func (s *Server) walTerminal(j *Job) {
 	if s.wal == nil {
 		return
@@ -143,68 +119,39 @@ func (s *Server) walTerminal(j *Job) {
 	if every <= 0 {
 		every = 64
 	}
-	if s.walTerminals.Add(1)%int64(every) == 0 {
-		if err := s.wal.Compact(s.walGather); err != nil {
-			s.log.Warn("wal compact failed", "error", err)
-			return
-		}
-		s.metrics.walCompactions.Add(1)
+	if s.walTerminals.Add(1)%int64(every) == 0 && s.compactMu.TryLock() {
+		go func() { // behind the job; Drain waits for compactMu
+			defer s.compactMu.Unlock()
+			start := time.Now()
+			if err := s.wal.Compact(s.walKeep); err != nil {
+				s.log.Warn("wal compact failed", "error", err)
+				return
+			}
+			s.metrics.walCompact.Observe(time.Since(start).Seconds())
+			s.metrics.walCompactions.Add(1)
+		}()
 	}
 }
 
-// walGather renders the store's current state as canonical records — the
-// checkpoint body. Runs with the log lock held (appends stalled); takes
-// store.mu and each job's mu, which is why no append site may hold those.
-func (s *Server) walGather() []wal.Record {
-	var out []wal.Record
-	add := func(typ wal.Type, id string, payload interface{}) {
-		b, err := json.Marshal(payload)
-		if err != nil {
-			s.log.Warn("wal gather encode failed", "type", string(typ), "job_id", id, "error", err)
-			return
-		}
-		out = append(out, wal.Record{Type: typ, JobID: id, Payload: b})
-	}
-	for _, j := range s.store.list() {
-		j.mu.Lock()
-		final := j.walFinal
-		j.mu.Unlock()
-		if !final {
-			select {
-			case <-j.done: // jobs rehydrated at replay never set walFinal
-				final = true
-			default:
-			}
-		}
-		if final {
-			// Fully captured: one terminal record subsumes its history.
-			add(wal.TypeTerminal, j.ID, persistJSON{jobJSON: *j.view(true), Cases: j.caseResults()})
-			continue
-		}
-		j.mu.Lock()
-		running := j.status == StatusRunning || j.status.Terminal()
-		startedAt := j.started
-		cancel := j.cancelRequested
-		cases := make([]walCase, 0, len(j.walCases))
-		for idx, res := range j.walCases {
-			cases = append(cases, walCase{Index: idx, Result: res})
-		}
-		j.mu.Unlock()
-		add(wal.TypeSubmitted, j.ID, walSubmitted{
-			Kind: j.Kind, Name: j.Name, Tenant: j.tenant, SubmittedAt: j.submitted,
-			Spec: j.spec, Job: j.jobSpec, Opts: j.opts,
-		})
-		if running {
-			add(wal.TypeStarted, j.ID, walStarted{StartedAt: startedAt})
-		}
-		for _, c := range cases {
-			add(wal.TypeCaseDone, j.ID, c)
-		}
-		if cancel {
-			add(wal.TypeCancelRequested, j.ID, struct{}{})
+// walKeep picks the records a compaction carries into the checkpoint, by
+// the rule replayWAL folds them with: a job whose terminal record is among
+// heads keeps only its last one, any other job keeps all of its records,
+// and a job the store has evicted keeps none. Records are checked in log
+// order, so a job evicted mid-scan keeps a prefix of its records, which
+// its terminal record in a later segment subsumes.
+func (s *Server) walKeep(heads []wal.Record) []bool {
+	terminal := map[string]int{} // job -> index of its last terminal record
+	for i, h := range heads {
+		if h.Type == wal.TypeTerminal {
+			terminal[h.JobID] = i
 		}
 	}
-	return out
+	keep := make([]bool, len(heads))
+	for i, h := range heads {
+		t, finished := terminal[h.JobID]
+		keep[i] = (!finished || t == i) && s.store.get(h.JobID) != nil
+	}
+	return keep
 }
 
 // walReplayState accumulates one job's records during replay.
@@ -318,15 +265,9 @@ func pendingFromWAL(id string, st *walReplayState) *Job {
 		ID: id, Kind: v.Kind, Name: v.Name, tenant: v.Tenant,
 		spec: v.Spec, jobSpec: v.Job, opts: v.Opts,
 		status: StatusQueued, submitted: v.SubmittedAt,
-		bc:   trainer.NewBroadcaster(),
-		done: make(chan struct{}),
-	}
-	if len(st.cases) > 0 {
-		j.resume = st.cases
-		j.walCases = make(map[int]*trainer.Result, len(st.cases))
-		for idx, res := range st.cases {
-			j.walCases[idx] = res
-		}
+		resume: st.cases,
+		bc:     trainer.NewBroadcaster(),
+		done:   make(chan struct{}),
 	}
 	if v.Job != nil {
 		// Resolution was validated at original submission; a failure here

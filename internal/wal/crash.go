@@ -1,12 +1,12 @@
 // Deterministic crash injection. The log announces every durability-
 // relevant point it passes — each append (by sequence number), the gap in
-// the middle of a segment rotation, and both halves of the compaction
-// rename — to an optional hook. Tests install a hook that panics (the
-// panic unwinds with the log's deferred unlocks intact, leaving the
-// directory exactly as a kill -9 would); the stallserved daemon arms a
-// hook from $STALLWAL_CRASH that SIGKILLs the whole process, which is how
-// the crashsmoke battery dies at a chosen WAL append with no flushes and
-// no goodbyes.
+// the middle of a segment rotation, both halves of the compaction rename,
+// and AtomicWriteFile's rename — to an optional hook. Tests install a hook
+// that panics (the panic unwinds with the log's deferred unlocks intact,
+// leaving the directory exactly as a kill -9 would); the stallserved
+// daemon arms a hook from $STALLWAL_CRASH that SIGKILLs the whole process,
+// which is how the crashsmoke battery dies at a chosen WAL append with no
+// flushes and no goodbyes.
 package wal
 
 import (
@@ -28,6 +28,9 @@ const (
 	// CrashCompactPostRename fires after the rename (and directory fsync),
 	// before the subsumed segments are deleted.
 	CrashCompactPostRename = "compact:post-rename"
+	// CrashAtomicPreRename fires inside AtomicWriteFile after the temp file
+	// is written and fsynced, before the rename makes it live.
+	CrashAtomicPreRename = "atomic:pre-rename"
 )
 
 // crashHook is the installed hook; nil when injection is off (the normal
@@ -35,9 +38,10 @@ const (
 var crashHook atomic.Pointer[func(point string)]
 
 // SetCrashHook installs f as the crash hook (nil uninstalls). f runs
-// synchronously at every crash point, while the log's internal lock is
-// held; a hook that panics leaves the directory in the exact on-disk state
-// a kill -9 at that point would.
+// synchronously at every crash point, with the log's lock held at append
+// and rotation points only, so a hook blocking at a compaction point parks
+// the compaction, not appends. A hook that panics leaves the directory in
+// the exact on-disk state a kill -9 at that point would.
 func SetCrashHook(f func(point string)) {
 	if f == nil {
 		crashHook.Store(nil)

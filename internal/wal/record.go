@@ -9,7 +9,8 @@
 // belongs to, and an opaque JSON payload whose shape the embedding store
 // (internal/server) owns. The only type wal itself interprets is
 // TypeCheckpoint, the compaction metadata record that opens every
-// checkpoint file.
+// checkpoint file; which other records a checkpoint keeps is the
+// embedder's call, and their frames are copied into it unchanged.
 //
 // Crash discipline (what a kill -9 can and cannot do):
 //
@@ -19,12 +20,13 @@
 //   - Rotation closes a full segment and creates the next; both halves are
 //     individually durable, so a crash between them just leaves a complete
 //     log with no open segment (recovery reopens or creates one).
-//   - Compaction writes the whole checkpoint to a temp file, fsyncs it,
-//     renames it over the previous checkpoint, fsyncs the directory, and
-//     only then deletes the segments it subsumed. A crash before the rename
-//     leaves the old checkpoint + all segments (replayed as before); after
-//     the rename, the new checkpoint names the segments it covers, so a
-//     crash before their deletion merely replays them idempotently.
+//   - Compaction rotates, then writes the whole checkpoint to a temp file,
+//     fsyncs it, renames it over the previous checkpoint, fsyncs the
+//     directory, and only then deletes the segments it subsumed. A crash
+//     before the rename leaves the old checkpoint + all segments (replayed
+//     as before); after the rename, the new checkpoint names the segments
+//     it covers, so a crash before their deletion merely replays them
+//     idempotently.
 package wal
 
 import (
@@ -110,26 +112,33 @@ func appendFrame(dst []byte, rec Record) ([]byte, error) {
 	return append(append(dst, hdr[:]...), payload...), nil
 }
 
-// decodeFrame decodes the record at buf[off:], returning the offset past
-// it. ok is false when the frame is torn or corrupt — short header, short
-// payload, zero or out-of-range length, checksum mismatch, or unparsable
-// payload — in which case the frame and everything after it must be
-// discarded (the clean-prefix rule).
-func decodeFrame(buf []byte, off int64) (rec Record, next int64, ok bool) {
+// frameAt checks the frame at buf[off:] and returns its payload and the
+// offset past it. ok is false when the frame is torn or corrupt — short
+// header, short payload, zero or out-of-range length, or checksum mismatch.
+func frameAt(buf []byte, off int64) (payload []byte, next int64, ok bool) {
 	if int64(len(buf))-off < headerBytes {
-		return rec, off, false
+		return nil, off, false
 	}
 	n := int64(binary.LittleEndian.Uint32(buf[off : off+4]))
 	sum := binary.LittleEndian.Uint32(buf[off+4 : off+8])
 	if n == 0 || n > maxRecordBytes || off+headerBytes+n > int64(len(buf)) {
-		return rec, off, false
+		return nil, off, false
 	}
-	payload := buf[off+headerBytes : off+headerBytes+n]
+	payload = buf[off+headerBytes : off+headerBytes+n]
 	if crc32.Checksum(payload, castagnoli) != sum {
+		return nil, off, false
+	}
+	return payload, off + headerBytes + n, true
+}
+
+// decodeFrame decodes the record at buf[off:], returning the offset past
+// it. ok is false when frameAt rejects the frame or its payload does not
+// parse, in which case the frame and everything after it must be
+// discarded (the clean-prefix rule).
+func decodeFrame(buf []byte, off int64) (rec Record, next int64, ok bool) {
+	payload, next, ok := frameAt(buf, off)
+	if !ok || json.Unmarshal(payload, &rec) != nil {
 		return rec, off, false
 	}
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return rec, off, false
-	}
-	return rec, off + headerBytes + n, true
+	return rec, next, true
 }

@@ -6,6 +6,7 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -137,6 +138,54 @@ func recoverDir(dir string, repair bool) (Recovery, layout, error) {
 		}
 	}
 	return rec, lay, nil
+}
+
+// readFrames reads what a compaction folds: the live checkpoint, less its
+// checkpoint record, then the segments after `after` up to `through`. It
+// returns each frame's bytes as stored beside its record's type and job. A
+// torn or corrupt frame is an error: Open left these files whole.
+func readFrames(dir string, after, through int) (frames [][]byte, heads []Record, err error) {
+	paths := []string{checkpointPath(dir)}
+	segs := listSegments(dir)
+	for _, n := range sortedSegments(segs) {
+		if n > after && n <= through {
+			paths = append(paths, segs[n])
+		}
+	}
+	for i, path := range paths {
+		buf, err := os.ReadFile(path)
+		if i == 0 && os.IsNotExist(err) {
+			continue
+		}
+		if err != nil {
+			return nil, nil, fmt.Errorf("wal: compact: %w", err)
+		}
+		var off int64
+		if i == 0 {
+			_, off, _ = frameAt(buf, 0)
+		}
+		for off < int64(len(buf)) {
+			payload, next, ok := frameAt(buf, off)
+			h, err := recordHead(payload)
+			if !ok || err != nil {
+				return nil, nil, fmt.Errorf("wal: compact: %s is corrupt at offset %d", path, off)
+			}
+			frames = append(frames, buf[off:next])
+			heads = append(heads, h)
+			off = next
+		}
+	}
+	return frames, heads, nil
+}
+
+// recordHead decodes a record's type and job alone: the payload, which
+// appendFrame's json.Marshal writes after them, is cut off unread.
+func recordHead(b []byte) (h Record, err error) {
+	if i := bytes.Index(b, []byte(`,"payload":`)); i >= 0 {
+		b = append(b[:i:i], '}')
+	}
+	err = json.Unmarshal(b, &h)
+	return h, err
 }
 
 // ReadAll scans dir read-only — no truncation, no deletion — and returns

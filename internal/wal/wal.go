@@ -1,7 +1,6 @@
 // The log writer: rotating segment files plus a checkpoint, with a
-// configurable fsync policy. All appends and compactions serialize on one
-// mutex; the embedder must never call Append while holding a lock its
-// compaction gather callback also takes (the log's lock is the outermost).
+// configurable fsync policy. Appends serialize on one mutex; a compaction
+// holds it only to rotate, and copies the rotated frames off it.
 package wal
 
 import (
@@ -96,6 +95,11 @@ type Log struct {
 	buf     []byte
 	closed  bool
 
+	// compactMu serializes Compact calls and guards through, the last
+	// segment the live checkpoint subsumes; it is never taken under mu.
+	compactMu sync.Mutex
+	through   int
+
 	stop     chan struct{}
 	syncLoop sync.WaitGroup
 }
@@ -112,7 +116,7 @@ func Open(opt Options) (*Log, Recovery, error) {
 	if err != nil {
 		return nil, rec, err
 	}
-	l := &Log{opt: opt, stop: make(chan struct{})}
+	l := &Log{opt: opt, stop: make(chan struct{}), through: lay.through}
 	if lay.lastSeg > 0 && lay.lastSize < opt.SegmentBytes {
 		f, err := os.OpenFile(segPath(opt.Dir, lay.lastSeg), os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
@@ -204,74 +208,63 @@ func (l *Log) rotateLocked() error {
 	return l.openSegment(l.seg + 1)
 }
 
-// Compact folds the log into a fresh checkpoint. gather runs with the log
-// lock held — appends are stalled — so the state it snapshots is exactly
-// the state the log's records describe; anything the embedder mutates
-// before an Append is therefore never lost to a checkpoint race. The new
-// checkpoint is written to a temp file, fsynced, renamed live, the
+// Compact folds the log into a fresh checkpoint. It holds the log lock
+// only to rotate; the files it then reads (the live checkpoint and the
+// rotated segments) are never written again, so appends go on meanwhile.
+// keep sees their records in replay order, type and job only, and answers
+// index for index which survive; their frames are copied byte for byte.
+// The checkpoint is written to a temp file, fsynced, renamed live, the
 // directory fsynced, and only then are the subsumed segments removed; a
 // crash anywhere in between recovers to either the old records or the new
 // checkpoint, never to a mix.
-func (l *Log) Compact(gather func() []Record) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return errClosed
-	}
-	recs := gather()
-	through := l.seg
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("wal: compact fsync: %w", err)
-	}
-	if err := l.f.Close(); err != nil {
-		return fmt.Errorf("wal: compact close: %w", err)
-	}
-	l.f = nil
-
-	tmp := checkpointPath(l.opt.Dir) + ".tmp"
-	metaPayload, err := json.Marshal(checkpointMeta{Through: through})
+func (l *Log) Compact(keep func(heads []Record) []bool) error {
+	l.compactMu.Lock()
+	defer l.compactMu.Unlock()
+	through, err := func() (int, error) {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		if l.closed {
+			return 0, errClosed
+		}
+		through := l.seg
+		return through, l.rotateLocked()
+	}()
 	if err != nil {
-		return fmt.Errorf("wal: checkpoint meta: %w", err)
-	}
-	buf := l.buf[:0]
-	if buf, err = appendFrame(buf, Record{Type: TypeCheckpoint, Payload: metaPayload}); err != nil {
 		return err
 	}
-	for _, r := range recs {
-		if buf, err = appendFrame(buf, r); err != nil {
-			return err
+
+	frames, heads, err := readFrames(l.opt.Dir, l.through, through)
+	if err != nil {
+		return err
+	}
+	kept := keep(heads)
+	meta, _ := json.Marshal(checkpointMeta{Through: through})
+	out := make([][]byte, 1, 64)
+	if out[0], err = Encode(Record{Type: TypeCheckpoint, Payload: meta}); err != nil {
+		return err
+	}
+	for i, fr := range frames {
+		if !kept[i] {
+			continue
+		}
+		// Kept frames adjacent in one file go out as one write.
+		if last := out[len(out)-1]; cap(last) > len(last) && &last[:len(last)+1][len(last)] == &fr[0] {
+			out[len(out)-1] = last[:len(last)+len(fr)]
+		} else {
+			out = append(out, fr)
 		}
 	}
-	l.buf = buf
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
+	if err := writeAtomic(checkpointPath(l.opt.Dir), 0o644, CrashCompactPreRename, out...); err != nil {
 		return fmt.Errorf("wal: checkpoint: %w", err)
 	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		return fmt.Errorf("wal: checkpoint write: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("wal: checkpoint fsync: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("wal: checkpoint close: %w", err)
-	}
-	crashPoint(CrashCompactPreRename)
-	if err := os.Rename(tmp, checkpointPath(l.opt.Dir)); err != nil {
-		return fmt.Errorf("wal: checkpoint rename: %w", err)
-	}
-	if err := syncDir(l.opt.Dir); err != nil {
-		return err
-	}
+	l.through = through
 	crashPoint(CrashCompactPostRename)
 	for n := range listSegments(l.opt.Dir) {
 		if n <= through {
 			os.Remove(segPath(l.opt.Dir, n))
 		}
 	}
-	return l.openSegment(through + 1)
+	return nil
 }
 
 // Sync flushes the active segment to stable storage.
@@ -390,16 +383,23 @@ func syncDir(dir string) error {
 // AtomicWriteFile writes data to path crash-atomically: a temp file beside
 // it is written, fsynced, renamed over path, and the directory fsynced —
 // at every kill -9 point the old bytes or the new bytes are on disk, never
-// a torn mix. The job service's legacy snapshot export uses it too.
+// a torn mix. It announces CrashAtomicPreRename before the rename.
 func AtomicWriteFile(path string, data []byte, perm os.FileMode) error {
+	return writeAtomic(path, perm, CrashAtomicPreRename, data)
+}
+
+// writeAtomic is AtomicWriteFile for data in pieces, announcing point.
+func writeAtomic(path string, perm os.FileMode, point string, data ...[]byte) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, perm)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
+	for _, b := range data {
+		if _, err := f.Write(b); err != nil {
+			f.Close()
+			return err
+		}
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
@@ -408,7 +408,7 @@ func AtomicWriteFile(path string, data []byte, perm os.FileMode) error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	crashPoint(CrashCompactPreRename)
+	crashPoint(point)
 	if err := os.Rename(tmp, path); err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -282,7 +283,7 @@ func TestCompactionSubsumesSegments(t *testing.T) {
 			kept = append(kept, r)
 		}
 	}
-	if err := l.Compact(func() []Record { return kept }); err != nil {
+	if err := l.Compact(keepIndex(func(i int) bool { return i%2 == 0 })); err != nil {
 		t.Fatalf("Compact: %v", err)
 	}
 	post := testRecord(777)
@@ -302,6 +303,135 @@ func TestCompactionSubsumesSegments(t *testing.T) {
 	mustAppend(t, l2, testRecord(888))
 	if err := l2.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
+	}
+}
+
+// keepIndex adapts a predicate on a record's position in the compacted
+// history to Compact's keep callback.
+func keepIndex(keep func(i int) bool) func([]Record) []bool {
+	return func(heads []Record) []bool {
+		out := make([]bool, len(heads))
+		for i := range out {
+			out[i] = keep(i)
+		}
+		return out
+	}
+}
+
+// TestAppendProceedsDuringCompaction: a compaction holds the log lock only
+// to rotate, so an append from another goroutine returns while a hook
+// parks the compaction just before its rename.
+func TestAppendProceedsDuringCompaction(t *testing.T) {
+	l, _, dir := openTest(t, Options{SegmentBytes: 200})
+	var all []Record
+	for i := 0; i < 10; i++ {
+		all = append(all, testRecord(i))
+	}
+	mustAppend(t, l, all...)
+	parked, release := make(chan struct{}), make(chan struct{})
+	SetCrashHook(func(p string) {
+		if p == CrashCompactPreRename {
+			close(parked)
+			<-release
+		}
+	})
+	defer SetCrashHook(nil)
+	compacted := make(chan error, 1)
+	go func() { compacted <- l.Compact(keepIndex(func(i int) bool { return i%3 == 0 })) }()
+	select {
+	case <-parked:
+	case <-time.After(10 * time.Second):
+		t.Fatal("compaction never reached its rename")
+	}
+	post := testRecord(500)
+	appended := make(chan error, 1)
+	go func() { appended <- l.Append(post) }()
+	select {
+	case err := <-appended:
+		if err != nil {
+			t.Fatalf("Append during compaction: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		close(release)
+		t.Fatal("Append blocked behind a parked compaction")
+	}
+	close(release)
+	if err := <-compacted; err != nil {
+		t.Fatalf("Compact: %v", err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	rec, err := ReadAll(dir)
+	if err != nil {
+		t.Fatalf("ReadAll: %v", err)
+	}
+	sameRecords(t, rec.Records, []Record{all[0], all[3], all[6], all[9], post})
+}
+
+// TestCheckpointCopiesFrames: keep sees every record's type and job, and
+// the checkpoint's kept frames are the source segments' frames byte for
+// byte, behind the one checkpoint record.
+func TestCheckpointCopiesFrames(t *testing.T) {
+	l, _, dir := openTest(t, Options{SegmentBytes: 200})
+	var all []Record
+	for i := 0; i < 28; i++ {
+		all = append(all, testRecord(i))
+	}
+	all = append(all,
+		Record{Type: TypeSubmitted, JobID: `job "7" <&>`},
+		Record{Type: TypeTerminal, Payload: []byte(`{"job_id":"decoy","payload":1}`)})
+	mustAppend(t, l, all...)
+	var src [][]byte
+	segs := listSegments(dir)
+	for _, n := range sortedSegments(segs) {
+		buf, err := os.ReadFile(segs[n])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for off := int64(0); off < int64(len(buf)); {
+			_, next, ok := frameAt(buf, off)
+			if !ok {
+				t.Fatalf("%s: bad frame at %d", segs[n], off)
+			}
+			src = append(src, buf[off:next])
+			off = next
+		}
+	}
+	if len(src) != 30 {
+		t.Fatalf("segments hold %d frames, want 30", len(src))
+	}
+	keep := func(i int) bool { return i%4 != 1 }
+	err := l.Compact(func(heads []Record) []bool {
+		for i, h := range heads {
+			if h.Type != all[i].Type || h.JobID != all[i].JobID || h.Payload != nil {
+				t.Errorf("head %d = %+v, want type %s job %q", i, h, all[i].Type, all[i].JobID)
+			}
+		}
+		return keepIndex(keep)(heads)
+	})
+	if err != nil {
+		t.Fatalf("Compact: %v", err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	cp, err := os.ReadFile(checkpointPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, off, ok := decodeFrame(cp, 0)
+	if !ok || meta.Type != TypeCheckpoint {
+		t.Fatalf("checkpoint opens with %+v, want a %s record", meta, TypeCheckpoint)
+	}
+	var want []byte
+	for i, fr := range src {
+		if keep(i) {
+			want = append(want, fr...)
+		}
+	}
+	if !bytes.Equal(cp[off:], want) {
+		t.Fatalf("checkpoint body is not the kept source frames:\n got %q\nwant %q", cp[off:], want)
 	}
 }
 
@@ -375,7 +505,7 @@ func TestCrashMidCompaction(t *testing.T) {
 			mustAppend(t, l, all...)
 			kept := all[:6]
 			crashed := withCrash(t, point, func() {
-				l.Compact(func() []Record { return kept })
+				l.Compact(keepIndex(func(i int) bool { return i < len(kept) }))
 			})
 			if !crashed {
 				t.Fatalf("%s never fired", point)
@@ -508,7 +638,7 @@ func TestAtomicWriteFile(t *testing.T) {
 		t.Fatalf("AtomicWriteFile: %v", err)
 	}
 	// A crash before the rename must leave the previous contents intact.
-	crashed := withCrash(t, CrashCompactPreRename, func() {
+	crashed := withCrash(t, CrashAtomicPreRename, func() {
 		AtomicWriteFile(path, []byte("v2"), 0o644)
 	})
 	if !crashed {

@@ -1,12 +1,14 @@
 #!/bin/sh
 # End-to-end crash-safety smoke of stallserved's WAL, run by
-# `make crashsmoke` locally and in CI. One sweep is run three ways on real
+# `make crashsmoke` locally and in CI. One sweep is run five ways on real
 # processes: uninterrupted (the golden), killed at a deterministic WAL
-# append via the STALLWAL_CRASH self-SIGKILL injection, and killed with a
-# plain untimed kill -9 mid-sweep. Both crashed servers are restarted on
-# their WAL directories and must resume — serving already-simulated cells
-# from the log — and finish with /v1/query bytes identical to the golden:
-# a kill -9 must be invisible in the results.
+# append via the STALLWAL_CRASH self-SIGKILL injection, killed with a
+# plain untimed kill -9 mid-sweep, and killed on either side of the
+# checkpoint rename of the compaction its terminal record starts. Every
+# crashed server is restarted on its WAL directory and must finish — the
+# mid-sweep ones resuming, serving already-simulated cells from the log —
+# with /v1/query bytes identical to the golden: a kill -9 must be
+# invisible in the results.
 set -eu
 
 BUILD_DIR=${BUILD_DIR:-build}
@@ -17,13 +19,15 @@ LOG1=$BUILD_DIR/crashsmoke-crash1.log
 LOG1R=$BUILD_DIR/crashsmoke-recover1.log
 LOG2=$BUILD_DIR/crashsmoke-crash2.log
 LOG2R=$BUILD_DIR/crashsmoke-recover2.log
+LOG3=$BUILD_DIR/crashsmoke-crash3.log
+LOG3R=$BUILD_DIR/crashsmoke-recover3.log
 SPEC=$BUILD_DIR/crashsmoke-spec.json
 QUERY='{"order_by":[{"col":"case_id"}]}'
 SRVPID=
 
 fail() {
   echo "crashsmoke: FAIL: $*" >&2
-  for f in "$LOGG" "$LOG1" "$LOG1R" "$LOG2" "$LOG2R"; do
+  for f in "$LOGG" "$LOG1" "$LOG1R" "$LOG2" "$LOG2R" "$LOG3" "$LOG3R"; do
     [ -f "$f" ] && sed "s|^|crashsmoke: $(basename "$f"): |" "$f" >&2 || true
   done
   exit 1
@@ -158,4 +162,45 @@ $(diff "$BUILD_DIR/crashsmoke-golden.ndjson" "$BUILD_DIR/crashsmoke-recover2.ndj
 kill -TERM "$SRVPID"
 wait "$SRVPID" || fail "post-kill server exited non-zero on SIGTERM"
 echo "crashsmoke: untimed kill -9 resumed to a byte-identical golden"
+
+# --- Phase 3: crash mid-compaction, with memo entries written too. ---
+# -wal-compact 1 compacts behind the sweep's terminal record. Memo entry
+# writes announce their own crash point, so the armed compaction point
+# fires only in the compaction: before the rename the temp checkpoint is
+# left beside the old segments; after it the live checkpoint is, with the
+# segments it subsumes not yet deleted. Either way the restart replays the
+# finished job with no load error.
+for POINT in pre-rename post-rename; do
+  WAL3=$BUILD_DIR/crashsmoke-wal-3-$POINT
+  MEMO3=$BUILD_DIR/crashsmoke-memo-3-$POINT
+  rm -rf "$WAL3" "$MEMO3"
+  STALLWAL_CRASH=compact:$POINT "$BUILD_DIR/stallserved" -addr 127.0.0.1:"$PORT" -workers 1 \
+    -wal "$WAL3" -wal-compact 1 -memo "$MEMO3" >"$LOG3" 2>&1 &
+  SRVPID=$!
+  wait_healthy "crash3 $POINT"
+  curl -sf -X POST "$URL/v1/jobs" -d @"$SPEC" >/dev/null || fail "crash3 $POINT submit"
+  wait_dead "$SRVPID" "server survived its armed compact:$POINT crash point"
+  if [ "$POINT" = pre-rename ]; then
+    [ -f "$WAL3/checkpoint.wal.tmp" ] || fail "compact:pre-rename left no checkpoint.wal.tmp"
+  else
+    [ -f "$WAL3/checkpoint.wal" ] && [ -f "$WAL3/seg-00000001.wal" ] ||
+      fail "compact:post-rename left no live checkpoint beside its subsumed segment"
+  fi
+  echo "crashsmoke: server self-killed at compact:$POINT"
+
+  "$BUILD_DIR/stallserved" -addr 127.0.0.1:"$PORT" -workers 1 \
+    -wal "$WAL3" -wal-compact 1 -memo "$MEMO3" >"$LOG3R" 2>&1 &
+  SRVPID=$!
+  wait_healthy "recover3 $POINT"
+  grep -q '(0 load error(s))' "$LOG3R" || fail "restart after compact:$POINT reported load errors"
+  JOB_ID=job-000001
+  wait_completed "recover3 $POINT"
+  curl -sf -X POST "$URL/v1/query" -d "$QUERY" >"$BUILD_DIR/crashsmoke-recover3.ndjson" || fail "recover3 $POINT query"
+  cmp -s "$BUILD_DIR/crashsmoke-golden.ndjson" "$BUILD_DIR/crashsmoke-recover3.ndjson" ||
+    fail "/v1/query after compact:$POINT differs from the no-crash golden:
+$(diff "$BUILD_DIR/crashsmoke-golden.ndjson" "$BUILD_DIR/crashsmoke-recover3.ndjson" || true)"
+  kill -TERM "$SRVPID"
+  wait "$SRVPID" || fail "server recovered from compact:$POINT exited non-zero on SIGTERM"
+  echo "crashsmoke: crash at compact:$POINT replayed to a byte-identical golden"
+done
 echo "crashsmoke: PASS"
