@@ -4,16 +4,17 @@
 //
 //	resume -> dedupe -> memo -> run -> done hook, inside one case span.
 //
-// Callers differ only in configuration: where a cell runs (LocalRunner
-// in-process, or a remote dispatcher), whether unique cells run serially
-// in index order or one goroutine each, and the hooks a service supplies to
-// resume from and log to its write-ahead log.
+// Callers differ only in configuration: where unique cells run (a RunCell
+// such as LocalRunner, serially in index order, or a RunBatch that takes
+// every cell left after resume, dedupe and the memo at once — the
+// coordinator's dispatcher), and the hooks a service supplies to resume
+// from and log to its write-ahead log.
 package experiments
 
 import (
 	"context"
+	"fmt"
 	"strconv"
-	"sync"
 	"time"
 
 	"datastall/internal/memo"
@@ -22,19 +23,28 @@ import (
 )
 
 // RunCell produces one cell's result. sp is the cell's case span: a local
-// runner hangs its simulate span under it, a remote one its dispatch
-// attempts.
+// runner hangs its simulate span under it.
 type RunCell func(ctx context.Context, c SpecCase, sp obs.Span) (*trainer.Result, error)
 
-// Executor runs grid cells through the per-cell pipeline. Run is required;
-// the other fields are for callers that persist progress.
+// RunBatch produces the results of several unique cells together; spans[k]
+// is cells[k]'s case span, under which a remote runner hangs its dispatch
+// attempts. It calls deliver(k, res) once for each cell as its result
+// arrives, from any goroutine and in any order, and returns only once no
+// further call can happen. An error fails the grid.
+type RunBatch func(ctx context.Context, cells []SpecCase, spans []obs.Span, deliver func(k int, res *trainer.Result)) error
+
+// Executor runs grid cells through the per-cell pipeline. One of Run and
+// Batch is required; the other fields are for callers that persist
+// progress.
 type Executor struct {
-	// Run produces a unique cell's result on a memo miss (or without a memo).
+	// Run produces a unique cell's result on a memo miss (or without a
+	// memo). Cells run serially in index order, so Done fires in index
+	// order too.
 	Run RunCell
-	// Parallel runs every unique cell on its own goroutine, leaving Run to
-	// bound real concurrency; otherwise cells run serially in index order,
-	// so Done fires in index order too. The first error cancels the rest.
-	Parallel bool
+	// Batch, when set, replaces Run: it is called once, with every unique
+	// cell that resume and the memo did not serve, and Done fires as each
+	// result is delivered.
+	Batch RunBatch
 	// Resume holds results an earlier, interrupted run already captured, by
 	// cell index. Those cells are served as-is: never run, never Done.
 	Resume map[int]*trainer.Result
@@ -112,16 +122,13 @@ func (e Executor) Execute(ctx context.Context, cells []SpecCase, o Options) ([]*
 		writes = new(memo.Writes)
 		defer flush(writes, o.Trace)
 	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
 	results := make([]*trainer.Result, len(cells))
+	// In batch mode, missed collects the unique cells the memo did not
+	// serve, with their open case spans, and dups the duplicates, copied
+	// once the batch has delivered their leaders.
 	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-		// dups are parallel-mode duplicates, copied once every leader is
-		// done; serially a leader always finishes before its duplicates.
-		dups []int
+		missed, dups []int
+		spans        []obs.Span
 	)
 	for i, c := range cells {
 		switch {
@@ -131,46 +138,84 @@ func (e Executor) Execute(ctx context.Context, cells []SpecCase, o Options) ([]*
 			sp := openCase(o.Trace, c)
 			sp.Event("case_resumed")
 			sp.End()
-		case leader[i] != i && e.Parallel:
+		case leader[i] != i && e.Batch != nil:
 			dups = append(dups, i)
 		case leader[i] != i:
 			results[i] = results[leader[i]]
 			e.copied(c, results[i], o.Trace)
-		case !e.Parallel:
+		case e.Batch == nil:
 			res, err := e.runCell(ctx, c, keys[i], o, writes)
 			if err != nil {
 				return nil, err
 			}
 			results[i] = res
 		default:
-			wg.Add(1)
-			// i and c are passed, not captured: a captured loop variable
-			// would be heap-allocated on every iteration, serial ones too.
-			go func(i int, c SpecCase) {
-				defer wg.Done()
-				res, err := e.runCell(ctx, c, keys[i], o, writes)
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-						cancel()
-					}
-					mu.Unlock()
-					return
+			e.start(c, false)
+			sp := openCase(o.Trace, c)
+			if o.Memo != nil && keys[i].Hash != "" {
+				began := time.Now()
+				if res, ok := o.Memo.Peek(keys[i], writes); ok {
+					sp.Event("memo_lookup").SetAttr("hit", "true")
+					results[i] = res
+					e.done(c, res, time.Since(began), sp)
+					continue
 				}
-				results[i] = res
-			}(i, c)
+			}
+			missed = append(missed, i)
+			spans = append(spans, sp)
 		}
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	if e.Batch == nil {
+		return results, nil
+	}
+	if err := e.runBatch(ctx, cells, missed, spans, keys, o, writes, results); err != nil {
+		return nil, err
 	}
 	for _, i := range dups {
 		results[i] = results[leader[i]]
 		e.copied(cells[i], results[i], o.Trace)
 	}
 	return results, nil
+}
+
+// runBatch hands the missed cells to the batch runner. A delivered result
+// goes through the memo's Do, which counts the miss, publishes the entry
+// and writes it behind; the result is already in hand, so Do's flight never
+// waits on a dispatch, and two grids sharing a cell cannot deadlock.
+func (e Executor) runBatch(ctx context.Context, cells []SpecCase, missed []int, spans []obs.Span, keys []memo.Key, o Options, writes *memo.Writes, results []*trainer.Result) error {
+	if len(missed) == 0 {
+		return nil
+	}
+	batch := make([]SpecCase, len(missed))
+	for k, i := range missed {
+		batch[k] = cells[i]
+	}
+	began := time.Now()
+	delivered := make([]bool, len(missed))
+	err := e.Batch(ctx, batch, spans, func(k int, res *trainer.Result) {
+		i := missed[k]
+		if key := keys[i]; o.Memo != nil && key.Hash != "" {
+			got, hit, err := o.Memo.Do(ctx, key, writes, func() (*trainer.Result, error) { return res, nil })
+			if err == nil {
+				res = got
+			}
+			spans[k].Event("memo_lookup").SetAttr("hit", strconv.FormatBool(hit))
+		}
+		results[i] = res
+		delivered[k] = true
+		e.done(cells[i], res, time.Since(began), spans[k])
+	})
+	for k, sp := range spans {
+		if delivered[k] {
+			continue
+		}
+		if err == nil {
+			err = fmt.Errorf("case %d: the batch runner returned without its result", cells[missed[k]].Index)
+		}
+		sp.SetAttr("error", err.Error())
+		sp.End()
+	}
+	return err
 }
 
 // runCell takes one unique cell through the memo (when o has one and the
@@ -194,11 +239,16 @@ func (e Executor) runCell(ctx context.Context, c SpecCase, key memo.Key, o Optio
 		sp.End()
 		return nil, err
 	}
+	e.done(c, res, time.Since(began), sp)
+	return res, nil
+}
+
+// done reports a captured cell to the Done hook and ends its case span.
+func (e Executor) done(c SpecCase, res *trainer.Result, took time.Duration, sp obs.Span) {
 	if e.Done != nil {
-		e.Done(c, res, time.Since(began))
+		e.Done(c, res, took)
 	}
 	sp.End()
-	return res, nil
 }
 
 // flush waits until the writes of the memo entries a grid wrote, or was
@@ -220,11 +270,8 @@ func flush(writes *memo.Writes, parent obs.Span) {
 func (e Executor) copied(c SpecCase, res *trainer.Result, parent obs.Span) {
 	e.start(c, false)
 	sp := openCase(parent, c)
-	if e.Done != nil {
-		e.Done(c, res, 0)
-	}
 	sp.Event("case_dedup")
-	sp.End()
+	e.done(c, res, 0, sp)
 }
 
 func (e Executor) start(c SpecCase, resumed bool) {
@@ -233,8 +280,8 @@ func (e Executor) start(c SpecCase, resumed bool) {
 	}
 }
 
-// openCase opens a cell's case span on its own thread track (cells of a
-// parallel run overlap), labelled with the cell's axis coordinates; a
+// openCase opens a cell's case span on its own thread track (the cells of
+// a batch overlap), labelled with the cell's axis coordinates; a
 // single job's one cell has none.
 func openCase(parent obs.Span, c SpecCase) obs.Span {
 	sp := parent.StartThread("case")

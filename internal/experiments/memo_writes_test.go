@@ -3,6 +3,7 @@ package experiments_test
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -85,6 +86,29 @@ func cellKeys(t *testing.T, cells []experiments.SpecCase, o experiments.Options)
 	return keys
 }
 
+// concurrentBatch is a coordinator-style batch runner: every cell of the
+// batch runs at once, each on its own goroutine.
+func concurrentBatch(run experiments.RunCell) experiments.RunBatch {
+	return func(ctx context.Context, cells []experiments.SpecCase, spans []obs.Span, deliver func(int, *trainer.Result)) error {
+		var wg sync.WaitGroup
+		errs := make([]error, len(cells))
+		for k := range cells {
+			wg.Add(1)
+			go func(k int) {
+				defer wg.Done()
+				res, err := run(ctx, cells[k], spans[k])
+				if err != nil {
+					errs[k] = err
+					return
+				}
+				deliver(k, res)
+			}(k)
+		}
+		wg.Wait()
+		return errors.Join(errs...)
+	}
+}
+
 // TestExecuteWritesBehind pins the write-behind contract of the cell
 // executor: memo entries are written after their cells return, yet every
 // entry a grid's cells wrote is durable when Execute returns.
@@ -123,8 +147,11 @@ func TestExecuteWritesBehind(t *testing.T) {
 				wg.Add(1)
 				go func(g int) {
 					defer wg.Done()
-					// One serial worker, one parallel coordinator-style grid.
-					e := experiments.Executor{Run: experiments.LocalRunner(o), Parallel: g == 1}
+					// One serial worker, one coordinator-style batch grid.
+					e := experiments.Executor{Run: experiments.LocalRunner(o)}
+					if g == 1 {
+						e = experiments.Executor{Batch: concurrentBatch(experiments.LocalRunner(o))}
+					}
 					if _, err := e.Execute(context.Background(), cells, o); err != nil {
 						errs[g] = err
 						return

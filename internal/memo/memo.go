@@ -367,6 +367,22 @@ func (c *Cache) Get(key Key) (*trainer.Result, bool) {
 	return nil, false
 }
 
+// Peek is the first half of a lookup whose miss is produced elsewhere — a
+// coordinator dispatches every missed cell of a grid together, so it
+// cannot hold Do's flight open while a cell waits for the rest. A hit is
+// counted and joins w to the entry's write if that is still in flight, as
+// Do's hit does. A miss is not counted: the caller hands the result it
+// then produces to Do, which counts it once, as a miss if the caller leads
+// or as a hit if another caller published the entry first.
+func (c *Cache) Peek(key Key, w *Writes) (*trainer.Result, bool) {
+	res, ok := c.lookup(key)
+	if ok {
+		c.hits.Add(1)
+		c.join(key.Hash, w)
+	}
+	return res, ok
+}
+
 // lookup checks memory then disk without touching the hit/miss counters.
 func (c *Cache) lookup(key Key) (res *trainer.Result, ok bool) {
 	if c.onLookup != nil {
@@ -589,9 +605,7 @@ func (c *Cache) dropDisk(hash string, evict bool) {
 // write has ended. A hit on an entry whose write is still in flight joins
 // w to that write too. Put is the synchronous alternative.
 func (c *Cache) Do(ctx context.Context, key Key, w *Writes, fn func() (*trainer.Result, error)) (res *trainer.Result, hit bool, err error) {
-	if res, ok := c.lookup(key); ok {
-		c.hits.Add(1)
-		c.join(key.Hash, w)
+	if res, ok := c.Peek(key, w); ok {
 		return res, true, nil
 	}
 	var led bool

@@ -1,30 +1,34 @@
 // Coordinator mode: scatter/gather execution of a Spec's case grid across
 // a fleet of stallserved workers, over the same public HTTP API clients
 // use. A coordinator runs the one cell executor RunSpec runs
-// (experiments.Executor), configured with coordRunner as its runner and
-// one goroutine per unique cell, bounded by per-worker in-flight
-// semaphores. WAL resume, dedupe and memo lookups happen in the executor
-// before a cell reaches the wire. The gathered results assemble through
-// experiments.AssembleReport exactly as RunSpec's do, so the Report is
-// byte-identical to a single-node run by construction: each cell ships as
-// a (JobSpec, Options) pair, the worker resolves and runs the same
+// (experiments.Executor), configured with coordBatch as its batch runner:
+// WAL resume, dedupe and memo lookups happen in the executor, and every
+// cell left goes to the fleet in one call. The gathered results assemble
+// through experiments.AssembleReport exactly as RunSpec's do, so the
+// Report is byte-identical to a single-node run by construction: each cell
+// ships as a (JobSpec, Options) pair, the worker resolves and runs the same
 // deterministic simulation, and the result's float64 fields survive the
 // JSON hop exactly (Go emits shortest-roundtrip floats). A single job is a
 // one-cell grid, forwarded whole.
 //
-// A cell costs two requests: POST /v1/jobs, then GET /v1/jobs/{id}/events
-// read to the closing job_done line, which carries the remote job's status,
-// its result and the worker's span records (the submit sends a
-// traceparent), grafted under the attempt span. Connections to each worker
-// are pooled, one per in-flight cell.
+// Each worker gets its share of the cells as at most WorkerInflight
+// batches, the share dealt round-robin in index order. A batch costs two
+// requests: POST /v1/jobs with {"jobs": [...]}, then GET
+// /v1/jobs/{id}/events, which streams a case_done event with each entry's
+// index and result as the worker captures it, and closes with job_done,
+// carrying the status, every result and the worker's span records (the
+// submit sends a traceparent); each cell's part of the worker's span tree
+// is grafted under its attempt span. Connections to each worker are pooled, one per
+// in-flight batch.
 //
 // Placement is a consistent-hash ring (FNV-64a finalized by splitmix64's
 // mixer, virtual nodes) keyed by the cell's grid coordinates, so a
 // re-submitted spec routes its cells to the same workers. Failures —
 // transport errors, 5xx, an event stream that breaks before job_done, a
 // worker-side panic captured by that worker's own isolation — mark the
-// worker unhealthy and re-route the cell to the next distinct ring
-// successor after exponential backoff; a background probe restores workers
+// worker unhealthy and re-route the batch's cells that had no case_done
+// yet to their next distinct ring successors after exponential backoff; a
+// background probe restores workers
 // whose /healthz answers again. Deterministic failures (4xx at submit, a
 // simulation error) are permanent and fail the job without burning
 // retries.
@@ -43,6 +47,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -229,149 +234,263 @@ func (c *coordinator) probe(ctx context.Context, w *coordWorker) bool {
 	return resp.StatusCode == http.StatusOK
 }
 
-// coordRunner is the coordinator's cell runner: every cell the executor
-// does not resume, dedupe or serve from the memo goes to the fleet through
-// coordRunCase. Spec cells route by their grid coordinates; a single job
-// routes by its own identity, with the job ID kept out of the span
-// attribute so trace topology is stable across reruns.
-func (s *Server) coordRunner(j *Job) experiments.RunCell {
-	return func(ctx context.Context, c experiments.SpecCase, sp obs.Span) (*trainer.Result, error) {
-		key := j.Name + "/" + c.Row + "/" + c.Case
-		attr := key
-		if j.Kind == KindJob {
-			attr = "job/" + j.Name
-			key = attr + "/" + j.ID
+// coordCell is one cell of a coordinator job on its way to the fleet: its
+// position in the executor's batch, its routing key and ring succession,
+// its case span, and the attempt span and delivery state of its current
+// dispatch (owned by the one goroutine that dispatches it).
+type coordCell struct {
+	k     int
+	key   string
+	job   experiments.JobSpec
+	order []*coordWorker
+	span  obs.Span
+
+	att       obs.Span
+	delivered bool
+}
+
+// coordDispatch is one Execute call's scatter: every batch it sends and
+// re-sends, and the first error, which cancels the rest.
+type coordDispatch struct {
+	s       *Server
+	j       *Job
+	ctx     context.Context
+	cancel  context.CancelFunc
+	deliver func(k int, res *trainer.Result)
+	wg      sync.WaitGroup
+	mu      sync.Mutex
+	err     error
+}
+
+// coordBatch is the coordinator's batch runner: the cells the executor
+// did not resume, dedupe or serve from the memo go to the fleet together.
+// Spec cells route by their grid coordinates; a single job routes by its
+// own identity, with the job ID kept out of the span attribute so trace
+// topology is stable across reruns, and a batch's entries by their index.
+func (s *Server) coordBatch(j *Job) experiments.RunBatch {
+	return func(ctx context.Context, cells []experiments.SpecCase, spans []obs.Span, deliver func(int, *trainer.Result)) error {
+		d := &coordDispatch{s: s, j: j, deliver: deliver}
+		d.ctx, d.cancel = context.WithCancel(ctx)
+		defer d.cancel()
+		all := make([]*coordCell, len(cells))
+		for k, c := range cells {
+			var key, attr string
+			switch j.Kind {
+			case KindSpec:
+				key = j.Name + "/" + c.Row + "/" + c.Case
+				attr = key
+			case KindJob:
+				attr = "job/" + j.Name
+				key = attr + "/" + j.ID
+			default:
+				attr = "batch/" + strconv.Itoa(c.Index)
+				key = attr + "/" + j.ID
+			}
+			spans[k].SetAttr("case_key", attr)
+			all[k] = &coordCell{k: k, key: key, job: c.Job, order: s.coord.succession(key), span: spans[k]}
 		}
-		sp.SetAttr("case_key", attr)
-		res, err := s.coordRunCase(ctx, j, key, c.Job, sp)
-		if err != nil {
-			return nil, fmt.Errorf("case %s: %w", key, err)
-		}
-		return res, nil
+		d.scatter(all, 0)
+		d.wg.Wait()
+		return d.err
 	}
 }
 
-// coordRunCase runs one cell remotely with re-routing: each attempt picks
-// the next healthy worker on the cell's ring succession, with exponential
-// backoff between attempts. Permanent errors (invalid workload,
-// deterministic failure) abort immediately.
-func (s *Server) coordRunCase(ctx context.Context, j *Job, key string, js experiments.JobSpec, caseSpan obs.Span) (*trainer.Result, error) {
-	c := s.coord
-	order := c.succession(key)
-	var lastErr error
-	for attempt := 0; attempt <= c.retries; attempt++ {
-		if attempt > 0 {
-			s.metrics.caseRetries.Add(1)
-			d := c.backoff << (attempt - 1)
-			if d > 5*time.Second {
-				d = 5 * time.Second
-			}
-			select {
-			case <-time.After(d):
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
+// scatter sends cells, all at the same attempt, to the attempt-th healthy
+// worker of each one's succession: a worker's share goes out round-robin,
+// in index order, as at most its in-flight bound of batches (more only
+// when a batch would otherwise pass maxBatchJobs).
+func (d *coordDispatch) scatter(cells []*coordCell, attempt int) {
+	shares := map[*coordWorker][]*coordCell{}
+	var workers []*coordWorker // in order of first appearance
+	for _, cl := range cells {
+		w := pick(cl.order, attempt)
+		if _, ok := shares[w]; !ok {
+			workers = append(workers, w)
 		}
-		w := pick(order, attempt)
-		if w == nil {
-			lastErr = fmt.Errorf("no healthy workers (%d configured)", len(c.workers))
-			continue
+		shares[w] = append(shares[w], cl)
+	}
+	for _, w := range workers {
+		share := shares[w]
+		n := 1 // no healthy worker: the share fails its attempt as one
+		if w != nil {
+			n = min(cap(w.sem), len(share))
 		}
+		n = max(n, (len(share)+maxBatchJobs-1)/maxBatchJobs)
+		for b := 0; b < n; b++ {
+			batch := make([]*coordCell, 0, (len(share)+n-1)/n)
+			for i := b; i < len(share); i += n {
+				batch = append(batch, share[i])
+			}
+			d.wg.Add(1)
+			go d.send(w, batch, attempt)
+		}
+	}
+}
+
+// send runs one batch on one worker. The cells it could not deliver are
+// re-routed, after exponential backoff, to their next healthy successors;
+// a permanent error (invalid workload, deterministic failure), a
+// cancellation or an exhausted retry budget fails the whole dispatch.
+func (d *coordDispatch) send(w *coordWorker, batch []*coordCell, attempt int) {
+	defer d.wg.Done()
+	s, c := d.s, d.s.coord
+	err := fmt.Errorf("no healthy workers (%d configured)", len(c.workers))
+	if w != nil {
 		select {
 		case w.sem <- struct{}{}:
-		case <-ctx.Done():
-			return nil, ctx.Err()
+		case <-d.ctx.Done():
+			d.fail(d.ctx.Err())
+			return
 		}
-		// The attempt span opens once the worker's in-flight slot is held,
-		// so it times the dispatch, not the wait for a slot.
-		att := caseSpan.Start("attempt")
-		att.SetAttr("attempt", strconv.Itoa(attempt+1))
-		att.SetAttr("worker", w.url)
-		res, err := s.coordRunOn(ctx, w, j, js, key, attempt+1, att)
+		// The attempt spans open once the worker's in-flight slot is
+		// held, so they time the dispatch, not the wait for a slot.
+		for _, cl := range batch {
+			cl.att = cl.span.Start("attempt")
+			cl.att.SetAttr("attempt", strconv.Itoa(attempt+1))
+			cl.att.SetAttr("worker", w.url)
+			cl.delivered = false
+		}
+		err = s.coordRunOn(d, w, batch, attempt+1)
 		<-w.sem
 		if err == nil {
-			att.End()
-			return res, nil
+			return
 		}
-		att.SetAttr("error", err.Error())
-		att.End()
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		var pe *permanentError
-		if errors.As(err, &pe) {
-			return nil, pe.err
-		}
-		lastErr = err
-		j.logger().Warn("case attempt failed",
-			"case_key", key, "worker", w.url,
-			"attempt", attempt+1, "max_attempts", c.retries+1, "error", err)
 	}
-	return nil, fmt.Errorf("gave up after %d attempts: %w", c.retries+1, lastErr)
+	var left []*coordCell
+	for _, cl := range batch {
+		if cl.delivered {
+			continue
+		}
+		if w != nil {
+			cl.att.SetAttr("error", err.Error())
+			cl.att.End()
+		}
+		left = append(left, cl)
+	}
+	if len(left) == 0 {
+		return // every cell arrived before the failure
+	}
+	var pe *permanentError
+	switch {
+	case d.ctx.Err() != nil:
+		d.fail(d.ctx.Err())
+		return
+	case errors.As(err, &pe):
+		d.fail(fmt.Errorf("case %s: %w", left[0].key, pe.err))
+		return
+	}
+	keys := batchKeys(left)
+	url := ""
+	if w != nil {
+		url = w.url
+	}
+	d.j.logger().Warn("case attempt failed",
+		"case_key", keys, "worker", url,
+		"attempt", attempt+1, "max_attempts", c.retries+1, "error", err)
+	if attempt >= c.retries {
+		d.fail(fmt.Errorf("case %s: gave up after %d attempts: %w", keys, c.retries+1, err))
+		return
+	}
+	s.metrics.caseRetries.Add(1)
+	select {
+	case <-time.After(min(c.backoff<<attempt, 5*time.Second)):
+	case <-d.ctx.Done():
+		d.fail(d.ctx.Err())
+		return
+	}
+	d.scatter(left, attempt+1)
+}
+
+// fail records the dispatch's first error and cancels every batch still
+// in flight.
+func (d *coordDispatch) fail(err error) {
+	d.mu.Lock()
+	if d.err == nil {
+		d.err = err
+	}
+	d.mu.Unlock()
+	d.cancel()
+}
+
+// take hands a cell's result to the executor, once: a batch delivers a
+// cell on its case_done event, and again, ignored, on job_done.
+func (d *coordDispatch) take(cl *coordCell, res *trainer.Result) {
+	if cl.delivered {
+		return
+	}
+	cl.delivered = true
+	cl.att.End()
+	d.deliver(cl.k, res)
+}
+
+// batchKeys names a batch's cells in log lines.
+func batchKeys(batch []*coordCell) string {
+	keys := make([]string, len(batch))
+	for i, cl := range batch {
+		keys[i] = cl.key
+	}
+	return strings.Join(keys, ",")
 }
 
 // markDown flags a worker unhealthy until the health loop restores it.
-func (s *Server) markDown(w *coordWorker, key string, attempt int, err error) {
+func (s *Server) markDown(w *coordWorker, keys string, attempt int, err error) {
 	if w.healthy.CompareAndSwap(true, false) {
 		s.log.Warn("coordinator: worker unhealthy",
-			"worker", w.url, "case_key", key, "attempt", attempt, "error", err)
+			"worker", w.url, "case_key", keys, "attempt", attempt, "error", err)
 	}
 }
 
-// coordRunOn runs one cell on one specific worker, whose in-flight slot the
-// caller holds: submit over POST /v1/jobs, then follow GET
-// /v1/jobs/{id}/events to job_done, which carries the outcome and, when
-// traced, the worker's spans. The error is wrapped permanent when retrying
-// elsewhere cannot help.
-func (s *Server) coordRunOn(ctx context.Context, w *coordWorker, j *Job, js experiments.JobSpec, key string, attempt int, att obs.Span) (*trainer.Result, error) {
-	s.metrics.casesDispatched.Add(1)
-	id, err := s.coordSubmit(ctx, w, j, js, key, attempt, att)
+// coordRunOn runs one batch on one specific worker, whose in-flight slot
+// the caller holds: submit over POST /v1/jobs, then follow GET
+// /v1/jobs/{id}/events, taking each cell on its case_done event, to
+// job_done, which carries every result and, when traced, the worker's
+// spans. The error is wrapped permanent when retrying elsewhere cannot
+// help.
+func (s *Server) coordRunOn(d *coordDispatch, w *coordWorker, batch []*coordCell, attempt int) error {
+	s.metrics.casesDispatched.Add(int64(len(batch)))
+	keys := batchKeys(batch)
+	id, err := s.coordSubmit(d, w, batch, keys, attempt)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	done, err := s.coordAwait(ctx, w, id, key, attempt)
-	if ctx.Err() != nil {
-		// The coordinator-side job was cancelled (DELETE or drain):
-		// release the worker promptly rather than orphaning the run.
+	done, err := s.coordAwait(d, w, id, batch, keys, attempt)
+	if d.ctx.Err() != nil {
+		// The coordinator-side job was cancelled (DELETE, drain, or a
+		// failed sibling batch): release the worker promptly rather than
+		// orphaning the run.
 		s.coord.remoteCancel(w, id)
-		return nil, ctx.Err()
+		return d.ctx.Err()
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
-	res, err := s.settle(w, key, attempt, done)
-	if err == nil {
-		// Merge the worker's own span tree under this attempt so the
-		// distributed sweep reads as one trace.
-		att.Graft(done.Spans)
-	}
-	return res, err
+	return s.settle(d, w, batch, keys, attempt, done)
 }
 
-// coordSubmit POSTs one cell to a worker and returns the remote job's ID.
-func (s *Server) coordSubmit(ctx context.Context, w *coordWorker, j *Job, js experiments.JobSpec, key string, attempt int, att obs.Span) (string, error) {
-	body, err := json.Marshal(struct {
-		Job    *experiments.JobSpec `json:"job"`
-		Scale  float64              `json:"scale,omitempty"`
-		Epochs int                  `json:"epochs,omitempty"`
-		Seed   int64                `json:"seed,omitempty"`
-	}{Job: &js, Scale: j.opts.Scale, Epochs: j.opts.Epochs, Seed: j.opts.Seed})
+// coordSubmit POSTs one batch to a worker and returns the remote job's ID.
+func (s *Server) coordSubmit(d *coordDispatch, w *coordWorker, batch []*coordCell, keys string, attempt int) (string, error) {
+	jobs := make([]experiments.JobSpec, len(batch))
+	for i, cl := range batch {
+		jobs[i] = cl.job
+	}
+	o := d.j.opts
+	body, err := json.Marshal(SubmitRequest{Jobs: jobs, Scale: o.Scale, Epochs: o.Epochs, Seed: o.Seed})
 	if err != nil {
 		return "", &permanentError{err}
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.url+"/v1/jobs", bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(d.ctx, http.MethodPost, w.url+"/v1/jobs", bytes.NewReader(body))
 	if err != nil {
 		return "", &permanentError{err}
 	}
 	req.Header.Set("Content-Type", "application/json")
-	if j.tracer != nil {
+	if d.j.tracer != nil {
 		// Propagate the trace across the hop: the worker continues this
 		// trace ID and returns its spans on job_done for the graft.
-		req.Header.Set("traceparent", obs.Traceparent(j.tracer.TraceID(), att.ID()))
+		req.Header.Set("traceparent", obs.Traceparent(d.j.tracer.TraceID(), batch[0].att.ID()))
 	}
 	resp, err := s.coord.client.Do(req)
 	if err != nil {
-		s.markDown(w, key, attempt, err)
+		s.markDown(w, keys, attempt, err)
 		return "", fmt.Errorf("submit: %w", err)
 	}
 	rb, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
@@ -383,7 +502,7 @@ func (s *Server) coordSubmit(ctx context.Context, w *coordWorker, j *Job, js exp
 		// worker dead — its /healthz still answers.
 		return "", fmt.Errorf("submit: %s: HTTP %d: %s", w.url, resp.StatusCode, firstLine(rb))
 	case resp.StatusCode >= 500:
-		s.markDown(w, key, attempt, fmt.Errorf("submit: HTTP %d", resp.StatusCode))
+		s.markDown(w, keys, attempt, fmt.Errorf("submit: HTTP %d", resp.StatusCode))
 		return "", fmt.Errorf("submit: %s: HTTP %d: %s", w.url, resp.StatusCode, firstLine(rb))
 	default:
 		// 4xx: the workload itself was rejected; every worker agrees.
@@ -398,30 +517,35 @@ func (s *Server) coordSubmit(ctx context.Context, w *coordWorker, j *Job, js exp
 	return acc.ID, nil
 }
 
-// remoteDone is what the coordinator reads of a worker's event stream: the
-// fields of its closing job_done line.
-type remoteDone struct {
-	Type   string           `json:"type"`
-	Status Status           `json:"status"`
-	Error  string           `json:"error"`
-	Result *trainer.Result  `json:"result"`
-	Spans  []obs.SpanRecord `json:"spans"`
+// remoteEvent is what the coordinator reads of a worker's event stream:
+// the fields of its case_done lines and of its closing job_done line.
+// job_done's results stay raw: only the cells no case_done delivered are
+// decoded.
+type remoteEvent struct {
+	Type    string            `json:"type"`
+	Status  Status            `json:"status"`
+	Error   string            `json:"error"`
+	Index   int               `json:"index"`
+	Result  *trainer.Result   `json:"result"`
+	Results []json.RawMessage `json:"results"`
+	Spans   []obs.SpanRecord  `json:"spans"`
 }
 
-// coordAwait follows a remote job's event stream to its job_done line,
-// then reads the stream to its end so the connection returns to the pool.
-// A stream that breaks before job_done means the worker died under the
-// case: it is marked down and the case re-routes. A 404 — a restarted
-// worker that forgot the job — is transient.
-func (s *Server) coordAwait(ctx context.Context, w *coordWorker, id, key string, attempt int) (*remoteDone, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.url+"/v1/jobs/"+id+"/events", nil)
+// coordAwait follows a remote batch's event stream to its job_done line,
+// taking each cell as its case_done arrives, then reads the stream to its
+// end so the connection returns to the pool. A stream that breaks before
+// job_done means the worker died under the batch: it is marked down and
+// the cells not yet taken re-route. A 404 — a restarted worker that forgot
+// the job — is transient.
+func (s *Server) coordAwait(d *coordDispatch, w *coordWorker, id string, batch []*coordCell, keys string, attempt int) (*remoteEvent, error) {
+	req, err := http.NewRequestWithContext(d.ctx, http.MethodGet, w.url+"/v1/jobs/"+id+"/events", nil)
 	if err != nil {
 		return nil, &permanentError{err}
 	}
 	resp, err := s.coord.client.Do(req)
 	if err != nil {
-		if ctx.Err() == nil {
-			s.markDown(w, key, attempt, err)
+		if d.ctx.Err() == nil {
+			s.markDown(w, keys, attempt, err)
 		}
 		return nil, fmt.Errorf("events: %w", err)
 	}
@@ -430,51 +554,105 @@ func (s *Server) coordAwait(ctx context.Context, w *coordWorker, id, key string,
 		rb, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
 		err := fmt.Errorf("events: %s: HTTP %d: %s", w.url, resp.StatusCode, firstLine(rb))
 		if resp.StatusCode >= 500 {
-			s.markDown(w, key, attempt, err)
+			s.markDown(w, keys, attempt, err)
 		}
 		return nil, err
 	}
 	dec := json.NewDecoder(io.LimitReader(resp.Body, 64<<20))
-	var ev remoteDone
 	for {
-		ev = remoteDone{}
+		var ev remoteEvent
 		if err := dec.Decode(&ev); err != nil {
 			err = fmt.Errorf("events: %s: stream ended before job_done: %w", w.url, err)
-			if ctx.Err() == nil {
-				s.markDown(w, key, attempt, err)
+			if d.ctx.Err() == nil {
+				s.markDown(w, keys, attempt, err)
 			}
 			return nil, err
 		}
-		if ev.Type == "job_done" {
+		switch {
+		case ev.Type == "case_done" && ev.Result != nil && ev.Index >= 0 && ev.Index < len(batch):
+			d.take(batch[ev.Index], ev.Result)
+		case ev.Type == "job_done":
 			io.Copy(io.Discard, resp.Body)
 			return &ev, nil
 		}
 	}
 }
 
-// settle classifies a remote job's terminal answer: a completed job yields
-// its result; a captured panic marks the worker down and re-routes; any
-// other failure is permanent; a cancel under the case (a drain, an
+// settle classifies a remote batch's terminal answer: a completed batch
+// delivers every result not yet taken, and its worker's trace is grafted
+// cell by cell; a captured panic marks the worker down and re-routes; any
+// other failure is permanent; a cancel under the batch (a drain, an
 // operator) re-routes.
-func (s *Server) settle(w *coordWorker, key string, attempt int, d *remoteDone) (*trainer.Result, error) {
-	switch d.Status {
+func (s *Server) settle(d *coordDispatch, w *coordWorker, batch []*coordCell, keys string, attempt int, done *remoteEvent) error {
+	switch done.Status {
 	case StatusCompleted:
-		if d.Result == nil {
-			return nil, fmt.Errorf("%s: completed without a result", w.url)
+		if len(done.Results) != len(batch) {
+			return fmt.Errorf("%s: completed with %d results for %d jobs", w.url, len(done.Results), len(batch))
 		}
-		return d.Result, nil
+		for i, cl := range batch {
+			if cl.delivered {
+				continue
+			}
+			var res *trainer.Result
+			if err := json.Unmarshal(done.Results[i], &res); err != nil || res == nil {
+				return fmt.Errorf("%s: completed without a result for job %d (%v)", w.url, i, err)
+			}
+			d.take(cl, res)
+		}
+		// Merge the worker's span tree into the sweep's: each cell's part
+		// of it goes under that cell's attempt, so the distributed sweep
+		// reads as one trace.
+		if traces := cellTraces(done.Spans, len(batch)); traces != nil {
+			for i, cl := range batch {
+				cl.att.Graft(traces[i])
+			}
+		}
+		return nil
 	case StatusFailed:
-		if strings.Contains(d.Error, "panic") {
+		if strings.Contains(done.Error, "panic") {
 			// The worker's panic isolation captured a crash; the workload is
 			// deterministic, but a crashing worker is suspect — re-route.
-			s.markDown(w, key, attempt, fmt.Errorf("remote panic: %s", d.Error))
-			return nil, fmt.Errorf("remote panic on %s: %s", w.url, d.Error)
+			s.markDown(w, keys, attempt, fmt.Errorf("remote panic: %s", done.Error))
+			return fmt.Errorf("remote panic on %s: %s", w.url, done.Error)
 		}
-		return nil, &permanentError{fmt.Errorf("remote failure: %s", d.Error)}
+		return &permanentError{fmt.Errorf("remote failure: %s", done.Error)}
 	case StatusCancelled:
-		return nil, fmt.Errorf("remote job cancelled on %s", w.url)
+		return fmt.Errorf("remote job cancelled on %s", w.url)
 	}
-	return nil, fmt.Errorf("%s: job_done with status %q", w.url, d.Status)
+	return fmt.Errorf("%s: job_done with status %q", w.url, done.Status)
+}
+
+// cellTraces splits a batch's span records into one trace per cell: the
+// cell's case span with everything under it, beneath copies of the spans
+// that enclose it (the remote job's root and run spans). The worker's
+// executor opens one case span per cell, in index order, so the k-th case
+// span under the run span, in creation order, is cell k's. Records that
+// do not have that shape graft nothing.
+func cellTraces(recs []obs.SpanRecord, n int) [][]obs.SpanRecord {
+	var root, run *obs.SpanRecord
+	out := make([][]obs.SpanRecord, 0, n)
+	owner := map[int64]int{} // span -> the cell whose case span encloses it
+	for i := range recs {
+		r := &recs[i]
+		switch {
+		case root == nil && r.Parent == 0 && r.Name == "job":
+			root = r
+		case root != nil && run == nil && r.Parent == root.ID && r.Name == "run":
+			run = r
+		case run != nil && r.Parent == run.ID && r.Name == "case":
+			owner[r.ID] = len(out)
+			out = append(out, []obs.SpanRecord{*root, *run, *r})
+		default:
+			if k, ok := owner[r.Parent]; ok {
+				owner[r.ID] = k
+				out[k] = append(out[k], *r)
+			}
+		}
+	}
+	if len(out) != n {
+		return nil
+	}
+	return out
 }
 
 // remoteCancel best-effort DELETEs an in-flight remote job after the

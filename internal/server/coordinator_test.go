@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -200,12 +201,19 @@ func TestCoordinatorRetriesRemotePanic(t *testing.T) {
 	}
 	var panics atomic.Int64
 	panics.Store(1)
-	seam := func(ctx context.Context, j *Job) (*experiments.Report, *trainer.Result, error) {
+	seam := func(ctx context.Context, j *Job) (*experiments.Report, []*trainer.Result, error) {
 		if panics.Add(-1) >= 0 {
 			panic("injected crash")
 		}
-		res, err := trainer.RunContext(ctx, j.cfg)
-		return nil, res, err
+		results := make([]*trainer.Result, len(j.cfgs))
+		for k, cfg := range j.cfgs {
+			res, err := trainer.RunContext(ctx, cfg)
+			if err != nil {
+				return nil, nil, err
+			}
+			results[k] = res
+		}
+		return nil, results, nil
 	}
 	_, w1 := newWorker(t, Config{Workers: 2, runJob: seam}, nil)
 	_, w2 := newWorker(t, Config{Workers: 2, runJob: seam}, nil)
@@ -440,12 +448,14 @@ func TestRingSharesBalanced(t *testing.T) {
 	}
 }
 
-// TestCoordinatorRequestsPerCell: a cell costs its worker exactly one
-// POST /v1/jobs and one GET /v1/jobs/{id}/events — no polls and no trace
-// fetches — sweep after sweep. New connections per sweep are logged: the
-// coordinator's pool keeps one per in-flight cell, so a steady-state sweep
-// should dial few or none.
-func TestCoordinatorRequestsPerCell(t *testing.T) {
+// TestCoordinatorRequestsPerBatch pins the batch protocol: a sweep costs
+// each worker one POST /v1/jobs and one GET /v1/jobs/{id}/events per batch
+// — one batch per cell of its share, up to its in-flight bound, so at most
+// workers × WorkerInflight of each — and no polls or trace fetches, sweep
+// after sweep, while every cell still counts as dispatched. New
+// connections per sweep are logged: the coordinator's pool keeps one per
+// in-flight batch, so a steady-state sweep should dial few or none.
+func TestCoordinatorRequestsPerBatch(t *testing.T) {
 	raw, err := os.ReadFile("../../testdata/specs/cache-sweep.json")
 	if err != nil {
 		t.Fatal(err)
@@ -480,26 +490,175 @@ func TestCoordinatorRequestsPerCell(t *testing.T) {
 		})
 		urls = append(urls, ts.URL)
 	}
+	const inflight = 4 // the WorkerInflight default
 	coord, ts := newCoordinatorServer(t, urls, nil)
 
-	const cells = 10 // cache-sweep: 5 rows × 2 loaders, no duplicates
+	cells, share := homeShares(t, coord, raw)
+	batches := 0
+	for _, n := range share {
+		batches += min(n, inflight)
+	}
+	if batches > len(urls)*inflight {
+		t.Fatalf("%d batches expected, over the %d×%d bound", batches, len(urls), inflight)
+	}
 	for sweep := 1; sweep <= 3; sweep++ {
 		posts.Store(0)
 		streams.Store(0)
 		other.Store(0)
 		dials.Store(0)
+		dispatched := coord.metrics.casesDispatched.Load()
 		id := submitID(t, ts, `{"spec": `+string(raw)+`}`)
 		if st := waitTerminal(t, coord, id, 120*time.Second); st != StatusCompleted {
 			t.Fatalf("sweep %d ended %s (%s)", sweep, st, coord.store.get(id).view(true).Error)
 		}
-		if posts.Load() != cells || streams.Load() != cells || other.Load() != 0 {
+		if posts.Load() != int64(batches) || streams.Load() != int64(batches) || other.Load() != 0 {
 			t.Fatalf("sweep %d: %d submits, %d event streams and %d other requests, want %d, %d and 0",
-				sweep, posts.Load(), streams.Load(), other.Load(), cells, cells)
+				sweep, posts.Load(), streams.Load(), other.Load(), batches, batches)
 		}
-		t.Logf("sweep %d: %d new connections", sweep, dials.Load())
+		if n := coord.metrics.casesDispatched.Load() - dispatched; n != int64(len(cells)) {
+			t.Fatalf("sweep %d: %d cases dispatched, want %d", sweep, n, len(cells))
+		}
+		t.Logf("sweep %d: %d batches for %d cells, %d new connections", sweep, batches, len(cells), dials.Load())
 	}
 	if n := coord.metrics.caseRetries.Load(); n != 0 {
 		t.Fatalf("%d retries on a healthy fleet", n)
+	}
+}
+
+// homeShares enumerates a spec's cells and counts how many of them each
+// of the coordinator's workers is home to: the first of the cell's ring
+// succession.
+func homeShares(t *testing.T, coord *Server, raw []byte) ([]experiments.SpecCase, map[*coordWorker]int) {
+	t.Helper()
+	sp, err := experiments.LoadSpec(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells, err := experiments.EnumerateCases(sp, experiments.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	share := map[*coordWorker]int{}
+	for _, c := range cells {
+		share[coord.coord.succession(sp.Name + "/" + c.Row + "/" + c.Case)[0]]++
+	}
+	return cells, share
+}
+
+// TestCoordinatorWorkerDiesMidBatch kills a worker after exactly one of
+// its cells has streamed its case_done: only the cells it had not
+// delivered are dispatched again, on the survivor, so cases_dispatched
+// counts every cell once plus each re-routed cell once, and the report
+// still byte-matches RunSpec.
+func TestCoordinatorWorkerDiesMidBatch(t *testing.T) {
+	raw, err := os.ReadFile("../../testdata/specs/cache-sweep.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var victim atomic.Int32 // 1 + the victim's index; 0 until chosen
+	hw := &holdingWriters{attached: make(chan struct{}), firstDone: make(chan struct{}), killed: make(chan struct{})}
+	hold := func(i int32) func(http.Handler) http.Handler {
+		return func(next http.Handler) http.Handler {
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if victim.Load() == i+1 && strings.HasSuffix(r.URL.Path, "/events") {
+					w = &holdingWriter{ResponseWriter: w, all: hw}
+				}
+				next.ServeHTTP(w, r)
+			})
+		}
+	}
+	var urls []string
+	var servers []*httptest.Server
+	for i := range int32(2) {
+		_, ts := newWorker(t, Config{Workers: 1}, hold(i))
+		urls = append(urls, ts.URL)
+		servers = append(servers, ts)
+	}
+	coord, ts := newCoordinatorServer(t, urls, nil)
+	cells, share := homeShares(t, coord, raw)
+	vi := 0
+	if share[coord.coord.workers[1]] > share[coord.coord.workers[0]] {
+		vi = 1
+	}
+	victimShare := share[coord.coord.workers[vi]]
+	if victimShare < 2 {
+		t.Fatalf("the victim is home to %d cells; a mid-batch death needs 2", victimShare)
+	}
+	// Park a long job on the victim's single worker so that its batches
+	// run only once every batch's event stream is attached.
+	blocker := submitID(t, servers[vi], cancelJobBody)
+	hw.streams.Store(int32(min(victimShare, 4))) // 4: the WorkerInflight default
+	victim.Store(int32(vi) + 1)
+
+	id := submitID(t, ts, `{"spec": `+string(raw)+`}`)
+	for _, ch := range []chan struct{}{hw.attached, hw.firstDone} {
+		select {
+		case <-ch:
+		case <-time.After(60 * time.Second):
+			t.Fatal("the victim's batches never streamed")
+		}
+		if ch == hw.attached {
+			if r, body := doMethod(t, "DELETE", servers[vi].URL+"/v1/jobs/"+blocker); r.StatusCode != 200 {
+				t.Fatalf("DELETE blocker: %d %s", r.StatusCode, body)
+			}
+		}
+	}
+	close(hw.killed)
+	servers[vi].CloseClientConnections()
+	servers[vi].Close()
+	if st := waitTerminal(t, coord, id, 120*time.Second); st != StatusCompleted {
+		t.Fatalf("job ended %s (%s)", st, coord.store.get(id).view(true).Error)
+	}
+	viaHTTP, inProcess := specReportJSON(t, ts, id, raw)
+	if viaHTTP != inProcess {
+		t.Fatal("report after a mid-batch death differs from RunSpec")
+	}
+	rerouted := int64(victimShare - 1)
+	if n := coord.metrics.casesDispatched.Load(); n != int64(len(cells))+rerouted {
+		t.Fatalf("%d cases dispatched, want %d cells + %d re-routed", n, len(cells), rerouted)
+	}
+	if coord.metrics.caseRetries.Load() == 0 {
+		t.Fatal("no retry counted for the dead worker's batch")
+	}
+}
+
+// holdingWriters is the shared state of a victim worker's event streams:
+// attached closes once streams of them have written their opening status
+// line, firstDone once the first case_done line has gone out, and every
+// later case_done or job_done write waits for killed and then fails
+// unwritten.
+type holdingWriters struct {
+	streams, statuses, dones    atomic.Int32
+	attached, firstDone, killed chan struct{}
+}
+
+type holdingWriter struct {
+	http.ResponseWriter
+	all *holdingWriters
+}
+
+func (h *holdingWriter) Write(b []byte) (int, error) {
+	all := h.all
+	switch {
+	case bytes.Contains(b, []byte(`"type":"status"`)):
+		if all.statuses.Add(1) == all.streams.Load() {
+			close(all.attached)
+		}
+	case bytes.Contains(b, []byte(`"type":"case_done"`)) && all.dones.Add(1) == 1:
+		n, err := h.ResponseWriter.Write(b)
+		h.Flush()
+		close(all.firstDone)
+		return n, err
+	case bytes.Contains(b, []byte(`"type":"case_done"`)) || bytes.Contains(b, []byte(`"type":"job_done"`)):
+		<-all.killed
+		return 0, errors.New("worker killed")
+	}
+	return h.ResponseWriter.Write(b)
+}
+
+func (h *holdingWriter) Flush() {
+	if f, ok := h.ResponseWriter.(http.Flusher); ok {
+		f.Flush()
 	}
 }
 

@@ -343,8 +343,8 @@ func TestEventStreamJobDonePayload(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Workers: 2})
 	// A failing runner that produced a result anyway: a failed job must
 	// still ship none.
-	failing, fts := newTestServer(t, Config{Workers: 1, runJob: func(context.Context, *Job) (*experiments.Report, *trainer.Result, error) {
-		return nil, &trainer.Result{TotalTime: 1}, errors.New("injected failure")
+	failing, fts := newTestServer(t, Config{Workers: 1, runJob: func(context.Context, *Job) (*experiments.Report, []*trainer.Result, error) {
+		return nil, []*trainer.Result{{TotalTime: 1}}, errors.New("injected failure")
 	}})
 	for _, tc := range []struct {
 		name        string
@@ -504,5 +504,92 @@ func TestE2EMetricsReconcile(t *testing.T) {
 	}
 	if metric("stallserved_events_published_total") == 0 {
 		t.Error("no events counted across three jobs")
+	}
+}
+
+// TestE2EBatchStreamsCaseDone: a {"jobs": [...]} submission runs every
+// entry as one job. Its stream carries a case_done event per entry, with
+// the entry's index and result, before job_done, whose results repeat
+// them in entry order; and each result is byte-identical to the same job
+// submitted alone. Entry 2 repeats entry 0, so the batch's dedupe serves it.
+func TestE2EBatchStreamsCaseDone(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Workers: 1})
+	jobs := []string{
+		`{"model": "resnet18", "scale": 0.005, "epochs": 2, "cache_fraction": 0.5}`,
+		`{"model": "resnet18", "scale": 0.005, "epochs": 2, "seed": 7}`,
+		`{"model": "resnet18", "scale": 0.005, "epochs": 2, "cache_fraction": 0.5}`,
+	}
+	// Park a long job on the single worker so the batch stays queued until
+	// its stream is attached.
+	blocker := submitID(t, ts, cancelJobBody)
+	id := submitID(t, ts, `{"jobs": [`+strings.Join(jobs, ",")+`]}`)
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	streamed := make([]string, len(jobs))
+	var done struct {
+		Type    string            `json:"type"`
+		Status  Status            `json:"status"`
+		Results []json.RawMessage `json:"results"`
+	}
+	dec := json.NewDecoder(resp.Body)
+	for first := true; done.Type != "job_done"; first = false {
+		var ev struct {
+			Type   string          `json:"type"`
+			Index  int             `json:"index"`
+			Result json.RawMessage `json:"result"`
+		}
+		var raw json.RawMessage
+		if err := dec.Decode(&raw); err != nil {
+			t.Fatalf("stream ended before job_done: %v", err)
+		}
+		if first {
+			// The opening status line means the subscription is attached.
+			if r, body := doMethod(t, "DELETE", ts.URL+"/v1/jobs/"+blocker); r.StatusCode != 200 {
+				t.Fatalf("DELETE blocker: %d %s", r.StatusCode, body)
+			}
+		}
+		if err := json.Unmarshal(raw, &ev); err != nil {
+			t.Fatal(err)
+		}
+		switch ev.Type {
+		case "case_done":
+			if ev.Index < 0 || ev.Index >= len(jobs) || streamed[ev.Index] != "" || len(ev.Result) == 0 {
+				t.Fatalf("case_done out of place: %s", raw)
+			}
+			streamed[ev.Index] = string(ev.Result)
+		case "job_done":
+			if err := json.Unmarshal(raw, &done); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if done.Status != StatusCompleted || len(done.Results) != len(jobs) {
+		t.Fatalf("job_done: status %s with %d results, want completed with %d", done.Status, len(done.Results), len(jobs))
+	}
+	for k, job := range jobs {
+		if streamed[k] != string(done.Results[k]) {
+			t.Fatalf("entry %d: case_done result differs from job_done's", k)
+		}
+		single := submitID(t, ts, `{"job": `+job+`}`)
+		if st := waitTerminal(t, srv, single, 60*time.Second); st != StatusCompleted {
+			t.Fatalf("single job %d ended %s", k, st)
+		}
+		_, body := getJSON(t, ts.URL+"/v1/jobs/"+single)
+		var v struct {
+			Result json.RawMessage `json:"result"`
+		}
+		if err := json.Unmarshal([]byte(body), &v); err != nil {
+			t.Fatal(err)
+		}
+		var alone bytes.Buffer
+		if err := json.Compact(&alone, v.Result); err != nil {
+			t.Fatal(err)
+		}
+		if alone.String() != streamed[k] {
+			t.Fatalf("entry %d: batch result differs from the job run alone", k)
+		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strings"
 
 	"datastall/internal/query"
 	"datastall/internal/trainer"
@@ -68,5 +69,18 @@ func writeErrFrom(w http.ResponseWriter, status int, code string, err error) {
 	case errors.As(err, &qfe):
 		field = qfe.Field
 	}
+	var ee *entryError
+	if errors.As(err, &ee) {
+		field = strings.TrimSuffix(fmt.Sprintf("jobs[%d].%s", ee.index, field), ".")
+	}
 	writeErrField(w, status, code, field, err.Error())
 }
+
+// entryError attributes a failure to one entry of a submission's jobs list.
+type entryError struct {
+	index int
+	err   error
+}
+
+func (e *entryError) Error() string { return fmt.Sprintf("jobs[%d]: %v", e.index, e.err) }
+func (e *entryError) Unwrap() error { return e.err }

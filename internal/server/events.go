@@ -3,6 +3,12 @@
 // text/event-stream or ?format=sse). Each stream is one Broadcaster
 // subscription — a slow client overflows only its own ring (the drop count
 // is reported in its terminal event) and can never stall the simulation.
+//
+// A batch ({"jobs": [...]}) streams a case_done event with each entry's
+// index and result as the entry is captured, so a coordinator can hand a
+// cell on before the batch ends; a dropped case_done costs nothing, since
+// job_done's results carry every entry's result and are the authoritative
+// delivery.
 package server
 
 import (
@@ -17,9 +23,9 @@ import (
 
 // wireEvent is the JSON form of one stream event. Type is the trainer
 // event's snake_case name ("job_started", "epoch_started", "epoch_ended",
-// "job_ended"), an Annotation's kind ("case_started"), or one of the
-// service's own markers: "status" (the snapshot that opens every stream)
-// and "job_done" (the terminal marker that closes it).
+// "job_ended"), an Annotation's kind ("case_started", "case_done"), or one
+// of the service's own markers: "status" (the snapshot that opens every
+// stream) and "job_done" (the terminal marker that closes it).
 type wireEvent struct {
 	Type string `json:"type"`
 	Job  string `json:"job"`
@@ -31,11 +37,13 @@ type wireEvent struct {
 	Error   string `json:"error,omitempty"`
 	Dropped uint64 `json:"dropped,omitempty"`
 
-	// job_done output: a completed single job's result (a spec's report
-	// stays behind GET /v1/jobs/{id}), and the job's span records when its
-	// submission carried a traceparent.
-	Result *trainer.Result  `json:"result,omitempty"`
-	Spans  []obs.SpanRecord `json:"spans,omitempty"`
+	// job_done output: a completed single job's result, or a batch's
+	// results in entry order (a spec's report stays behind GET
+	// /v1/jobs/{id}), and the job's span records when its submission
+	// carried a traceparent. A case_done event carries its entry's result.
+	Result  *trainer.Result   `json:"result,omitempty"`
+	Results []*trainer.Result `json:"results,omitempty"`
+	Spans   []obs.SpanRecord  `json:"spans,omitempty"`
 
 	// job_started fields.
 	Epochs  int `json:"epochs,omitempty"`
@@ -47,7 +55,8 @@ type wireEvent struct {
 	Stats          *trainer.EpochStats `json:"stats,omitempty"`
 	CacheUsedBytes float64             `json:"cache_used_bytes,omitempty"`
 
-	// Annotation fields (e.g. case_started sweep progress).
+	// Annotation fields (e.g. case_started sweep progress; case_done's
+	// index).
 	Text  string `json:"text,omitempty"`
 	Index int    `json:"index,omitempty"`
 	Total int    `json:"total,omitempty"`
@@ -78,7 +87,7 @@ func toWire(jobID string, ev trainer.Event) wireEvent {
 	case trainer.Annotation:
 		return wireEvent{
 			Type: e.Kind, Job: jobID, Time: e.Time,
-			Text: e.Text, Index: e.Index, Total: e.Total,
+			Text: e.Text, Index: e.Index, Total: e.Total, Result: e.Result,
 		}
 	}
 	return wireEvent{Type: fmt.Sprintf("%T", ev), Job: jobID}
@@ -170,10 +179,10 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	// finalize ended the trace before it closed the stream, so the spans
 	// are complete.
-	v := j.view(j.Kind == KindJob)
+	v := j.view(j.Kind != KindSpec)
 	done := wireEvent{
 		Type: "job_done", Job: j.ID, Status: v.Status,
-		Error: v.Error, Dropped: dropped, Result: v.Result,
+		Error: v.Error, Dropped: dropped, Result: v.Result, Results: v.Results,
 	}
 	if j.joinedTrace {
 		done.Spans = j.tracer.Export()

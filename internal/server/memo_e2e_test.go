@@ -140,7 +140,7 @@ func TestE2EMemoEntryDurableBeforeTerminal(t *testing.T) {
 		t.Fatalf("job ended %s", st)
 	}
 	j := srv.store.get(id)
-	key, err := experiments.CaseKey(*j.jobSpec, j.opts, srv.memo.Salt())
+	key, err := experiments.CaseKey(j.jobs[0], j.opts, srv.memo.Salt())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -129,8 +129,8 @@ func TestQueryEmptyStore(t *testing.T) {
 // read the same captures, and the WAL compacts behind them; run it under
 // -race. Every response is whole, and the last one sees every job.
 func TestQueryWhileJobsFinish(t *testing.T) {
-	done := func(context.Context, *Job) (*experiments.Report, *trainer.Result, error) {
-		return nil, &trainer.Result{TotalTime: 1, Epochs: []trainer.EpochStats{{Duration: 1}, {Duration: 2}}}, nil
+	done := func(context.Context, *Job) (*experiments.Report, []*trainer.Result, error) {
+		return nil, []*trainer.Result{{TotalTime: 1, Epochs: []trainer.EpochStats{{Duration: 1}, {Duration: 2}}}}, nil
 	}
 	srv, ts := newTestServer(t, Config{Workers: 2, WALDir: t.TempDir(), WALCompactEvery: 8, runJob: done})
 	const jobs = 40
@@ -271,8 +271,8 @@ func TestAllocsQueryStore(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race instrumentation allocates on otherwise allocation-free paths")
 	}
-	done := func(context.Context, *Job) (*experiments.Report, *trainer.Result, error) {
-		return nil, &trainer.Result{TotalTime: 1, Epochs: []trainer.EpochStats{{Duration: 1}}}, nil
+	done := func(context.Context, *Job) (*experiments.Report, []*trainer.Result, error) {
+		return nil, []*trainer.Result{{TotalTime: 1, Epochs: []trainer.EpochStats{{Duration: 1}}}}, nil
 	}
 	srv, ts := newTestServer(t, Config{Workers: 1, runJob: done})
 	var allocs []float64

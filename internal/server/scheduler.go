@@ -122,7 +122,9 @@ func (s *Server) openTrace(j *Job, traceID string, recovered bool) {
 	j.joinedTrace = traceID != ""
 	j.span = j.tracer.Start("job")
 	j.span.SetAttr("kind", j.Kind)
-	j.span.SetAttr("name", j.Name)
+	if j.Name != "" {
+		j.span.SetAttr("name", j.Name)
+	}
 	j.span.SetAttr("job_id", j.ID)
 	if j.tenant != "" {
 		j.span.SetAttr("tenant", j.tenant)
@@ -157,18 +159,18 @@ func (s *Server) runOne(j *Job) {
 	s.walStarted(j)
 	j.logger().Info("job running", "queue_wait_seconds", waited.Seconds())
 	runSpan := j.span.Start("run")
-	rep, res, err := s.execute(ctx, j, runSpan)
+	rep, results, err := s.execute(ctx, j, runSpan)
 	if err != nil {
 		runSpan.SetAttr("error", err.Error())
 	}
 	runSpan.End()
-	s.finishRun(j, rep, res, err)
+	s.finishRun(j, rep, results, err)
 }
 
 // execute runs the job's workload with panic isolation, streaming events
-// through the job's broadcaster: a spec's grid, or a single job as a
-// one-cell grid, through the one cell executor.
-func (s *Server) execute(ctx context.Context, j *Job, runSpan obs.Span) (rep *experiments.Report, res *trainer.Result, err error) {
+// through the job's broadcaster: a spec's grid, or a job or batch as a
+// grid of one cell per job, through the one cell executor.
+func (s *Server) execute(ctx context.Context, j *Job, runSpan obs.Span) (rep *experiments.Report, results []*trainer.Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("job %s: panic: %v", j.ID, p)
@@ -183,19 +185,22 @@ func (s *Server) execute(ctx context.Context, j *Job, runSpan obs.Span) (rep *ex
 		if cells, err = experiments.EnumerateCases(j.spec, j.opts); err != nil {
 			return nil, nil, err
 		}
-	case j.Kind == KindJob && j.jobSpec != nil:
-		cells = []experiments.SpecCase{{Total: 1, Job: *j.jobSpec}}
+	case len(j.jobs) > 0:
+		cells = make([]experiments.SpecCase, len(j.jobs))
+		for k, js := range j.jobs {
+			cells[k] = experiments.SpecCase{Index: k, Total: len(j.jobs), Job: js}
+		}
 	default:
 		return nil, nil, fmt.Errorf("job %s: no runnable workload (kind %q)", j.ID, j.Kind)
 	}
 	o := j.opts
 	o.Memo, o.Trace = s.memo, runSpan
-	results, err := s.executor(j).Execute(ctx, cells, o)
+	results, err = s.executor(j).Execute(ctx, cells, o)
 	switch {
 	case err != nil:
 		return nil, nil, err
-	case j.Kind == KindJob:
-		return nil, results[0], nil
+	case j.Kind != KindSpec:
+		return nil, results, nil
 	}
 	assemble := runSpan.Start("assemble")
 	rep, err = experiments.AssembleReport(j.spec, j.opts, results)
@@ -204,12 +209,13 @@ func (s *Server) execute(ctx context.Context, j *Job, runSpan obs.Span) (rep *ex
 }
 
 // executor configures the one cell executor for a job. Locally, cells
-// simulate in-process, serially in index order; in coordinator mode each
-// unique cell goes to the fleet on its own goroutine, and this worker
-// goroutine only scatters and gathers. Either way, WAL-recovered
+// simulate in-process, serially in index order; in coordinator mode every
+// unique cell goes to the fleet in a few batches per worker, and this
+// worker goroutine only scatters and gathers. Either way, WAL-recovered
 // cells are served from j.resume, spec cells stream case_started and
 // case_resumed annotations, and every captured cell is logged as
-// case_done and timed.
+// case_done and timed; a batch's cells also stream a case_done event
+// carrying the result.
 func (s *Server) executor(j *Job) experiments.Executor {
 	e := experiments.Executor{
 		Resume: j.resume,
@@ -235,13 +241,23 @@ func (s *Server) executor(j *Job) experiments.Executor {
 			if took > 0 { // zero: a duplicate, which copied its leader
 				s.metrics.caseSecs.Observe(took.Seconds())
 			}
+			if j.Kind == KindBatch {
+				s.metrics.events.Add(1)
+				j.bc.Observe(trainer.Annotation{Kind: "case_done", Index: c.Index, Total: c.Total, Result: res})
+			}
 		},
 	}
 	if s.coord != nil {
-		e.Run, e.Parallel = s.coordRunner(j), true
+		e.Batch = s.coordBatch(j)
 		return e
 	}
 	counting := trainer.ObserverFunc(func(trainer.Event) { s.metrics.events.Add(1) })
+	if j.Kind == KindBatch {
+		// A batch's trainer events name no entry, so its stream carries
+		// case_done events instead.
+		e.Run = experiments.LocalRunner(j.opts, counting)
+		return e
+	}
 	e.Run = experiments.LocalRunner(j.opts, counting, j.bc)
 	return e
 }
@@ -249,7 +265,7 @@ func (s *Server) executor(j *Job) experiments.Executor {
 // finishRun records a finished run's terminal state. If a DELETE already
 // moved the job to cancelled, that wins and the run's output is discarded —
 // the client was told "cancelled" and the record stays consistent with it.
-func (s *Server) finishRun(j *Job, rep *experiments.Report, res *trainer.Result, err error) {
+func (s *Server) finishRun(j *Job, rep *experiments.Report, results []*trainer.Result, err error) {
 	j.mu.Lock()
 	j.finished = time.Now()
 	j.wall = time.Since(j.started).Seconds()
@@ -260,11 +276,15 @@ func (s *Server) finishRun(j *Job, rep *experiments.Report, res *trainer.Result,
 	case err == nil:
 		j.status = StatusCompleted
 		j.report = rep
-		j.result = res
-		if res != nil {
-			// Capture the run once; queries and the terminal WAL record
-			// both read this one immutable case.
-			j.cases = []*experiments.CaseResult{experiments.JobCase(j.ID, j.cfg, res)}
+		j.results = results
+		// Capture each run once; queries and the terminal WAL record both
+		// read these immutable cases.
+		for k, res := range results {
+			var cfg trainer.Config
+			if k < len(j.cfgs) {
+				cfg = j.cfgs[k]
+			}
+			j.cases = append(j.cases, experiments.JobCase(j.ID, cfg, res))
 		}
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		// Cancelled by server drain (DELETE sets StatusCancelled itself).

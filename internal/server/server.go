@@ -8,8 +8,9 @@
 // API (all request/response bodies JSON):
 //
 //	POST   /v1/jobs             submit {"spec": <Spec>} | {"spec_name": "fig5"} |
-//	                            {"job": <JobSpec>} (+ optional scale/epochs/seed),
-//	                            or a bare Spec document -> 202 {"id", "status"}
+//	                            {"job": <JobSpec>} | {"jobs": [<JobSpec>, ...]}
+//	                            (+ optional scale/epochs/seed), or a bare Spec
+//	                            document -> 202 {"id", "status"}
 //	GET    /v1/jobs             list jobs (no payloads)
 //	GET    /v1/jobs/{id}        full record incl. report/result when completed
 //	DELETE /v1/jobs/{id}        cancel (mid-run aborts propagate into the engine)
@@ -128,8 +129,9 @@ type Config struct {
 	TenantQuota int
 
 	// runJob, when non-nil, replaces the real workload execution — a test
-	// seam for exercising scheduler races without real simulations.
-	runJob func(ctx context.Context, j *Job) (*experiments.Report, *trainer.Result, error)
+	// seam for exercising scheduler races without real simulations. It
+	// returns a spec's report, or a job's (or batch's) results.
+	runJob func(ctx context.Context, j *Job) (*experiments.Report, []*trainer.Result, error)
 }
 
 // Server is the job service. Create with New, mount Handler on an
@@ -297,9 +299,14 @@ func writeJSON(w http.ResponseWriter, code int, v interface{}) {
 	enc.Encode(v)
 }
 
-// SubmitRequest is the POST /v1/jobs body. Exactly one of Spec, SpecName
-// or Job selects the workload; Scale/Epochs/Seed fill fields the workload
-// leaves zero (epochs default 3, seed 1, exactly as the CLIs default them).
+// maxBatchJobs bounds a submission's Jobs list. A coordinator splits a
+// worker's share of a sweep into more batches rather than exceed it.
+const maxBatchJobs = 256
+
+// SubmitRequest is the POST /v1/jobs body. Exactly one of Spec, SpecName,
+// Job or Jobs selects the workload; Scale/Epochs/Seed fill fields the
+// workload leaves zero (epochs default 3, seed 1, exactly as the CLIs
+// default them).
 type SubmitRequest struct {
 	// Spec is an inline declarative sweep; the whole body may equally be
 	// a bare Spec document.
@@ -308,14 +315,20 @@ type SubmitRequest struct {
 	SpecName string `json:"spec_name,omitempty"`
 	// Job is a single training job.
 	Job *experiments.JobSpec `json:"job,omitempty"`
+	// Jobs is a batch of 1 to maxBatchJobs training jobs run in order as
+	// one job: its event stream carries a case_done event with each
+	// entry's index and result as it is captured, and its job_done carries
+	// every result. Coordinators send their workers this form.
+	Jobs []experiments.JobSpec `json:"jobs,omitempty"`
 
 	Scale  float64 `json:"scale,omitempty"`
 	Epochs int     `json:"epochs,omitempty"`
 	Seed   int64   `json:"seed,omitempty"`
 }
 
-// decodeSubmit parses a submission body: the wrapped SubmitRequest form
-// first, then a bare Spec document.
+// decodeSubmit parses a submission body — the wrapped SubmitRequest form
+// first, then a bare Spec document — and checks its shape: exactly one
+// workload selector, and a Jobs list of 1 to maxBatchJobs entries.
 func decodeSubmit(body []byte) (*SubmitRequest, error) {
 	var req SubmitRequest
 	dec := json.NewDecoder(bytes.NewReader(body))
@@ -327,6 +340,18 @@ func decodeSubmit(body []byte) (*SubmitRequest, error) {
 		if dec.More() {
 			return nil, fmt.Errorf("trailing data after the request document")
 		}
+		selected := 0
+		for _, on := range []bool{req.Spec != nil, req.SpecName != "", req.Job != nil, req.Jobs != nil} {
+			if on {
+				selected++
+			}
+		}
+		if selected != 1 {
+			return nil, fmt.Errorf("exactly one of \"spec\", \"spec_name\", \"job\" or \"jobs\" must be set (got %d)", selected)
+		}
+		if req.Jobs != nil && (len(req.Jobs) == 0 || len(req.Jobs) > maxBatchJobs) {
+			return nil, fmt.Errorf("\"jobs\" holds %d entries, want 1 to %d", len(req.Jobs), maxBatchJobs)
+		}
 		return &req, nil
 	}
 	sp, sperr := experiments.LoadSpec(body)
@@ -335,7 +360,7 @@ func decodeSubmit(body []byte) (*SubmitRequest, error) {
 	}
 	// Report both readings: a bare spec's own error (say, an unknown job
 	// field in its base) is the useful one for a spec author.
-	return nil, fmt.Errorf("body is not a submit request (spec|spec_name|job + scale/epochs/seed): %v; nor a bare spec: %v", err, sperr)
+	return nil, fmt.Errorf("body is not a submit request (spec|spec_name|job|jobs + scale/epochs/seed): %v; nor a bare spec: %v", err, sperr)
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -353,17 +378,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	req, err := decodeSubmit(body)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, codeBadRequest, "%v", err)
-		return
-	}
-	selected := 0
-	for _, on := range []bool{req.Spec != nil, req.SpecName != "", req.Job != nil} {
-		if on {
-			selected++
-		}
-	}
-	if selected != 1 {
-		writeErr(w, http.StatusBadRequest, codeBadRequest,
-			"exactly one of \"spec\", \"spec_name\" or \"job\" must be set (got %d)", selected)
 		return
 	}
 	opts := experiments.Options{Scale: req.Scale, Epochs: req.Epochs, Seed: req.Seed}
@@ -391,28 +405,17 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		build = specJob(req.Spec, opts)
-	default: // req.Job != nil
-		cfg, err := req.Job.Build(opts)
+	default: // a job, or a batch of them
+		kind, jobs := KindBatch, req.Jobs
+		if req.Job != nil {
+			kind, jobs = KindJob, []experiments.JobSpec{*req.Job}
+		}
+		cfgs, err := buildJobs(jobs, opts, kind == KindBatch)
 		if err != nil {
 			writeErrFrom(w, http.StatusBadRequest, codeBadRequest, err)
 			return
 		}
-		// Surface the trainer's typed validation (*FieldError) now, with
-		// a 400 naming the offending field, instead of queueing a job
-		// that can only fail.
-		if err := cfg.Validate(); err != nil {
-			writeErrFrom(w, http.StatusBadRequest, codeBadRequest, err)
-			return
-		}
-		build = func(id string) *Job {
-			return &Job{
-				ID: id, Kind: KindJob, Name: req.Job.Model,
-				cfg: cfg, opts: opts, jobSpec: req.Job,
-				status: StatusQueued, submitted: time.Now(),
-				bc:   trainer.NewBroadcaster(),
-				done: make(chan struct{}),
-			}
-		}
+		build = jobsJob(kind, jobs, cfgs, opts)
 	}
 
 	// A caller-supplied traceparent (the coordinator→worker hop, or any
@@ -438,6 +441,45 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, map[string]string{
 		"id": j.ID, "status": string(StatusQueued),
 	})
+}
+
+// buildJobs resolves every job of a job or batch submission and surfaces
+// the trainer's typed validation (*FieldError) now, with a 400 naming the
+// offending field — prefixed jobs[k] in a batch — instead of queueing a
+// job that can only fail.
+func buildJobs(jobs []experiments.JobSpec, opts experiments.Options, batch bool) ([]trainer.Config, error) {
+	cfgs := make([]trainer.Config, len(jobs))
+	for k, js := range jobs {
+		cfg, err := js.Build(opts)
+		if err == nil {
+			err = cfg.Validate()
+		}
+		switch {
+		case err != nil && batch:
+			return nil, &entryError{index: k, err: err}
+		case err != nil:
+			return nil, err
+		}
+		cfgs[k] = cfg
+	}
+	return cfgs, nil
+}
+
+// jobsJob builds the Job record for a job or batch submission.
+func jobsJob(kind string, jobs []experiments.JobSpec, cfgs []trainer.Config, opts experiments.Options) func(id string) *Job {
+	name := ""
+	if kind == KindJob {
+		name = jobs[0].Model
+	}
+	return func(id string) *Job {
+		return &Job{
+			ID: id, Kind: kind, Name: name,
+			jobs: jobs, cfgs: cfgs, opts: opts,
+			status: StatusQueued, submitted: time.Now(),
+			bc:   trainer.NewBroadcaster(),
+			done: make(chan struct{}),
+		}
+	}
 }
 
 // specJob builds the Job record for a declarative sweep submission.

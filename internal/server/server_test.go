@@ -113,11 +113,11 @@ const tinyJob = `{"job": {"model": "resnet18", "scale": 0.005, "epochs": 2}}`
 
 // blockingRunner returns a runJob seam that parks every job until release
 // is closed (or its context dies), then reports success.
-func blockingRunner(release <-chan struct{}) func(context.Context, *Job) (*experiments.Report, *trainer.Result, error) {
-	return func(ctx context.Context, j *Job) (*experiments.Report, *trainer.Result, error) {
+func blockingRunner(release <-chan struct{}) func(context.Context, *Job) (*experiments.Report, []*trainer.Result, error) {
+	return func(ctx context.Context, j *Job) (*experiments.Report, []*trainer.Result, error) {
 		select {
 		case <-release:
-			return nil, &trainer.Result{TotalTime: 1}, nil
+			return nil, []*trainer.Result{{TotalTime: 1}}, nil
 		case <-ctx.Done():
 			return nil, nil, ctx.Err()
 		}
@@ -140,6 +140,11 @@ func TestSubmitRejectsBadBodies(t *testing.T) {
 		{"typed field error", `{"job": {"model": "resnet18", "scale": 0.01, "gpus": -1}}`, 400, "GPUsPerServer"},
 		{"bad spec shape", `{"spec": {"name": "x", "base": {}, "rows": {"cases": [{"set": {}}]}, "columns": []}}`, 400, "at least one column"},
 		{"trailing data", `{"spec_name": "fig5"}{"spec_name": "fig18"}`, 400, "trailing data"},
+		{"empty jobs", `{"jobs": []}`, 400, `\"jobs\" holds 0 entries`},
+		{"job and jobs", `{"job": {"model": "resnet18", "scale": 0.01}, "jobs": [{"model": "resnet18", "scale": 0.01}]}`, 400, "exactly one of"},
+		{"too many jobs", `{"jobs": [` + strings.Repeat(`{"model": "resnet18", "scale": 0.01},`, maxBatchJobs) + `{"model": "resnet18", "scale": 0.01}]}`, 400, fmt.Sprintf("holds %d entries", maxBatchJobs+1)},
+		{"bad batch entry", `{"jobs": [{"model": "resnet18", "scale": 0.01}, {"model": "resnet18", "scale": 0.01, "gpus": -1}]}`, 400, `"field": "jobs[1].GPUsPerServer"`},
+		{"unknown batch model", `{"jobs": [{"model": "nope", "scale": 0.01}]}`, 400, `"field": "jobs[0]"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -152,6 +157,49 @@ func TestSubmitRejectsBadBodies(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzDecodeSubmit throws arbitrary bodies at submission parsing. It never
+// panics, and a batch it accepts — decoded, and every entry resolved as
+// the handler resolves it — holds 1 to maxBatchJobs entries, each of which
+// builds and validates.
+func FuzzDecodeSubmit(f *testing.F) {
+	for _, seed := range []string{
+		tinyJob,
+		`{"jobs": [{"model": "resnet18", "scale": 0.01}, {"model": "resnet18", "scale": 0.01, "seed": 2}], "epochs": 2}`,
+		`{"jobs": [{"model": "resnet18"}], "scale": 0.01}`,
+		`{"jobs": []}`,
+		`{"jobs": null}`,
+		`{"job": {"model": "resnet18", "scale": 0.01}, "jobs": [{"model": "resnet18", "scale": 0.01}]}`,
+		`{"jobs": [{"model": "resnet18", "scale": 0.01, "gpus": -1}]}`,
+		`{"jobs": [{"model": "nope", "scale": 0.01}]}`,
+		`{"spec_name": "fig5"}`,
+		`{not json`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		req, err := decodeSubmit(body)
+		if err != nil || req.Jobs == nil {
+			return
+		}
+		if n := len(req.Jobs); n < 1 || n > maxBatchJobs {
+			t.Fatalf("accepted a batch of %d jobs, want 1 to %d", n, maxBatchJobs)
+		}
+		opts := experiments.Options{Scale: req.Scale, Epochs: req.Epochs, Seed: req.Seed}
+		if _, err := buildJobs(req.Jobs, opts, true); err != nil {
+			return // a 400 at submit
+		}
+		for k, js := range req.Jobs {
+			cfg, err := js.Build(opts)
+			if err == nil {
+				err = cfg.Validate()
+			}
+			if err != nil {
+				t.Fatalf("accepted jobs[%d] does not build and validate: %v", k, err)
+			}
+		}
+	})
 }
 
 // TestSubmitRejectsBackendField: the job schema has no "backend" field

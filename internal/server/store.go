@@ -49,6 +49,10 @@ const (
 	// KindJob: a single training job (experiments.JobSpec) producing a
 	// trainer.Result.
 	KindJob = "job"
+	// KindBatch: a list of training jobs producing one trainer.Result
+	// each — the form in which a coordinator hands a worker its share of
+	// a sweep.
+	KindBatch = "batch"
 )
 
 // Job is one submitted workload and its live state.
@@ -56,19 +60,20 @@ type Job struct {
 	// ID, Kind and Name are immutable after submission.
 	ID   string
 	Kind string
-	// Name is the spec name (KindSpec) or the model name (KindJob).
+	// Name is the spec name (KindSpec) or the model name (KindJob); a
+	// KindBatch has none.
 	Name string
 
-	// Workload, resolved at submission time (immutable). jobSpec is the
-	// original KindJob submission: the one cell the executor runs, which
-	// coordinator mode forwards to a worker verbatim; tenant is the
-	// submitting X-Tenant (empty: anonymous), counted against
-	// Config.TenantQuota.
-	spec    *experiments.Spec
-	cfg     trainer.Config
-	opts    experiments.Options
-	jobSpec *experiments.JobSpec
-	tenant  string
+	// Workload, resolved at submission time (immutable). jobs are the
+	// submitted training jobs of a KindJob (one) or KindBatch, the cells
+	// the executor runs, and cfgs their resolved configs; coordinator mode
+	// forwards jobs to a worker verbatim. tenant is the submitting X-Tenant
+	// (empty: anonymous), counted against Config.TenantQuota.
+	spec   *experiments.Spec
+	jobs   []experiments.JobSpec
+	cfgs   []trainer.Config
+	opts   experiments.Options
+	tenant string
 
 	// bc fans the run's Observer events out to /events subscribers; nil
 	// only for terminal jobs rehydrated from a WAL terminal record.
@@ -82,9 +87,10 @@ type Job struct {
 	wall      float64
 	errMsg    string
 	report    *experiments.Report
-	result    *trainer.Result
-	cancel    func()
-	// cases is the case capture of a completed single run, taken once by
+	// results holds a completed KindJob's or KindBatch's result per job.
+	results []*trainer.Result
+	cancel  func()
+	// cases is the case capture of a completed job or batch, taken once by
 	// finishRun, or of a job reloaded from a WAL terminal record (spec jobs
 	// serve theirs from report.Cases). Immutable once set.
 	cases []*experiments.CaseResult
@@ -168,9 +174,11 @@ type jobJSON struct {
 	FinishedAt  *time.Time `json:"finished_at,omitempty"`
 	WallSeconds float64    `json:"wall_seconds,omitempty"`
 	Error       string     `json:"error,omitempty"`
-	// Report is the KindSpec result; Result the KindJob one.
-	Report *reportJSON     `json:"report,omitempty"`
-	Result *trainer.Result `json:"result,omitempty"`
+	// Report is the KindSpec result, Result the KindJob one and Results
+	// the KindBatch ones, in submission order.
+	Report  *reportJSON       `json:"report,omitempty"`
+	Result  *trainer.Result   `json:"result,omitempty"`
+	Results []*trainer.Result `json:"results,omitempty"`
 }
 
 // persistJSON is the WAL terminal record's payload: the wire form plus the
@@ -224,7 +232,12 @@ func (job *Job) view(withOutput bool) *jobJSON {
 	}
 	if withOutput {
 		v.Report = toReportJSON(job.report)
-		v.Result = job.result
+		switch {
+		case job.Kind == KindBatch:
+			v.Results = job.results
+		case len(job.results) > 0:
+			v.Result = job.results[0]
+		}
 	}
 	return v
 }
@@ -352,9 +365,12 @@ func jobFromPersist(v persistJSON) *Job {
 		ID: v.ID, Kind: v.Kind, Name: v.Name, tenant: v.Tenant,
 		status: v.Status, submitted: v.SubmittedAt,
 		wall: v.WallSeconds, errMsg: v.Error,
-		result: v.Result,
-		cases:  v.Cases,
-		done:   make(chan struct{}),
+		results: v.Results,
+		cases:   v.Cases,
+		done:    make(chan struct{}),
+	}
+	if v.Result != nil {
+		j.results = []*trainer.Result{v.Result}
 	}
 	if v.StartedAt != nil {
 		j.started = *v.StartedAt

@@ -29,13 +29,14 @@ import (
 // walSubmitted is the TypeSubmitted payload: everything needed to rebuild
 // and re-enqueue the job after a crash.
 type walSubmitted struct {
-	Kind        string               `json:"kind"`
-	Name        string               `json:"name,omitempty"`
-	Tenant      string               `json:"tenant,omitempty"`
-	SubmittedAt time.Time            `json:"submitted_at"`
-	Spec        *experiments.Spec    `json:"spec,omitempty"`
-	Job         *experiments.JobSpec `json:"job,omitempty"`
-	Opts        experiments.Options  `json:"opts"`
+	Kind        string                `json:"kind"`
+	Name        string                `json:"name,omitempty"`
+	Tenant      string                `json:"tenant,omitempty"`
+	SubmittedAt time.Time             `json:"submitted_at"`
+	Spec        *experiments.Spec     `json:"spec,omitempty"`
+	Job         *experiments.JobSpec  `json:"job,omitempty"`
+	Jobs        []experiments.JobSpec `json:"jobs,omitempty"`
+	Opts        experiments.Options   `json:"opts"`
 }
 
 // walStarted is the TypeStarted payload.
@@ -44,7 +45,7 @@ type walStarted struct {
 }
 
 // walCase is the TypeCaseDone payload: one grid cell's captured result
-// (cell 0 for a single-job submission). trainer.Result round-trips JSON
+// (cell 0 for a single-job submission, cell k for a batch's jobs[k]). trainer.Result round-trips JSON
 // exactly (Go emits shortest-roundtrip floats — the same property
 // coordinator mode already leans on), so a resumed sweep assembles a
 // report byte-identical to an uninterrupted run.
@@ -87,10 +88,17 @@ func (s *Server) walRecord(j *Job, typ wal.Type, payload interface{}) {
 }
 
 func (s *Server) walSubmitted(j *Job) {
-	s.walRecord(j, wal.TypeSubmitted, walSubmitted{
+	v := walSubmitted{
 		Kind: j.Kind, Name: j.Name, Tenant: j.tenant, SubmittedAt: j.submitted,
-		Spec: j.spec, Job: j.jobSpec, Opts: j.opts,
-	})
+		Spec: j.spec, Opts: j.opts,
+	}
+	switch j.Kind {
+	case KindJob:
+		v.Job = &j.jobs[0]
+	case KindBatch:
+		v.Jobs = j.jobs
+	}
+	s.walRecord(j, wal.TypeSubmitted, v)
 }
 
 func (s *Server) walStarted(j *Job) {
@@ -240,7 +248,9 @@ func (s *Server) replayWAL(records []wal.Record) (pending []*Job, loadErrs int) 
 			s.log.Warn("wal replay: lifecycle records but no submitted record, skipping", "job_id", id)
 		case st.cancelled:
 			// The client was told "cancelled"; honour the verdict even
-			// though the crash beat the worker to the terminal record.
+			// though the crash beat the worker to the terminal record, and
+			// log that record now, so the next compaction folds the job to
+			// it instead of carrying its whole history.
 			j := pendingFromWAL(id, st)
 			j.status = StatusCancelled
 			j.errMsg = "cancelled"
@@ -248,6 +258,7 @@ func (s *Server) replayWAL(records []wal.Record) (pending []*Job, loadErrs int) 
 			j.bc = nil
 			close(j.done)
 			s.store.insertLoaded(j)
+			s.walRecord(j, wal.TypeTerminal, persistJSON{jobJSON: *j.view(true)})
 		default:
 			j := pendingFromWAL(id, st)
 			s.store.insertLoaded(j)
@@ -263,18 +274,21 @@ func pendingFromWAL(id string, st *walReplayState) *Job {
 	v := st.submitted
 	j := &Job{
 		ID: id, Kind: v.Kind, Name: v.Name, tenant: v.Tenant,
-		spec: v.Spec, jobSpec: v.Job, opts: v.Opts,
+		spec: v.Spec, jobs: v.Jobs, opts: v.Opts,
 		status: StatusQueued, submitted: v.SubmittedAt,
 		resume: st.cases,
 		bc:     trainer.NewBroadcaster(),
 		done:   make(chan struct{}),
 	}
 	if v.Job != nil {
-		// Resolution was validated at original submission; a failure here
-		// means the WAL predates a schema change — surface it at run time.
-		if cfg, err := v.Job.Build(v.Opts); err == nil {
-			j.cfg = cfg
-		}
+		j.jobs = []experiments.JobSpec{*v.Job}
+	}
+	// Resolution was validated at original submission; a failure here
+	// means the WAL predates a schema change — the cell's runner surfaces
+	// it at run time.
+	j.cfgs = make([]trainer.Config, len(j.jobs))
+	for k, js := range j.jobs {
+		j.cfgs[k], _ = js.Build(v.Opts)
 	}
 	return j
 }

@@ -204,14 +204,15 @@ func (s *Subscription) Cancel() {
 // the declarative spec runner and the HTTP job service interleave their own
 // progress markers (e.g. "case_started" for one cell of a sweep) into a
 // job's event stream, in stream order, without the trainer knowing their
-// vocabulary. Kind names the marker; Text, Index and Total are
-// marker-defined.
+// vocabulary. Kind names the marker; Text, Index, Total and Result are
+// marker-defined (a "case_done" marker carries its cell's Result).
 type Annotation struct {
-	Time  float64
-	Kind  string
-	Text  string
-	Index int
-	Total int
+	Time   float64
+	Kind   string
+	Text   string
+	Index  int
+	Total  int
+	Result *Result
 }
 
 func (Annotation) isEvent() {}

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"testing"
 )
@@ -79,6 +80,38 @@ func FuzzDecode(f *testing.F) {
 		}
 		if rec3.LoadErrors != 0 {
 			t.Fatalf("repaired directory still reports %d load errors", rec3.LoadErrors)
+		}
+	})
+}
+
+// FuzzRecordHead checks recordHead, whose hand-written parse covers the
+// prefix appendFrame writes, against unmarshalHead, the json.Unmarshal it
+// stands in for: on every input both fail, or both succeed with the same
+// type and job. Seeds are FuzzDecode's frames and their payloads, plus
+// records whose job IDs need escaping.
+func FuzzRecordHead(f *testing.F) {
+	good, _ := Encode(Record{Type: TypeCaseDone, JobID: "job-000001", Payload: []byte(`{"i":1}`)})
+	for _, seed := range [][]byte{
+		{}, good, good[:len(good)-3], good[headerBytes:], good[headerBytes : len(good)-3],
+		{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 1, 2, 3},
+		[]byte(`{"type":"checkpoint","payload":{"through":3}}`),
+		[]byte(`{"type":"started","job_id":"job-000002"}`),
+		[]byte(`{"job_id":"job-000002","type":"started"}`),
+		[]byte(`{"TYPE":"started","job_id":"job-000002"}`),
+		[]byte(`{"type":"started","job_id":"job-000002"} `),
+		[]byte(`{"type":"started","job_id":"a","job_id":"b"}`),
+	} {
+		f.Add(seed)
+	}
+	for _, id := range []string{`job-"1"`, `job\2`, "job-é", "job- ", "job-\x01", "job-\x7f", `a","payload":"b`} {
+		rec, _ := json.Marshal(Record{Type: TypeTerminal, JobID: id, Payload: []byte(`{"ok":true}`)})
+		f.Add(rec)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		got, gotErr := recordHead(b)
+		want, wantErr := unmarshalHead(b)
+		if (gotErr == nil) != (wantErr == nil) || got.Type != want.Type || got.JobID != want.JobID {
+			t.Fatalf("recordHead(%q) = %+v, %v; json.Unmarshal reads %+v, %v", b, got, gotErr, want, wantErr)
 		}
 	})
 }

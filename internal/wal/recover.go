@@ -179,13 +179,65 @@ func readFrames(dir string, after, through int) (frames [][]byte, heads []Record
 }
 
 // recordHead decodes a record's type and job alone: the payload, which
-// appendFrame's json.Marshal writes after them, is cut off unread.
-func recordHead(b []byte) (h Record, err error) {
+// appendFrame's json.Marshal writes after them, is cut off unread. The
+// prefix appendFrame writes is parsed by hand (parseHead); any other shape
+// goes through unmarshalHead, and the two agree on every input.
+func recordHead(b []byte) (Record, error) {
+	if h, ok := parseHead(b); ok {
+		return h, nil
+	}
+	return unmarshalHead(b)
+}
+
+// unmarshalHead is recordHead's general path: json.Unmarshal of the
+// record with its payload cut off.
+func unmarshalHead(b []byte) (h Record, err error) {
 	if i := bytes.Index(b, []byte(`,"payload":`)); i >= 0 {
 		b = append(b[:i:i], '}')
 	}
 	err = json.Unmarshal(b, &h)
 	return h, err
+}
+
+// parseHead reads {"type":"…" and an optional ,"job_id":"…", then needs
+// the object's end or its payload. ok is false for anything else — another
+// field or order, an escape or a byte outside printable ASCII in either
+// string — which json.Unmarshal may read differently.
+func parseHead(b []byte) (h Record, ok bool) {
+	rest, ok := bytes.CutPrefix(b, []byte(`{"type":`))
+	if !ok {
+		return h, false
+	}
+	var typ, job string
+	if typ, rest, ok = plainString(rest); !ok {
+		return h, false
+	}
+	if r, found := bytes.CutPrefix(rest, []byte(`,"job_id":`)); found {
+		if job, rest, ok = plainString(r); !ok {
+			return h, false
+		}
+	}
+	if string(rest) != "}" && !bytes.HasPrefix(rest, []byte(`,"payload":`)) {
+		return h, false
+	}
+	return Record{Type: Type(typ), JobID: job}, true
+}
+
+// plainString reads a JSON string of printable ASCII with no escapes from
+// the start of b and returns it with the bytes after it.
+func plainString(b []byte) (s string, rest []byte, ok bool) {
+	if len(b) == 0 || b[0] != '"' {
+		return "", nil, false
+	}
+	for i := 1; i < len(b); i++ {
+		switch c := b[i]; {
+		case c == '"':
+			return string(b[1:i]), b[i+1:], true
+		case c < 0x20 || c > 0x7e || c == '\\':
+			return "", nil, false
+		}
+	}
+	return "", nil, false
 }
 
 // ReadAll scans dir read-only — no truncation, no deletion — and returns
