@@ -84,9 +84,18 @@ COORDPID=$!
 wait_healthy "$COORD"
 curl -sf "$COORD/healthz" | grep -q '"healthy": 2' || fail "coordinator does not report 2 healthy workers"
 
-# Sweep 1: healthy fleet. Byte-identical to single-node.
+# Sweep 1: healthy fleet. Byte-identical to single-node, and each worker
+# is sent its share as at most 4 batches (the -inflight default).
+submitted() { curl -sf "$1/metrics" | awk '$1 == "stallserved_jobs_submitted_total" { print $2 }'; }
+S1=$(submitted "$W1")
+S2=$(submitted "$W2")
 "$BUILD_DIR/stallclient" -addr 127.0.0.1:"$P3" -table-only -spec "$SPEC" >"$BUILD_DIR/distsmoke-fleet.txt" ||
   fail "fleet sweep"
+for pair in "$W1 $S1" "$W2 $S2"; do
+  set -- $pair
+  n=$(($(submitted "$1") - $2))
+  [ "$n" -le 4 ] || fail "worker $1 was sent $n jobs for one sweep, want at most 4 batches"
+done
 cmp -s "$BUILD_DIR/distsmoke-golden.txt" "$BUILD_DIR/distsmoke-fleet.txt" ||
   fail "fleet report differs from single-node golden:
 $(diff "$BUILD_DIR/distsmoke-golden.txt" "$BUILD_DIR/distsmoke-fleet.txt" || true)"
