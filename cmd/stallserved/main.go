@@ -76,7 +76,7 @@ func run() int {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.String("workers", "", "worker pool size (default one per CPU); with -coordinator, comma-separated worker base URLs instead")
 	coordinator := flag.Bool("coordinator", false, "run as a fleet coordinator: shard specs across the stallserved workers named by -workers")
-	inflight := flag.Int("inflight", 4, "coordinator: concurrently dispatched cases per worker")
+	inflight := flag.Int("inflight", 4, "coordinator: concurrently dispatched batches per worker, each run one cell after another")
 	retries := flag.Int("retries", 3, "coordinator: re-route attempts per case beyond the first")
 	backoff := flag.Duration("backoff", 100*time.Millisecond, "coordinator: first re-route delay, doubling per attempt")
 	tenantQuota := flag.Int("tenant-quota", 0, "max queued+running jobs per X-Tenant header (0 = unlimited)")

@@ -109,6 +109,14 @@ func NewPageCacheFetcher(d *dataset.Dataset, c *cluster.Cluster, capBytes float6
 	return f
 }
 
+// Release hands the page caches' slot arrays to later fetchers. The
+// fetcher must not be used after.
+func (f *PageCacheFetcher) Release() {
+	for _, c := range f.Caches {
+		c.Release()
+	}
+}
+
 // CacheUsedBytes reports page-cache occupancy summed across servers (the
 // trainer's EpochEnded observer events surface it).
 func (f *PageCacheFetcher) CacheUsedBytes() float64 { return cache.SumUsedBytes(f.Caches) }

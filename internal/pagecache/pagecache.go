@@ -38,6 +38,7 @@ package pagecache
 
 import (
 	"math/rand"
+	"sync"
 
 	"datastall/internal/dataset"
 )
@@ -164,13 +165,35 @@ func New(policy Policy, sizes dataset.Sizes, capBytes float64, seed int64) *Cach
 }
 
 // NewSized is New with the slot array pre-sized for numItems dense IDs, so
-// inserts of IDs below numItems never reallocate.
+// inserts of IDs below numItems never reallocate. The array is a released
+// cache's when the pooled one holds numItems to twice as many slots; one
+// any larger is dropped, so small runs do not keep a large run's alive.
 func NewSized(policy Policy, sizes dataset.Sizes, capBytes float64, seed int64, numItems int) *Cache {
 	c := New(policy, sizes, capBytes, seed)
 	if numItems > 0 {
-		c.slots = make([]entry, numItems)
+		if p, _ := slotPool.Get().(*[]entry); p != nil && cap(*p) >= numItems && cap(*p) <= 2*numItems {
+			c.slots = (*p)[:numItems]
+			clear(c.slots)
+		} else {
+			c.slots = make([]entry, numItems)
+		}
 	}
 	return c
+}
+
+// slotPool holds the slot arrays of released caches. A sweep simulates
+// many short runs over one dataset, each of which would otherwise
+// allocate, and leave the GC to free, an array with a slot per item.
+var slotPool sync.Pool // of *[]entry
+
+// Release hands the cache's slot array to a later NewSized. The cache
+// must not be used after.
+func (c *Cache) Release() {
+	if cap(c.slots) > 0 {
+		s := c.slots[:0]
+		slotPool.Put(&s)
+	}
+	c.slots = nil
 }
 
 // SetActiveRatio overrides the TwoList active-list share (for ablations).

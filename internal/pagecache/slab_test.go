@@ -2,6 +2,7 @@ package pagecache
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"unsafe"
 
@@ -184,5 +185,30 @@ func TestAllocsPagecacheHotPaths(t *testing.T) {
 		if avg := testing.AllocsPerRun(20, step); avg != 0 {
 			t.Fatalf("%v: steady-state lookup+insert allocates %v per 256 accesses, want 0", pol, avg)
 		}
+	}
+}
+
+// TestReleasedSlotsReuse: a cache built after another's Release starts
+// empty whatever the released one held, and a released array more than
+// twice the size a new cache needs is not handed to it, so a small run
+// does not keep a large run's array alive. GOMAXPROCS(1) keeps the pool's
+// Put and Get on one P, where nothing else takes the array in between.
+func TestReleasedSlotsReuse(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const n = 1000
+	dirty := NewSized(TwoList, unit, n/2, 3, n)
+	for i := 0; i < n; i++ {
+		dirty.Insert(dataset.ItemID(i))
+	}
+	dirty.Release()
+	c := NewSized(TwoList, unit, n/2, 3, n)
+	for i := 0; i < n; i++ {
+		if c.Contains(dataset.ItemID(i)) {
+			t.Fatalf("item %d resident in a new cache built on a released array", i)
+		}
+	}
+	c.Release()
+	if small := NewSized(TwoList, unit, 10, 3, n/4); cap(small.slots) > n/2 {
+		t.Fatalf("a %d-item cache holds a %d-slot array", n/4, cap(small.slots))
 	}
 }

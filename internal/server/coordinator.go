@@ -22,7 +22,9 @@
 // in-flight batch.
 //
 // Placement is a consistent-hash ring (FNV-64a finalized by splitmix64's
-// mixer, virtual nodes) keyed by the cell's grid coordinates, so a
+// mixer, virtual nodes) keyed by the cell's grid coordinates, with bounded
+// loads: no worker takes more than its even share of the cells, rounded
+// up, the surplus spilling to each cell's next ring successor. A
 // re-submitted spec routes its cells to the same workers. Failures —
 // transport errors, 5xx, an event stream that breaks before job_done, a
 // worker-side panic captured by that worker's own isolation — mark the
@@ -64,7 +66,7 @@ const ringPoints = 64
 type coordWorker struct {
 	url     string
 	healthy atomic.Bool
-	// sem bounds cases in flight on this worker.
+	// sem bounds batches in flight on this worker.
 	sem chan struct{}
 }
 
@@ -92,7 +94,7 @@ func newCoordinator(cfg Config) (*coordinator, error) {
 	if inflight <= 0 {
 		inflight = 4
 	}
-	// Each in-flight cell holds one connection at a time (its submit, then
+	// Each in-flight batch holds one connection at a time (its submit, then
 	// its event stream); twice the bound per worker leaves room for health
 	// probes and cancels without dialing anew.
 	tr := http.DefaultTransport.(*http.Transport).Clone()
@@ -184,6 +186,36 @@ func pick(order []*coordWorker, attempt int) *coordWorker {
 		}
 	}
 	return nil
+}
+
+// place assigns cells, given their ring successions, to healthy workers
+// with bounded loads: in index order, each cell goes to the first healthy
+// worker of its succession, from the attempt-th preference on, that holds
+// fewer than ⌈cells/healthy workers⌉ of them. Most cells land on their
+// ring home; the rest spill to their next successor, so no worker waits
+// on another's surplus, and the same cells on the same healthy fleet
+// always land the same way. A nil worker means none is healthy.
+func (c *coordinator) place(orders [][]*coordWorker, attempt int) []*coordWorker {
+	out := make([]*coordWorker, len(orders))
+	h := c.healthyCount()
+	if h == 0 {
+		return out
+	}
+	limit := (len(orders) + h - 1) / h
+	load := make(map[*coordWorker]int, h)
+	for i, order := range orders {
+		for n := 0; n < len(order) && out[i] == nil; n++ {
+			if w := order[(attempt+n)%len(order)]; w.healthy.Load() && load[w] < limit {
+				out[i] = w
+			}
+		}
+		if out[i] == nil {
+			// A worker went down mid-placement and the rest are full.
+			out[i] = pick(order, attempt)
+		}
+		load[out[i]]++
+	}
+	return out
 }
 
 // permanentError marks a failure that re-routing cannot fix: the workload
@@ -295,19 +327,22 @@ func (s *Server) coordBatch(j *Job) experiments.RunBatch {
 	}
 }
 
-// scatter sends cells, all at the same attempt, to the attempt-th healthy
-// worker of each one's succession: a worker's share goes out round-robin,
-// in index order, as at most its in-flight bound of batches (more only
-// when a batch would otherwise pass maxBatchJobs).
+// scatter sends cells, all at the same attempt, to the workers place
+// picks: a worker's share goes out round-robin, in index order, as at most
+// its in-flight bound of batches (more only when a batch would otherwise
+// pass maxBatchJobs).
 func (d *coordDispatch) scatter(cells []*coordCell, attempt int) {
+	orders := make([][]*coordWorker, len(cells))
+	for i, cl := range cells {
+		orders[i] = cl.order
+	}
 	shares := map[*coordWorker][]*coordCell{}
 	var workers []*coordWorker // in order of first appearance
-	for _, cl := range cells {
-		w := pick(cl.order, attempt)
+	for i, w := range d.s.coord.place(orders, attempt) {
 		if _, ok := shares[w]; !ok {
 			workers = append(workers, w)
 		}
-		shares[w] = append(shares[w], cl)
+		shares[w] = append(shares[w], cells[i])
 	}
 	for _, w := range workers {
 		share := shares[w]
@@ -624,7 +659,10 @@ func (s *Server) settle(d *coordDispatch, w *coordWorker, batch []*coordCell, ke
 
 // cellTraces splits a batch's span records into one trace per cell: the
 // cell's case span with everything under it, beneath copies of the spans
-// that enclose it (the remote job's root and run spans). The worker's
+// that enclose it (the remote job's root and run spans), clipped to the
+// case span's interval. The copies nest inside the cell's attempt span,
+// which ends on the cell's case_done, and an attempt's duration less its
+// job's is the cell's time outside its own simulation. The worker's
 // executor opens one case span per cell, in index order, so the k-th case
 // span under the run span, in creation order, is cell k's. Records that
 // do not have that shape graft nothing.
@@ -641,7 +679,10 @@ func cellTraces(recs []obs.SpanRecord, n int) [][]obs.SpanRecord {
 			run = r
 		case run != nil && r.Parent == run.ID && r.Name == "case":
 			owner[r.ID] = len(out)
-			out = append(out, []obs.SpanRecord{*root, *run, *r})
+			croot, crun := *root, *run
+			croot.StartUS, croot.DurUS = r.StartUS, r.DurUS
+			crun.StartUS, crun.DurUS = r.StartUS, r.DurUS
+			out = append(out, []obs.SpanRecord{croot, crun, *r})
 		default:
 			if k, ok := owner[r.Parent]; ok {
 				owner[r.ID] = k

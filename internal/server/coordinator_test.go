@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"datastall/internal/experiments"
+	"datastall/internal/obs"
 	"datastall/internal/trainer"
 )
 
@@ -450,7 +451,7 @@ func TestRingSharesBalanced(t *testing.T) {
 
 // TestCoordinatorRequestsPerBatch pins the batch protocol: a sweep costs
 // each worker one POST /v1/jobs and one GET /v1/jobs/{id}/events per batch
-// — one batch per cell of its share, up to its in-flight bound, so at most
+// — one batch per cell of its placed share, up to its in-flight bound, so at most
 // workers × WorkerInflight of each — and no polls or trace fetches, sweep
 // after sweep, while every cell still counts as dispatched. New
 // connections per sweep are logged: the coordinator's pool keeps one per
@@ -493,7 +494,7 @@ func TestCoordinatorRequestsPerBatch(t *testing.T) {
 	const inflight = 4 // the WorkerInflight default
 	coord, ts := newCoordinatorServer(t, urls, nil)
 
-	cells, share := homeShares(t, coord, raw)
+	cells, share := placedShares(t, coord, raw)
 	batches := 0
 	for _, n := range share {
 		batches += min(n, inflight)
@@ -525,10 +526,9 @@ func TestCoordinatorRequestsPerBatch(t *testing.T) {
 	}
 }
 
-// homeShares enumerates a spec's cells and counts how many of them each
-// of the coordinator's workers is home to: the first of the cell's ring
-// succession.
-func homeShares(t *testing.T, coord *Server, raw []byte) ([]experiments.SpecCase, map[*coordWorker]int) {
+// placedShares enumerates a spec's cells and counts how many of them the
+// coordinator's placement gives each of its workers on a healthy fleet.
+func placedShares(t *testing.T, coord *Server, raw []byte) ([]experiments.SpecCase, map[*coordWorker]int) {
 	t.Helper()
 	sp, err := experiments.LoadSpec(raw)
 	if err != nil {
@@ -538,11 +538,110 @@ func homeShares(t *testing.T, coord *Server, raw []byte) ([]experiments.SpecCase
 	if err != nil {
 		t.Fatal(err)
 	}
+	orders := make([][]*coordWorker, len(cells))
+	for i, c := range cells {
+		orders[i] = coord.coord.succession(sp.Name + "/" + c.Row + "/" + c.Case)
+	}
 	share := map[*coordWorker]int{}
-	for _, c := range cells {
-		share[coord.coord.succession(sp.Name + "/" + c.Row + "/" + c.Case)[0]]++
+	for _, w := range coord.coord.place(orders, 0) {
+		share[w]++
 	}
 	return cells, share
+}
+
+// TestPlaceBoundsLoad: placement gives no worker more than its even share
+// of a sweep, rounded up, sends every cell that fits to its ring home and
+// the rest to the next successor with room, skips unhealthy workers, and
+// lands the same cells the same way every time.
+func TestPlaceBoundsLoad(t *testing.T) {
+	c, err := newCoordinator(Config{WorkerURLs: []string{"http://a:1", "http://b:2", "http://c:3"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{1, 2, 7, 20, 61} {
+		orders := make([][]*coordWorker, n)
+		for i := range orders {
+			orders[i] = c.succession(fmt.Sprintf("sweep/%d/cell", i))
+		}
+		for down := -1; down < len(c.workers); down++ {
+			for i, w := range c.workers {
+				w.healthy.Store(i != down)
+			}
+			healthy := c.healthyCount()
+			limit := (n + healthy - 1) / healthy
+			got := c.place(orders, 0)
+			if again := c.place(orders, 0); fmt.Sprint(again) != fmt.Sprint(got) {
+				t.Fatalf("n=%d down=%d: placement differs across calls", n, down)
+			}
+			load := map[*coordWorker]int{}
+			for i, w := range got {
+				if w == nil || !w.healthy.Load() {
+					t.Fatalf("n=%d down=%d: cell %d placed on %v", n, down, i, w)
+				}
+				// Every healthy worker the cell prefers to w was full when
+				// the cell was placed.
+				for _, pref := range orders[i] {
+					if pref == w {
+						break
+					}
+					if pref.healthy.Load() && load[pref] < limit {
+						t.Fatalf("n=%d down=%d: cell %d skipped %s with room", n, down, i, pref.url)
+					}
+				}
+				load[w]++
+			}
+			for w, k := range load {
+				if k > limit {
+					t.Fatalf("n=%d down=%d: %s holds %d cells, over %d", n, down, w.url, k, limit)
+				}
+			}
+		}
+	}
+	for _, w := range c.workers {
+		w.healthy.Store(false)
+	}
+	if got := c.place([][]*coordWorker{c.workers}, 0); got[0] != nil {
+		t.Fatalf("no healthy worker, yet a cell was placed on %s", got[0].url)
+	}
+}
+
+// TestCellTracesClipsToCase: each cell of a batch gets its own case
+// subtree beneath copies of the batch's job and run spans cut to that
+// case span's interval, so the copies nest inside the cell's attempt,
+// which ends when the cell's own case_done arrives.
+func TestCellTracesClipsToCase(t *testing.T) {
+	recs := []obs.SpanRecord{
+		{ID: 1, Name: "job", StartUS: 0, DurUS: 100},
+		{ID: 2, Parent: 1, Name: "run", StartUS: 5, DurUS: 90},
+		{ID: 3, Parent: 2, Name: "case", StartUS: 10, DurUS: 30},
+		{ID: 4, Parent: 3, Name: "simulate", StartUS: 11, DurUS: 28},
+		{ID: 5, Parent: 2, Name: "case", StartUS: 45, DurUS: 40},
+		{ID: 6, Parent: 5, Name: "simulate", StartUS: 46, DurUS: 38},
+	}
+	traces := cellTraces(recs, 2)
+	if len(traces) != 2 {
+		t.Fatalf("%d cell traces, want 2", len(traces))
+	}
+	for k, tr := range traces {
+		if len(tr) != 4 {
+			t.Fatalf("cell %d: %d spans, want job, run, case, simulate", k, len(tr))
+		}
+		cs := tr[2]
+		for _, r := range tr[:2] {
+			if r.StartUS != cs.StartUS || r.DurUS != cs.DurUS {
+				t.Errorf("cell %d: %s copy spans [%d, +%d], want its case's [%d, +%d]", k, r.Name, r.StartUS, r.DurUS, cs.StartUS, cs.DurUS)
+			}
+		}
+		if tr[3].Parent != cs.ID {
+			t.Errorf("cell %d: simulate hangs under span %d, not its case %d", k, tr[3].Parent, cs.ID)
+		}
+	}
+	if recs[0].DurUS != 100 || recs[1].DurUS != 90 {
+		t.Error("cellTraces changed the batch's own records")
+	}
+	if cellTraces(recs, 3) != nil {
+		t.Error("records for 2 cells grafted onto 3")
+	}
 }
 
 // TestCoordinatorWorkerDiesMidBatch kills a worker after exactly one of
@@ -575,14 +674,14 @@ func TestCoordinatorWorkerDiesMidBatch(t *testing.T) {
 		servers = append(servers, ts)
 	}
 	coord, ts := newCoordinatorServer(t, urls, nil)
-	cells, share := homeShares(t, coord, raw)
+	cells, share := placedShares(t, coord, raw)
 	vi := 0
 	if share[coord.coord.workers[1]] > share[coord.coord.workers[0]] {
 		vi = 1
 	}
 	victimShare := share[coord.coord.workers[vi]]
 	if victimShare < 2 {
-		t.Fatalf("the victim is home to %d cells; a mid-batch death needs 2", victimShare)
+		t.Fatalf("the victim is placed %d cells; a mid-batch death needs 2", victimShare)
 	}
 	// Park a long job on the victim's single worker so that its batches
 	// run only once every batch's event stream is attached.

@@ -113,8 +113,8 @@ type Config struct {
 	// spec jobs are sharded cell-by-cell across these stallserved workers
 	// (and single jobs forwarded whole) instead of simulating locally.
 	WorkerURLs []string
-	// WorkerInflight bounds concurrently dispatched cases per worker
-	// (<= 0: 4).
+	// WorkerInflight bounds concurrently dispatched batches per worker,
+	// each of which runs its cells one after another (<= 0: 4).
 	WorkerInflight int
 	// CaseRetries bounds re-route attempts per case beyond the first
 	// (<= 0: 3).

@@ -133,7 +133,37 @@ func distributedTopology(t *testing.T) []byte {
 	if n := j.tracer.OpenSpans(); n != 0 {
 		t.Fatalf("%d spans still open after finalize", n)
 	}
-	return obs.TopologyFromRecords(fetchTraceRecords(t, ts, id))
+	recs := fetchTraceRecords(t, ts, id)
+	checkGraftNests(t, recs)
+	return obs.TopologyFromRecords(recs)
+}
+
+// checkGraftNests requires each worker job span grafted under an attempt,
+// and the run span under it, to lie within its parent's wall-clock
+// interval: a batch's cells finish at different times, so each cell's
+// copies of the batch's enclosing spans must be cut to that cell's own
+// part. Coordinator and workers share one process clock here.
+func checkGraftNests(t *testing.T, recs []obs.SpanRecord) {
+	t.Helper()
+	byID := make(map[int64]obs.SpanRecord, len(recs))
+	for _, r := range recs {
+		byID[r.ID] = r
+	}
+	grafts := 0
+	for _, r := range recs {
+		p, ok := byID[r.Parent]
+		if !ok || !(r.Name == "job" && p.Name == "attempt" || r.Name == "run" && p.Name == "job" && byID[p.Parent].Name == "attempt") {
+			continue
+		}
+		grafts++
+		if r.StartUS < p.StartUS || r.StartUS+r.DurUS > p.StartUS+p.DurUS {
+			t.Errorf("%s span [%d, +%d] outside its %s span [%d, +%d]",
+				r.Name, r.StartUS, r.DurUS, p.Name, p.StartUS, p.DurUS)
+		}
+	}
+	if grafts == 0 {
+		t.Error("no worker spans grafted under an attempt")
+	}
 }
 
 // TestTraceTopologyGolden is the tracecheck determinism guarantee: the

@@ -3,6 +3,7 @@ package trainer
 import (
 	"context"
 	"math"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -85,16 +86,17 @@ func TestSimulationStartsNoGoroutines(t *testing.T) {
 
 // wholeCaseAllocs and wholeCaseBytes are the allocation ceilings of one
 // small single-server case run end to end (TestAllocsWholeCase), measured
-// at 220 objects and 57,208 bytes once page-cache slots shrank to 8 bytes
-// by deriving each item's size from the dataset's size model. Earlier
-// ceilings: 220 objects, 80,000 bytes (79,720 measured, 16-byte slots, one
+// at 220 objects and 29,352 bytes once a finished run handed its page
+// cache's slot array and its order buffer to the next. Earlier ceilings:
+// 220 objects, 58,000 bytes (57,208 measured, 8-byte page-cache slots
+// whose item sizes come from the dataset's size model); 220 objects, 80,000 bytes (79,720 measured, 16-byte slots, one
 // epoch plan and one rng per sampler); 226 objects, 111,200 bytes; before
 // the page cache was indexed by item ID and whole-dataset samplers stopped
 // materialising an identity shard, 247 objects, 197,600 bytes; goroutine
 // producers took 278 objects.
 const (
 	wholeCaseAllocs = 220
-	wholeCaseBytes  = 58_000
+	wholeCaseBytes  = 30_000
 )
 
 // twoEpochsBytes is the ceiling on the heap bytes two more epochs of the
@@ -111,6 +113,33 @@ func wholeCaseConfig(epochs int) Config {
 	return Config{
 		Model: gpu.MustByName("resnet18"), Dataset: d, Spec: cluster.ConfigSSDV100(),
 		Epochs: epochs, CacheBytes: 0.5 * d.TotalBytes, Batch: 64,
+	}
+}
+
+// TestReusedBuffersMatchFresh: a case run on the slot array and order
+// buffer a different finished case left behind — every slot and item
+// written — gives the result it gives on freshly allocated ones.
+func TestReusedBuffersMatchFresh(t *testing.T) {
+	cfg := wholeCaseConfig(2)
+	other := cfg
+	other.Seed, other.CacheBytes = 9, cfg.CacheBytes/2
+	runtime.GC()
+	runtime.GC() // empties the pools: the first run allocates afresh
+	fresh, err := RunContext(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 3 {
+		if _, err := RunContext(context.Background(), other); err != nil {
+			t.Fatal(err)
+		}
+		reused, err := RunContext(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(fresh, reused) {
+			t.Fatal("a case run on a finished case's buffers differs from a fresh run")
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package trainer
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"datastall/internal/cluster"
 	"datastall/internal/core"
@@ -62,7 +63,26 @@ func RunContext(ctx context.Context, cfg Config, obs ...Observer) (*Result, erro
 	}
 	res := rt.result()
 	rt.obs.emit(JobEnded{Time: res.TotalTime, Result: res})
+	rt.release()
 	return res, nil
+}
+
+// orderBufs holds the epoch-order buffers of finished runs (see release).
+var orderBufs sync.Pool // of *[]dataset.ItemID
+
+// release hands a finished run's per-item buffers, its page caches' slot
+// arrays and its epoch-order buffer, to later runs: a sweep's cells share
+// a dataset, so each would otherwise allocate and drop its own. rt must
+// not be used after.
+func (rt *jobRuntime) release() {
+	if f, ok := rt.fetcher.(*loader.PageCacheFetcher); ok {
+		f.Release()
+	}
+	if buf := rt.pl.buf; buf != nil {
+		buf = buf[:0]
+		orderBufs.Put(&buf)
+	}
+	rt.pl = epochPlan{}
 }
 
 // jobRuntime holds the live state of one running job.
@@ -163,14 +183,21 @@ func newOrderSource(cfg Config, ownerShards []dataset.Shard) *orderSource {
 }
 
 // fill rewrites pl as the epoch's plan, reusing its buffers when it owns
-// them. Orders are identical whether or not buffers are reused.
+// them and, for a new plan, a finished run's order buffer. Orders are
+// identical whether or not buffers are reused.
 func (src *orderSource) fill(pl *epochPlan, epoch int) {
-	var (
-		shards []dataset.Shard
-		buf    []dataset.ItemID
-	)
-	if pl.owned {
-		shards, buf = pl.shards, pl.buf
+	// The order buffer is always the plan's own; the shards may alias
+	// the owner shards.
+	shards, buf := pl.shards, pl.buf
+	if !pl.owned {
+		shards = nil
+	}
+	if buf == nil {
+		// As with page-cache slots, a pooled buffer over twice the
+		// dataset's size is dropped rather than kept alive.
+		if p, _ := orderBufs.Get().(*[]dataset.ItemID); p != nil && cap(*p) <= 2*src.cfg.Dataset.NumItems {
+			buf = *p
+		}
 	}
 	owned := true
 	switch {
