@@ -177,17 +177,6 @@ func (c *coordinator) succession(key string) []*coordWorker {
 	return out
 }
 
-// pick returns the attempt-th preference that is currently healthy, scanning
-// forward so retries walk to the next distinct worker.
-func pick(order []*coordWorker, attempt int) *coordWorker {
-	for n := 0; n < len(order); n++ {
-		if w := order[(attempt+n)%len(order)]; w.healthy.Load() {
-			return w
-		}
-	}
-	return nil
-}
-
 // place assigns cells, given their ring successions, to healthy workers
 // with bounded loads: in index order, each cell goes to the first healthy
 // worker of its succession, from the attempt-th preference on, that holds
@@ -204,14 +193,14 @@ func (c *coordinator) place(orders [][]*coordWorker, attempt int) []*coordWorker
 	limit := (len(orders) + h - 1) / h
 	load := make(map[*coordWorker]int, h)
 	for i, order := range orders {
-		for n := 0; n < len(order) && out[i] == nil; n++ {
-			if w := order[(attempt+n)%len(order)]; w.healthy.Load() && load[w] < limit {
-				out[i] = w
+		// The second pass, past the bound, is for a worker that went down
+		// mid-placement and left the rest full.
+		for pass := 0; pass < 2 && out[i] == nil; pass++ {
+			for n := 0; n < len(order) && out[i] == nil; n++ {
+				if w := order[(attempt+n)%len(order)]; w.healthy.Load() && (pass > 0 || load[w] < limit) {
+					out[i] = w
+				}
 			}
-		}
-		if out[i] == nil {
-			// A worker went down mid-placement and the rest are full.
-			out[i] = pick(order, attempt)
 		}
 		load[out[i]]++
 	}
